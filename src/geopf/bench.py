@@ -17,7 +17,7 @@ from .errors import GenerationFailure
 from .planners import build_planner
 from .queries import _kernel_for
 from .scenes import SceneClass, generate
-from .sim import TrajectoryRecord, VerdictKind, run_trial
+from .sim import TrajectoryRecord, VerdictKind, _obstacle_distances, run_trial
 
 
 @dataclass(frozen=True)
@@ -78,22 +78,21 @@ class SuiteReport:
     trial_seeds: list = field(default_factory=list)
 
 
+def _replayed(states, scene):
+    """Per-state obstacle distances at the recorded positions, measured as
+    the simulator does, with obstacles advanced to each state's step."""
+    kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
+    for s in states:
+        x, y, z = s.position
+        yield _obstacle_distances(kernels, x, y, z, scene.primitives_at_step(s.step))
+
+
 def replay_distances(states, scene):
     """Recompute per-state minimum obstacle distance from recorded positions.
 
-    Returns a list aligned with ``states``; the same query kernels as the
-    simulator are used, with obstacles advanced to each state's step time.
+    Returns a list aligned with ``states`` (``inf`` without obstacles).
     """
-    kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
-    out = []
-    for s in states:
-        prims = scene.primitives_at_step(s.step)
-        x, y, z = s.position
-        if kernels:
-            out.append(min(kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)))
-        else:
-            out.append(math.inf)
-    return out
+    return [min(dists, default=math.inf) for dists in _replayed(states, scene)]
 
 
 def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
@@ -113,19 +112,16 @@ def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
         ct = math.nan
 
     if record.dist_count == 0 and scene.obstacles and len(states) > 1:
-        # Synthetic record: replay the distances from the states.
-        dists = replay_distances(states, scene)
-        min_dist = min(dists)
-        # Per-pair average over every (state, obstacle) pair.
+        # Synthetic record: replay the distances from the states, summed
+        # per state as the simulator does; the average is per pair.
+        min_dist = math.inf
         total = 0.0
         count = 0
-        kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
-        for s in states:
-            prims = scene.primitives_at_step(s.step)
-            x, y, z = s.position
-            total += math.fsum(kern(x, y, z, p)[0] for kern, p in zip(kernels, prims))
-            count += len(prims)
-        avg_dist = total / count if count else math.inf
+        for dists in _replayed(states, scene):
+            min_dist = min(min_dist, *dists)
+            total += math.fsum(dists)
+            count += len(dists)
+        avg_dist = total / count
     else:
         min_dist = record.min_dist
         avg_dist = record.dist_sum / record.dist_count if record.dist_count else math.inf

@@ -1,15 +1,19 @@
-"""Attractive/repulsive force generation from closest features.
+"""Attractive and repulsive force terms from closest features.
 
-The repulsion law is inverse-distance: ``F = k / d`` along the feature's
-repulsion direction, active only below the activation radius and clamped near
-contact.  Rectangles (and cylinder caps) additionally apply a trap-correction
-heuristic: when the straight robot-goal stretch pierces the obstacle's
-interior, the repulsion is redirected parallel to the surface toward the
-nearest edge so attraction cannot cancel it.
+Attraction has constant magnitude ``k_attr`` toward the goal
+(:func:`_attraction`).  Repulsion is inverse-distance, ``F = k / d`` along
+the closest feature's direction, active only below the activation radius
+and clamped to ``k / D_MIN`` near contact.  One function computes the
+repulsion of any primitive, obstacle or boundary wall:
+:func:`obstacle_force_term`.  Rectangles, box faces and cylinder caps add a
+trap correction: when the straight robot-goal stretch pierces the
+obstacle, the repulsion turns parallel to the surface toward the nearest
+edge so that attraction cannot cancel it.
 
-All term generators share the scalar kernels from :mod:`geopf.queries`; the
-public functions wrap them in numpy vectors, the simulator consumes the raw
-scalar variants.
+Everything here works on plain floats over the scalar kernels of
+:mod:`geopf.queries`; the public functions wrap the same code in numpy
+vectors.  The resultant of a scene is summed by the geometric planner
+(:mod:`geopf.planners`), which also provides :func:`resultant_force`.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CollisionSignal
-from .primitives import DEGENERACY_EPS, Cube, Cylinder, RectPlane, as_vec3, unit3
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, as_vec3, unit3
 from .queries import (
     ClosestFeature,
     FeatureKind,
@@ -68,19 +72,23 @@ class ForceBreakdown:
     resultant: np.ndarray
 
 
+def _attraction(rx, ry, rz, gx, gy, gz, k_attr):
+    """Scalar pull toward the goal: k_attr * unit(goal - robot), or zero on
+    the goal (termination is handled before force evaluation)."""
+    dx, dy, dz = gx - rx, gy - ry, gz - rz
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if n <= DEGENERACY_EPS:
+        return 0.0, 0.0, 0.0
+    s = k_attr / n
+    return s * dx, s * dy, s * dz
+
+
 def attractive_force(robot, goal, gains: Gains) -> np.ndarray:
     """Constant-magnitude pull toward the goal: k_attr * unit(goal - robot).
 
-    Returns the zero vector when the robot sits on the goal (termination is
-    handled before force evaluation).
+    Returns the zero vector when the robot sits on the goal.
     """
-    r = as_vec3(robot)
-    g = as_vec3(goal)
-    d = g - r
-    n = math.sqrt(float(d @ d))
-    if n <= DEGENERACY_EPS:
-        return np.zeros(3)
-    return (gains.k_attr / n) * d
+    return np.array(_attraction(*as_vec3(robot).tolist(), *as_vec3(goal).tolist(), gains.k_attr))
 
 
 def repulsive_force(feature: ClosestFeature, k: float, activation: float) -> np.ndarray:
@@ -129,12 +137,13 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane, rng):
     return k, results[k]
 
 
-def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, inside_test, rng):
+def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, disk, rng):
     """Surface-parallel corrected direction, or None when no trap is present.
 
-    The robot-goal stretch must pierce the supporting plane at a point
-    accepted by ``inside_test``; the returned unit direction is parallel to
-    the surface, perpendicular to the nearest edge, signed toward it.
+    The robot-goal stretch must pierce the supporting plane inside the
+    rectangle (``disk`` None) or inside the disk ``(center, radius)``; the
+    returned unit direction is parallel to the surface, perpendicular to the
+    nearest edge, signed toward it.
     """
     nx, ny, nz = plane._n
     v1x, v1y, v1z = plane._vs[0]
@@ -151,8 +160,14 @@ def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, inside_test,
     if d_inter <= 0.0 or d_inter > glen:
         return None  # the plane is not between robot and goal
     px, py, pz = rx - d_inter * ux, ry - d_inter * uy, rz - d_inter * uz
-    if not inside_test(px, py, pz):
-        return None
+    if disk is None:
+        if not _plane_inside_kernel(px, py, pz, plane):
+            return None
+    else:
+        (ccx, ccy, ccz), rr = disk
+        dx, dy, dz = px - ccx, py - ccy, pz - ccz
+        if not dx * dx + dy * dy + dz * dz <= rr * rr:
+            return None
     k, edge_res = _nearest_edge(rx, ry, rz, plane, rng)
     ex, ey, ez = plane.edges[k]._u
     cx = ny * ez - nz * ey
@@ -164,25 +179,6 @@ def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, inside_test,
     if s < 0.0:
         return (-cx, -cy, -cz)
     return (cx, cy, cz)
-
-
-def _plane_term(rx, ry, rz, gx, gy, gz, plane, k, activation, rng, correction):
-    """Scalar force term and distance for a rectangle obstacle."""
-    kern = _plane_kernel(rx, ry, rz, plane)
-    d = kern[0]
-    if d <= 0.0 or d >= activation:
-        return 0.0, 0.0, 0.0, d
-    if correction:
-
-        def inside(px, py, pz):
-            return _plane_inside_kernel(px, py, pz, plane)
-
-        corr = _correction_direction(rx, ry, rz, gx, gy, gz, plane, inside, rng)
-        if corr is not None:
-            mag = k / max(d, D_MIN)
-            return mag * corr[0], mag * corr[1], mag * corr[2], d
-    mag = k / max(d, D_MIN)
-    return mag * kern[1], mag * kern[2], mag * kern[3], d
 
 
 def _cap_square(cyl: Cylinder, kind: FeatureKind, rx, ry, rz, rng):
@@ -236,75 +232,64 @@ def _cap_square(cyl: Cylinder, kind: FeatureKind, rx, ry, rz, rng):
     return RectPlane(e1, e2, e3, e4), (ccx, ccy, ccz)
 
 
-def _cylinder_term(rx, ry, rz, gx, gy, gz, cyl, k, activation, rng, correction):
-    """Scalar force term and distance for a cylinder obstacle."""
-    kern = _cylinder_kernel(rx, ry, rz, cyl)
-    d = kern[0]
-    if d <= 0.0 or d >= activation:
-        return 0.0, 0.0, 0.0, d
-    if correction and kern[7] in (FeatureKind.CAP_TOP, FeatureKind.CAP_BOTTOM):
-        square, center = _cap_square(cyl, kern[7], rx, ry, rz, rng)
-        rr = cyl.radius
-
-        def inside(px, py, pz):
-            dx, dy, dz = px - center[0], py - center[1], pz - center[2]
-            return dx * dx + dy * dy + dz * dz <= rr * rr
-
-        corr = _correction_direction(rx, ry, rz, gx, gy, gz, square, inside, rng)
-        if corr is not None:
-            mag = k / max(d, D_MIN)
-            return mag * corr[0], mag * corr[1], mag * corr[2], d
-    mag = k / max(d, D_MIN)
-    return mag * kern[1], mag * kern[2], mag * kern[3], d
+_CAPS = (FeatureKind.CAP_TOP, FeatureKind.CAP_BOTTOM)
 
 
-def _cube_term(rx, ry, rz, gx, gy, gz, cube, k, activation, rng, correction):
-    """Scalar force term and distance for a box obstacle.
+def _trap(kernel, prim, kind, index, rx, ry, rz, rng):
+    """Rectangle whose piercing triggers the trap correction, or None.
 
-    Each face acts as an individual rectangle, so when the nearest feature is
-    a face interior the rectangle trap correction applies to that face.
+    Returns ``(rect, disk)``.  A rectangle's trap is the rectangle itself, a
+    box's is the face realizing a FACE feature, and a cylinder's is the
+    inscribed square of the cap realizing a cap feature.  ``disk`` is None
+    when the piercing point must lie inside ``rect``; for a cap it is the
+    ``(center, radius)`` of the cap disk the point must lie in instead.
     """
-    kern = _cube_kernel(rx, ry, rz, cube)
-    d = kern[0]
-    if d <= 0.0 or d >= activation:
-        return 0.0, 0.0, 0.0, d
-    if correction and kern[7] is FeatureKind.FACE:
-        face = cube.faces[kern[8][0] - 1]
-
-        def inside(px, py, pz):
-            return _plane_inside_kernel(px, py, pz, face)
-
-        corr = _correction_direction(rx, ry, rz, gx, gy, gz, face, inside, rng)
-        if corr is not None:
-            mag = k / max(d, D_MIN)
-            return mag * corr[0], mag * corr[1], mag * corr[2], d
-    mag = k / max(d, D_MIN)
-    return mag * kern[1], mag * kern[2], mag * kern[3], d
-
-
-def _generic_term(rx, ry, rz, prim, k, activation):
-    """Scalar force term and distance for spheres and segments."""
-    kern = _kernel_for(prim)(rx, ry, rz, prim)
-    d = kern[0]
-    if d <= 0.0 or d >= activation:
-        return 0.0, 0.0, 0.0, d
-    mag = k / max(d, D_MIN)
-    return mag * kern[1], mag * kern[2], mag * kern[3], d
+    if kernel is _plane_kernel:
+        return prim, None
+    if kernel is _cube_kernel and kind is FeatureKind.FACE:
+        return prim.faces[index[0] - 1], None
+    if kernel is _cylinder_kernel and kind in _CAPS:
+        square, center = _cap_square(prim, kind, rx, ry, rz, rng)
+        return square, (center, prim.radius)
+    return None
 
 
 def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correction):
-    """Dispatch the scalar force term for one primitive.
+    """Scalar repulsion of one primitive, obstacle or boundary wall.
 
-    Returns (fx, fy, fz, distance); the force is zero outside the activation
-    radius and the caller is responsible for reacting to distance <= 0.
+    Returns (fx, fy, fz, distance).  The force is zero at or beyond the
+    activation radius and at a non-positive distance (the caller reacts to
+    contact).  Otherwise it has magnitude ``k / max(d, D_MIN)`` along the
+    closest feature's direction, or, with ``correction`` on and the
+    robot-goal stretch piercing the primitive's trap rectangle, along the
+    surface-parallel corrected direction.
     """
-    if isinstance(prim, RectPlane):
-        return _plane_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correction)
-    if isinstance(prim, Cylinder):
-        return _cylinder_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correction)
-    if isinstance(prim, Cube):
-        return _cube_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correction)
-    return _generic_term(rx, ry, rz, prim, k, activation)
+    kernel = _kernel_for(prim)
+    kern = kernel(rx, ry, rz, prim)
+    d = kern[0]
+    if d <= 0.0 or d >= activation:
+        return 0.0, 0.0, 0.0, d
+    ux, uy, uz = kern[1], kern[2], kern[3]
+    if correction:
+        trap = _trap(kernel, prim, kern[7], kern[8], rx, ry, rz, rng)
+        if trap is not None:
+            corr = _correction_direction(rx, ry, rz, gx, gy, gz, trap[0], trap[1], rng)
+            if corr is not None:
+                ux, uy, uz = corr
+    mag = k / max(d, D_MIN)
+    return mag * ux, mag * uy, mag * uz, d
+
+
+def _term_vector(robot, goal, prim, gains: Gains, rng, k, correction) -> np.ndarray:
+    rx, ry, rz = as_vec3(robot).tolist()
+    gx, gy, gz = as_vec3(goal).tolist()
+    krep = gains.k_rep if k is None else float(k)
+    fx, fy, fz, d = obstacle_force_term(
+        rx, ry, rz, gx, gy, gz, prim, krep, gains.activation_radius, rng, correction
+    )
+    if d <= 0.0:
+        raise CollisionSignal(None, d)
+    return np.array((fx, fy, fz))
 
 
 def plane_force_with_correction(
@@ -320,15 +305,7 @@ def plane_force_with_correction(
     Raises:
         CollisionSignal: when the robot touches the rectangle.
     """
-    r = as_vec3(robot)
-    g = as_vec3(goal)
-    krep = gains.k_rep if k is None else float(k)
-    fx, fy, fz, d = _plane_term(
-        r[0], r[1], r[2], g[0], g[1], g[2], plane, krep, gains.activation_radius, rng, correction
-    )
-    if d <= 0.0:
-        raise CollisionSignal(None, d)
-    return np.array((fx, fy, fz))
+    return _term_vector(robot, goal, plane, gains, rng, k, correction)
 
 
 def cylinder_cap_correction(
@@ -344,64 +321,4 @@ def cylinder_cap_correction(
     Raises:
         CollisionSignal: when the robot touches the cylinder.
     """
-    r = as_vec3(robot)
-    g = as_vec3(goal)
-    krep = gains.k_rep if k is None else float(k)
-    fx, fy, fz, d = _cylinder_term(
-        r[0], r[1], r[2], g[0], g[1], g[2], cyl, krep, gains.activation_radius, rng, True
-    )
-    if d <= 0.0:
-        raise CollisionSignal(None, d)
-    return np.array((fx, fy, fz))
-
-
-def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreakdown:
-    """Aggregate the attractive, per-obstacle and boundary forces of a scene.
-
-    Obstacles are evaluated in scene order, boundary walls last; the
-    breakdown lists one term per obstacle within its activation radius.
-
-    Raises:
-        CollisionSignal: when any obstacle or wall is touched or penetrated,
-            carrying its identifier.
-    """
-    r = as_vec3(robot)
-    g = as_vec3(goal)
-    rx, ry, rz = float(r[0]), float(r[1]), float(r[2])
-    gx, gy, gz = float(g[0]), float(g[1]), float(g[2])
-    gains = scene.gains
-    act = gains.activation_radius
-
-    attractive = attractive_force(r, g, gains)
-    per_obstacle = []
-    for i, obs in enumerate(scene.obstacles):
-        k = obs.gain if obs.gain is not None else gains.k_rep
-        fx, fy, fz, d = obstacle_force_term(
-            rx, ry, rz, gx, gy, gz, obs.primitive, k, act, rng, correction
-        )
-        if d <= 0.0:
-            raise CollisionSignal(f"obstacle[{i}]", d)
-        if d < act:
-            per_obstacle.append((f"obstacle[{i}]", np.array((fx, fy, fz))))
-    bx = by = bz = 0.0
-    for j, wall in enumerate(scene.boundary):
-        fx, fy, fz, d = _plane_term(
-            rx, ry, rz, gx, gy, gz, wall, gains.k_rep, act, rng, correction
-        )
-        if d <= 0.0:
-            raise CollisionSignal(f"boundary[{j}]", d)
-        bx += fx
-        by += fy
-        bz += fz
-    boundary = np.array((bx, by, bz))
-
-    resultant = attractive
-    for _, term in per_obstacle:
-        resultant = resultant + term
-    resultant = resultant + boundary
-    return ForceBreakdown(
-        attractive=attractive,
-        per_obstacle=per_obstacle,
-        boundary=boundary,
-        resultant=resultant,
-    )
+    return _term_vector(robot, goal, cyl, gains, rng, k, True)

@@ -2,17 +2,22 @@
 
 Each planner prepares a per-scene context, receives the current obstacle
 primitives before every step, and produces the resultant force as plain
-floats (this call is the timed region of a simulation step).  The geometric
-planner works directly on the primitives; the baseline planners work on the
-spherized cloud.  All planners feel the same boundary-wall repulsion.
+floats (this call is the timed region of a simulation step).  Every
+resultant is summed left to right as attraction, then the obstacle terms,
+then the boundary walls.  The geometric planner works directly on the
+primitives and its ``force`` is the one loop that sums a GeoPF resultant;
+:func:`resultant_force` runs it and keeps the terms.  The baseline planners
+work on the spherized cloud.  All planners feel the same boundary-wall
+repulsion.
 """
 
-import math
+import numpy as np
 
+from . import forces
 from .baselines import SpherizationParams, _cf_terms, _sphere_terms, spherize
-from .errors import CollisionSignal
-from .forces import D_MIN, _plane_term, obstacle_force_term
-from .primitives import DEGENERACY_EPS, RectPlane
+from .errors import CollisionSignal, DegenerateVector
+from .forces import ForceBreakdown, _attraction, obstacle_force_term
+from .primitives import RectPlane, as_vec3
 from .queries import _plane_offset
 
 
@@ -36,14 +41,18 @@ class _Ctx:
     )
 
 
-def _attractive_scalar(ctx, rx, ry, rz):
-    gx, gy, gz = ctx.goal
-    dx, dy, dz = gx - rx, gy - ry, gz - rz
-    n = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if n <= DEGENERACY_EPS:
-        return 0.0, 0.0, 0.0
-    s = ctx.k_attr / n
-    return s * dx, s * dy, s * dz
+def _scene_ctx(scene):
+    """Context fields every planner shares: goal, gains, walls, primitives."""
+    ctx = _Ctx()
+    ctx.goal = tuple(float(v) for v in scene.goal)
+    ctx.k_attr = scene.gains.k_attr
+    ctx.k_rep = scene.gains.k_rep
+    ctx.act = scene.gains.activation_radius
+    ctx.walls = list(scene.boundary)
+    for wall in ctx.walls:
+        wall._n, wall._vs  # warm caches outside the timed region
+    ctx.prims = [obs.primitive for obs in scene.obstacles]
+    return ctx
 
 
 def _wall_terms(ctx, rx, ry, rz, rng, correction):
@@ -55,7 +64,9 @@ def _wall_terms(ctx, rx, ry, rz, rng, correction):
         off = _plane_offset(rx, ry, rz, wall)
         if off >= act or off <= -act:
             continue
-        fx, fy, fz, d = _plane_term(
+        # Called through its home module: this module's name is the
+        # obstacle loop's, which the benchmark's tracer counts per obstacle.
+        fx, fy, fz, d = forces.obstacle_force_term(
             rx, ry, rz, gx, gy, gz, wall, ctx.k_rep, act, rng, correction
         )
         if d <= 0.0:
@@ -75,14 +86,7 @@ class GeoPFPlanner:
         self.correction = correction
 
     def prepare(self, scene):
-        ctx = _Ctx()
-        ctx.goal = tuple(float(v) for v in scene.goal)
-        ctx.k_attr = scene.gains.k_attr
-        ctx.k_rep = scene.gains.k_rep
-        ctx.act = scene.gains.activation_radius
-        ctx.walls = list(scene.boundary)
-        for wall in ctx.walls:
-            wall._n, wall._vs  # warm caches outside the timed region
+        ctx = _scene_ctx(scene)
         ctx.gains_per_obstacle = [
             scene.gains.k_rep if obs.gain is None else obs.gain
             for obs in scene.obstacles
@@ -93,7 +97,6 @@ class GeoPFPlanner:
             (ctx.act + obs.primitive.bounding_sphere[3]) ** 2 for obs in scene.obstacles
         ]
         ctx.is_plane = [isinstance(obs.primitive, RectPlane) for obs in scene.obstacles]
-        ctx.prims = [obs.primitive for obs in scene.obstacles]
         return ctx
 
     def update(self, ctx, prims):
@@ -102,30 +105,77 @@ class GeoPFPlanner:
     def obstacle_count(self, scene) -> int:
         return len(scene.obstacles)
 
-    def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
-        fx, fy, fz = _attractive_scalar(ctx, rx, ry, rz)
+    def force(self, ctx, rx, ry, rz, vx, vy, vz, rng, terms=None):
+        """Resultant force at the robot position.
+
+        When ``terms`` is a list, it receives ``(label, fx, fy, fz)`` for the
+        attraction, for each obstacle within its activation radius, and for
+        the summed boundary walls, in summation order.
+
+        Raises:
+            CollisionSignal: on contact with an obstacle or a wall, including
+                a robot on a segment, its end, a cylinder rim or a point
+                sphere's centre, where the repulsion has no direction.
+        """
         gx, gy, gz = ctx.goal
+        fx, fy, fz = _attraction(rx, ry, rz, gx, gy, gz, ctx.k_attr)
+        if terms is not None:
+            terms.append(("attractive", fx, fy, fz))
         act = ctx.act
         correction = self.correction
-        for i, prim in enumerate(ctx.prims):
-            bx, by, bz, _ = prim.bounding_sphere
-            dx, dy, dz = rx - bx, ry - by, rz - bz
-            if dx * dx + dy * dy + dz * dz >= ctx.cull_thresholds[i]:
-                continue
-            if ctx.is_plane[i]:
-                off = _plane_offset(rx, ry, rz, prim)
-                if off >= act or off <= -act:
+        try:
+            for i, prim in enumerate(ctx.prims):
+                bx, by, bz, _ = prim.bounding_sphere
+                dx, dy, dz = rx - bx, ry - by, rz - bz
+                if dx * dx + dy * dy + dz * dz >= ctx.cull_thresholds[i]:
                     continue
-            tx, ty, tz, d = obstacle_force_term(
-                rx, ry, rz, gx, gy, gz, prim, ctx.gains_per_obstacle[i], act, rng, correction
-            )
-            if d <= 0.0:
-                raise CollisionSignal(f"obstacle[{i}]", d)
-            fx += tx
-            fy += ty
-            fz += tz
+                if ctx.is_plane[i]:
+                    off = _plane_offset(rx, ry, rz, prim)
+                    if off >= act or off <= -act:
+                        continue
+                tx, ty, tz, d = obstacle_force_term(
+                    rx, ry, rz, gx, gy, gz, prim, ctx.gains_per_obstacle[i], act, rng, correction
+                )
+                if d <= 0.0:
+                    raise CollisionSignal(f"obstacle[{i}]", d)
+                fx += tx
+                fy += ty
+                fz += tz
+                if terms is not None and d < act:
+                    terms.append((f"obstacle[{i}]", tx, ty, tz))
+        except DegenerateVector:
+            raise CollisionSignal(f"obstacle[{i}]", 0.0) from None
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, correction)
+        if terms is not None:
+            terms.append(("boundary", wx, wy, wz))
         return fx + wx, fy + wy, fz + wz
+
+
+def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreakdown:
+    """Attractive, per-obstacle and boundary forces of a scene, and their sum.
+
+    Runs :meth:`GeoPFPlanner.force`, so the resultant is bit-for-bit the one
+    the simulator integrates.  Obstacles are evaluated in scene order,
+    boundary walls last; the breakdown lists one term per obstacle within
+    its activation radius.
+
+    Raises:
+        CollisionSignal: when any obstacle or wall is touched or penetrated,
+            carrying its identifier.
+    """
+    planner = GeoPFPlanner(correction)
+    ctx = planner.prepare(scene)
+    ctx.goal = tuple(as_vec3(goal).tolist())
+    rx, ry, rz = as_vec3(robot).tolist()
+    terms = []
+    resultant = planner.force(ctx, rx, ry, rz, 0.0, 0.0, 0.0, rng, terms)
+    (_, *attractive), *per_obstacle, (_, *boundary) = terms
+    return ForceBreakdown(
+        attractive=np.array(attractive),
+        per_obstacle=[(label, np.array(term)) for label, *term in per_obstacle],
+        boundary=np.array(boundary),
+        resultant=np.array(resultant),
+    )
 
 
 class _SphereCloudPlanner:
@@ -135,15 +185,8 @@ class _SphereCloudPlanner:
         self.params = params or SpherizationParams()
 
     def prepare(self, scene):
-        ctx = _Ctx()
-        ctx.goal = tuple(float(v) for v in scene.goal)
-        ctx.k_attr = scene.gains.k_attr
-        ctx.k_rep = scene.gains.k_rep
-        ctx.act = scene.gains.activation_radius
-        ctx.walls = list(scene.boundary)
-        for wall in ctx.walls:
-            wall._n, wall._vs
-        ctx.base_prims = [obs.primitive for obs in scene.obstacles]
+        ctx = _scene_ctx(scene)
+        ctx.base_prims = ctx.prims
         static_flat = []
         dynamic_blocks = []
         for i, obs in enumerate(scene.obstacles):
@@ -158,7 +201,6 @@ class _SphereCloudPlanner:
         ctx.static_flat = static_flat
         ctx.dynamic_blocks = dynamic_blocks
         ctx.flat = static_flat if not dynamic_blocks else None
-        ctx.prims = ctx.base_prims
         return ctx
 
     def update(self, ctx, prims):
@@ -186,7 +228,7 @@ class SpherePFPlanner(_SphereCloudPlanner):
     name = "pf"
 
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
-        fx, fy, fz = _attractive_scalar(ctx, rx, ry, rz)
+        fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _sphere_terms(
             rx, ry, rz, ctx.flat, self.params.k_rep, ctx.act, "clamp"
         )
@@ -200,7 +242,7 @@ class SphereCFPlanner(_SphereCloudPlanner):
     name = "cf"
 
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
-        fx, fy, fz = _attractive_scalar(ctx, rx, ry, rz)
+        fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _cf_terms(
             rx, ry, rz, vx, vy, vz, ctx.flat, self.params.k_rep, ctx.act, "clamp"
         )

@@ -323,14 +323,6 @@ class Cylinder:
 
 Primitive = Sphere | Segment | RectPlane | Cube | Cylinder
 
-PRIMITIVE_TYPE_NAMES = {
-    Sphere: "sphere",
-    Segment: "segment",
-    RectPlane: "plane",
-    Cube: "cube",
-    Cylinder: "cylinder",
-}
-
 
 def translated(prim: Primitive, offset) -> Primitive:
     """Return a copy of ``prim`` rigidly translated by ``offset``."""

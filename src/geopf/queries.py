@@ -118,11 +118,15 @@ def _segment_kernel(rx, ry, rz, seg: Segment):
     t = wx * ux + wy * uy + wz * uz
     if t < 0.0:
         d = math.sqrt(wx * wx + wy * wy + wz * wz)
+        if d <= DEGENERACY_EPS:
+            raise DegenerateVector("robot lies on a segment end")
         return (d, wx / d, wy / d, wz / d, ax, ay, az, FeatureKind.SIDE_VERTEX_1, ())
     if t > seg.length:
         bx, by, bz = seg._b
         wx, wy, wz = rx - bx, ry - by, rz - bz
         d = math.sqrt(wx * wx + wy * wy + wz * wz)
+        if d <= DEGENERACY_EPS:
+            raise DegenerateVector("robot lies on a segment end")
         return (d, wx / d, wy / d, wz / d, bx, by, bz, FeatureKind.SIDE_VERTEX_2, ())
     fx, fy, fz = ax + t * ux, ay + t * uy, az + t * uz
     qx, qy, qz = rx - fx, ry - fy, rz - fz
@@ -322,6 +326,8 @@ def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
             s1x, s1y, s1z = p1x + R * nqx, p1y + R * nqy, p1z + R * nqz
             dx, dy, dz = rx - s1x, ry - s1y, rz - s1z
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d <= DEGENERACY_EPS:
+                raise DegenerateVector("robot lies on a cylinder rim")
             return (
                 d,
                 dx / d,
@@ -338,6 +344,8 @@ def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
             s2x, s2y, s2z = p2x + R * nqx, p2y + R * nqy, p2z + R * nqz
             dx, dy, dz = rx - s2x, ry - s2y, rz - s2z
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d <= DEGENERACY_EPS:
+                raise DegenerateVector("robot lies on a cylinder rim")
             return (
                 d,
                 dx / d,

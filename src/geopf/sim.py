@@ -19,10 +19,13 @@ import math
 import time
 from typing import NamedTuple
 
-from .errors import CollisionSignal
+from .errors import CollisionSignal, DegenerateVector
 from .primitives import RectPlane
 from .queries import _kernel_for, _plane_inside_kernel, _plane_offset
 from .seeding import trial_rng
+
+# With a stall speed set, a trial times out after this many slow steps in a row.
+STALL_WINDOW = 500
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,26 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     return None
 
 
+def _obstacle_distances(kernels, x, y, z, prims):
+    """Distance from a point to each primitive, by its query kernel.
+
+    A point with no repulsion direction (on a segment, on its end, on a
+    cylinder rim or at a point sphere's centre) touches that primitive: its
+    distance is 0.
+    """
+    try:
+        return [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
+    except DegenerateVector:
+        return [_contact_distance(kern, x, y, z, p) for kern, p in zip(kernels, prims)]
+
+
+def _contact_distance(kern, x, y, z, prim):
+    try:
+        return kern(x, y, z, prim)[0]
+    except DegenerateVector:
+        return 0.0
+
+
 def run_trial(
     scene,
     planner=None,
@@ -143,7 +166,6 @@ def run_trial(
     *,
     keep_states: bool = True,
     stall_speed: float | None = None,
-    stall_window: int = 500,
 ) -> TrajectoryRecord:
     """Simulate one trial of a planner on a scene.
 
@@ -156,7 +178,7 @@ def run_trial(
             aggregates still cover the full run).
         stall_speed: optional early-timeout threshold; the trial ends with a
             timeout verdict once the speed stays below it for
-            ``stall_window`` consecutive steps.
+            ``STALL_WINDOW`` consecutive steps.
 
     Returns:
         TrajectoryRecord with one state per step and the termination verdict.
@@ -191,7 +213,7 @@ def run_trial(
             states[:] = [state]
 
     def instrument(x, y, z, prims):
-        dists = [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
+        dists = _obstacle_distances(kernels, x, y, z, prims)
         if dists:
             md = min(dists)
             record.dist_sum += math.fsum(dists)
@@ -301,7 +323,7 @@ def run_trial(
         if stall_speed is not None:
             if math.sqrt(vx * vx + vy * vy + vz * vz) < stall_speed:
                 stall_count += 1
-                if stall_count >= stall_window:
+                if stall_count >= STALL_WINDOW:
                     record.verdict = Verdict(VerdictKind.TIMEOUT, step=step_index)
                     break
             else:

@@ -12,12 +12,15 @@ from geopf import (
     D_MIN,
     FeatureKind,
     Gains,
+    GeoPFPlanner,
     Obstacle,
     RectPlane,
     Scene,
+    SceneClass,
     Sphere,
     attractive_force,
     cylinder_cap_correction,
+    generate,
     plane_force_with_correction,
     repulsive_force,
     resultant_force,
@@ -275,3 +278,36 @@ def test_resultant_correction_trigger_lateral_kick():
     bd_on = resultant_force(robot, goal, scene, rng=trial_rng(1), correction=True)
     lateral = np.array([bd_on.resultant[0], 0.0, bd_on.resultant[2]])
     assert np.linalg.norm(lateral) >= 0.1 / 0.1 - 1e-9
+
+
+@pytest.mark.parametrize("scene_class", ["complex", "plane_hard", "line_hard", "dynamic_hard"])
+def test_resultant_is_the_planner_force_bit_for_bit(scene_class):
+    # The breakdown must report the force the simulator integrates, at
+    # positions spread around the obstacles of seeded scenes.
+    def outcome(fn):
+        try:
+            return [v.hex() for v in fn()]
+        except CollisionSignal as exc:
+            return exc.obstacle_id
+
+    compared = 0
+    for seed in range(3):
+        scene = generate(SceneClass(scene_class), seed)
+        act = scene.gains.activation_radius
+        centers = [obs.primitive.bounding_sphere for obs in scene.obstacles]
+        pick = np.random.default_rng(seed)
+        for n in range(90):
+            cx, cy, cz, r = centers[n % len(centers)]
+            robot = np.array((cx, cy, cz)) + pick.uniform(-1, 1, 3) * (r + act)
+            for correction in (True, False):
+                planner = GeoPFPlanner(correction)
+                ctx = planner.prepare(scene)
+                got = outcome(
+                    lambda: resultant_force(
+                        robot, scene.goal, scene, rng=trial_rng(n), correction=correction
+                    ).resultant
+                )
+                want = outcome(lambda: planner.force(ctx, *robot.tolist(), 0, 0, 0, trial_rng(n)))
+                assert got == want
+                compared += not isinstance(want, str)
+    assert compared >= 450

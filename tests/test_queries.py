@@ -65,6 +65,25 @@ def test_sphere_center_degenerate():
         sphere_closest((0, 0, 0), Sphere((0, 0, 0), 1.0))
 
 
+def test_points_on_ends_and_rims_raise_degenerate_or_are_finite():
+    # Rounding can put a point on a segment end or a cylinder rim into a
+    # vertex branch at distance zero; that is a degenerate query, not a
+    # division by zero or a NaN direction.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a, b = np.round(rng.uniform(-1, 1, (2, 3)), 2)
+        axis = (b - a) / np.linalg.norm(b - a)
+        side = np.cross(axis, rng.normal(size=3))
+        rim = 0.3 * side / np.linalg.norm(side)
+        seg, cyl = Segment(a, b), Cylinder(a, b, 0.3)
+        for prim, point in ((seg, a), (seg, b), (cyl, a + rim), (cyl, b + rim)):
+            try:
+                cf = closest_feature(point, prim)
+            except DegenerateVector:
+                continue
+            assert math.isfinite(cf.distance) and np.all(np.isfinite(cf.direction))
+
+
 # -- segment ----------------------------------------------------------------
 
 

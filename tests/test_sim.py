@@ -12,8 +12,12 @@ from geopf import (
     RectPlane,
     Scene,
     SimParams,
+    Segment,
     Sphere,
+    Verdict,
     VerdictKind,
+    build_planner,
+    compute_metrics,
     corridor_boundary,
     integrate_step,
     run_trial,
@@ -198,11 +202,39 @@ def test_stall_exit_times_out_early():
         sim=SimParams(max_steps=20000),
         seed=0,
     )
-    record = run_trial(
-        scene, GeoPFPlanner(correction=False), stall_speed=1e-4, stall_window=500
-    )
+    record = run_trial(scene, GeoPFPlanner(correction=False), stall_speed=1e-4)
     assert record.verdict.kind is VerdictKind.TIMEOUT
     assert record.states[-1].step < 20000
+
+
+# A segment whose far end the side-vertex branch once divided by zero at.
+SEG_A = (0.27, -0.46, -0.92)
+SEG_B = (-0.97, 0.63, 0.83)
+DEGENERATE_STARTS = {
+    "segment_interior": (Segment(SEG_A, SEG_B), tuple((a + b) / 2 for a, b in zip(SEG_A, SEG_B))),
+    "segment_end": (Segment(SEG_A, SEG_B), SEG_B),
+    "point_sphere_center": (Sphere((0.1, 0.2, 0.3), 0.0), (0.1, 0.2, 0.3)),
+}
+
+
+@pytest.mark.parametrize("kind", ["geopf", "pf"])
+@pytest.mark.parametrize("case", sorted(DEGENERATE_STARTS))
+def test_degenerate_start_is_a_collision_verdict(case, kind):
+    prim, start = DEGENERATE_STARTS[case]
+    scene = Scene(
+        start=start,
+        goal=(1.5, 1.5, 1.5),
+        obstacles=[Obstacle(Sphere((3, 3, 3), 0.1)), Obstacle(prim)],
+        boundary=[],
+        gains=Gains(),
+        sim=SimParams(max_steps=50),
+        seed=0,
+    )
+    record = run_trial(scene, build_planner(kind))
+    assert record.verdict == Verdict(VerdictKind.COLLISION, "obstacle[1]", 0)
+    assert record.min_dist == 0.0
+    assert record.states[-1].min_dist == 0.0
+    assert compute_metrics(record, scene).min_dist == 0.0
 
 
 def test_keep_states_false_keeps_aggregates():
