@@ -17,7 +17,7 @@ from .errors import GenerationFailure
 from .planners import build_planner
 from .queries import _kernel_for
 from .scenes import SceneClass, generate
-from .sim import TrajectoryRecord, VerdictKind, _obstacle_distances, run_trial
+from .sim import TrajectoryRecord, VerdictKind, run_trial
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def _replayed(states, scene):
     kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
     for s in states:
         x, y, z = s.position
-        yield _obstacle_distances(kernels, x, y, z, scene.primitives_at_step(s.step))
+        prims = scene.primitives_at_step(s.step)
+        yield [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
 
 
 def replay_distances(states, scene):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import forces
 from .baselines import SpherizationParams, _cf_terms, _sphere_terms, spherize
-from .errors import CollisionSignal, DegenerateVector
+from .errors import CollisionSignal
 from .forces import ForceBreakdown, _attraction, obstacle_force_term
 from .primitives import RectPlane, as_vec3
 from .queries import _plane_offset
@@ -113,9 +113,10 @@ class GeoPFPlanner:
         the summed boundary walls, in summation order.
 
         Raises:
-            CollisionSignal: on contact with an obstacle or a wall, including
-                a robot on a segment, its end, a cylinder rim or a point
-                sphere's centre, where the repulsion has no direction.
+            CollisionSignal: on contact with an obstacle or a wall.
+            DegenerateVector: when the robot lies on a segment, its end, a
+                cylinder rim or a point sphere's centre, where the repulsion
+                has no direction.
         """
         gx, gy, gz = ctx.goal
         fx, fy, fz = _attraction(rx, ry, rz, gx, gy, gz, ctx.k_attr)
@@ -123,28 +124,25 @@ class GeoPFPlanner:
             terms.append(("attractive", fx, fy, fz))
         act = ctx.act
         correction = self.correction
-        try:
-            for i, prim in enumerate(ctx.prims):
-                bx, by, bz, _ = prim.bounding_sphere
-                dx, dy, dz = rx - bx, ry - by, rz - bz
-                if dx * dx + dy * dy + dz * dz >= ctx.cull_thresholds[i]:
+        for i, prim in enumerate(ctx.prims):
+            bx, by, bz, _ = prim.bounding_sphere
+            dx, dy, dz = rx - bx, ry - by, rz - bz
+            if dx * dx + dy * dy + dz * dz >= ctx.cull_thresholds[i]:
+                continue
+            if ctx.is_plane[i]:
+                off = _plane_offset(rx, ry, rz, prim)
+                if off >= act or off <= -act:
                     continue
-                if ctx.is_plane[i]:
-                    off = _plane_offset(rx, ry, rz, prim)
-                    if off >= act or off <= -act:
-                        continue
-                tx, ty, tz, d = obstacle_force_term(
-                    rx, ry, rz, gx, gy, gz, prim, ctx.gains_per_obstacle[i], act, rng, correction
-                )
-                if d <= 0.0:
-                    raise CollisionSignal(f"obstacle[{i}]", d)
-                fx += tx
-                fy += ty
-                fz += tz
-                if terms is not None and d < act:
-                    terms.append((f"obstacle[{i}]", tx, ty, tz))
-        except DegenerateVector:
-            raise CollisionSignal(f"obstacle[{i}]", 0.0) from None
+            tx, ty, tz, d = obstacle_force_term(
+                rx, ry, rz, gx, gy, gz, prim, ctx.gains_per_obstacle[i], act, rng, correction
+            )
+            if d <= 0.0:
+                raise CollisionSignal(f"obstacle[{i}]", d)
+            fx += tx
+            fy += ty
+            fz += tz
+            if terms is not None and d < act:
+                terms.append((f"obstacle[{i}]", tx, ty, tz))
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, correction)
         if terms is not None:
             terms.append(("boundary", wx, wy, wz))

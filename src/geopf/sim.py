@@ -19,7 +19,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .errors import CollisionSignal, DegenerateVector
+from .errors import CollisionSignal
 from .primitives import RectPlane
 from .queries import _kernel_for, _plane_inside_kernel, _plane_offset
 from .seeding import trial_rng
@@ -139,26 +139,6 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     return None
 
 
-def _obstacle_distances(kernels, x, y, z, prims):
-    """Distance from a point to each primitive, by its query kernel.
-
-    A point with no repulsion direction (on a segment, on its end, on a
-    cylinder rim or at a point sphere's centre) touches that primitive: its
-    distance is 0.
-    """
-    try:
-        return [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
-    except DegenerateVector:
-        return [_contact_distance(kern, x, y, z, p) for kern, p in zip(kernels, prims)]
-
-
-def _contact_distance(kern, x, y, z, prim):
-    try:
-        return kern(x, y, z, prim)[0]
-    except DegenerateVector:
-        return 0.0
-
-
 def run_trial(
     scene,
     planner=None,
@@ -213,7 +193,7 @@ def run_trial(
             states[:] = [state]
 
     def instrument(x, y, z, prims):
-        dists = _obstacle_distances(kernels, x, y, z, prims)
+        dists = [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
         if dists:
             md = min(dists)
             record.dist_sum += math.fsum(dists)

@@ -1,11 +1,13 @@
-"""Property test: every trial of a small random scene ends in a verdict,
-and the same trial run twice is bit-identical."""
+"""Property test: every trial of a small random scene ends in a verdict or,
+from a start with no repulsion direction, in ``DegenerateVector``; the same
+trial run twice ends the same way, bit for bit."""
 
 from conftest import PRIMITIVE_KINDS, random_primitive
 from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from geopf import (
+    DegenerateVector,
     Obstacle,
     Scene,
     SimParams,
@@ -51,7 +53,7 @@ def trials(draw):
         drift_bounds=((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)) if drifting else None,
     )
     kind = draw(st.sampled_from(("geopf", "pf", "cf")))
-    return scene, kind, draw(st.booleans())
+    return scene, kind, draw(st.booleans()), start_kind
 
 
 def _fingerprint(record):
@@ -65,16 +67,22 @@ def _fingerprint(record):
     )
 
 
+def _outcome(scene, kind, correction):
+    try:
+        record = run_trial(scene, build_planner(kind, rsp=0.02, correction=correction))
+    except DegenerateVector as exc:
+        return ("degenerate", str(exc))
+    assert isinstance(record.verdict, Verdict)
+    assert 0 <= record.verdict.step <= MAX_STEPS + 1
+    compute_metrics(record, scene)
+    return _fingerprint(record)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(trials())
-def test_every_trial_ends_in_a_verdict_deterministically(trial):
-    scene, kind, correction = trial
-    runs = [
-        run_trial(scene, build_planner(kind, rsp=0.02, correction=correction))
-        for _ in range(2)
-    ]
-    verdict = runs[0].verdict
-    assert isinstance(verdict, Verdict)
-    assert 0 <= verdict.step <= MAX_STEPS + 1
-    assert _fingerprint(runs[0]) == _fingerprint(runs[1])
-    compute_metrics(runs[0], scene)
+def test_every_trial_ends_deterministically(trial):
+    scene, kind, correction, start_kind = trial
+    outcome = _outcome(scene, kind, correction)
+    assert outcome == _outcome(scene, kind, correction)
+    if start_kind == "free":
+        assert outcome[0] != "degenerate"

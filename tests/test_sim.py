@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geopf import (
+    DegenerateVector,
     Gains,
     GeoPFPlanner,
     Obstacle,
@@ -14,10 +15,8 @@ from geopf import (
     SimParams,
     Segment,
     Sphere,
-    Verdict,
     VerdictKind,
     build_planner,
-    compute_metrics,
     corridor_boundary,
     integrate_step,
     run_trial,
@@ -219,7 +218,9 @@ DEGENERATE_STARTS = {
 
 @pytest.mark.parametrize("kind", ["geopf", "pf"])
 @pytest.mark.parametrize("case", sorted(DEGENERATE_STARTS))
-def test_degenerate_start_is_a_collision_verdict(case, kind):
+def test_degenerate_start_raises_degenerate_vector(case, kind):
+    # A start with no repulsion direction is reported as such, never as a
+    # division by zero or a NaN distance.
     prim, start = DEGENERATE_STARTS[case]
     scene = Scene(
         start=start,
@@ -230,11 +231,8 @@ def test_degenerate_start_is_a_collision_verdict(case, kind):
         sim=SimParams(max_steps=50),
         seed=0,
     )
-    record = run_trial(scene, build_planner(kind))
-    assert record.verdict == Verdict(VerdictKind.COLLISION, "obstacle[1]", 0)
-    assert record.min_dist == 0.0
-    assert record.states[-1].min_dist == 0.0
-    assert compute_metrics(record, scene).min_dist == 0.0
+    with pytest.raises(DegenerateVector):
+        run_trial(scene, build_planner(kind))
 
 
 def test_keep_states_false_keeps_aggregates():
