@@ -75,7 +75,7 @@ def test_csv_has_the_header_and_one_row_per_suite(tmp_path):
 
 
 def test_json_mirror_keys(tmp_path):
-    spec = PlannerSpec("pf", rsp=0.05)
+    spec = PlannerSpec("pf", rsp=0.1)
     report = run_suite("line_easy", spec, 1, stall_speed=0.01, collect_trials=True, workers=1)
     path = tmp_path / "bench.json"
     write_json(report, path)
@@ -98,4 +98,4 @@ def test_json_mirror_keys(tmp_path):
     assert [set(t) for t in doc["trials_detail"]] == [
         {"seed", "success", "steps", "ct_per_step", "path_length", "min_dist", "avg_dist"}
     ]
-    assert (doc["planner"], doc["rsp"], doc["ksp"]) == ("pf(0.05,1)", 0.05, 1.0)
+    assert (doc["planner"], doc["rsp"], doc["ksp"]) == ("pf(0.1,1)", 0.1, 1.0)
