@@ -35,8 +35,10 @@ def trials(draw):
         prims.append(Sphere(start, 0.0))
     elif start_kind != "free":
         seg = random_primitive(rng, "segment")
-        t = draw(st.floats(0.0, 1.0)) if start_kind == "segment_interior" else 1.0
-        start = seg.p1 + t * (seg.p2 - seg.p1)
+        if start_kind == "segment_interior":
+            start = seg.p1 + draw(st.floats(0.0, 1.0)) * (seg.p2 - seg.p1)
+        else:
+            start = seg.p2.copy()
         prims.append(seg)
     drifting = draw(st.booleans())
     obstacles = [
