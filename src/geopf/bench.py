@@ -6,7 +6,6 @@ planner, aggregate mean/std per metric in seed order and serialize a CSV row
 are excluded from the statistics but always reported.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 import json
 import math
@@ -17,7 +16,7 @@ from .errors import GenerationFailure
 from .planners import build_planner
 from .queries import _kernel_for
 from .scenes import SceneClass, generate
-from .sim import TrajectoryRecord, VerdictKind, run_trial
+from .sim import TrajectoryRecord, VerdictKind, _distances, run_trial
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,7 @@ def _replayed(states, scene):
     the simulator does, with obstacles advanced to each state's step."""
     kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
     for s in states:
-        x, y, z = s.position
-        prims = scene.primitives_at_step(s.step)
-        yield [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
+        yield _distances(kernels, *s.position, scene.primitives_at_step(s.step))
 
 
 def replay_distances(states, scene):
@@ -217,6 +214,11 @@ def run_suite(
     if workers == 1:
         results = [_run_one(job) for job in jobs]
     else:
+        # Imported here: the process-pool stack (multiprocessing, sockets,
+        # subprocess) adds about 2 MB to every process that imports geopf,
+        # and the default is one worker.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs, chunksize=max(1, n_trials // (8 * workers))))
 

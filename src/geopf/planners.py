@@ -1,7 +1,8 @@
 """Planner adapters used by the simulator and the benchmark harness.
 
-Each planner prepares a per-scene context, receives the current obstacle
-primitives before every step, and produces the resultant force as plain
+Each planner prepares a per-scene context, receives the scene's
+``primitives_at_step`` view before every step (the base primitives plus one
+rigid offset per obstacle), and produces the resultant force as plain
 floats (this call is the timed region of a simulation step).  Every
 resultant is summed left to right as attraction, then the obstacle terms,
 then the boundary walls.  The geometric planner works directly on the
@@ -19,6 +20,7 @@ from .errors import CollisionSignal
 from .forces import ForceBreakdown, _attraction, obstacle_force_term
 from .primitives import RectPlane, as_vec3
 from .queries import _plane_offset
+from .scenes import ZERO_OFFSET
 
 
 class _Ctx:
@@ -30,11 +32,8 @@ class _Ctx:
         "k_rep",
         "act",
         "walls",
-        "prims",
-        "gains_per_obstacle",
-        "cull_thresholds",
-        "is_plane",
-        "base_prims",
+        "obstacles",
+        "offsets",
         "static_flat",
         "dynamic_blocks",
         "flat",
@@ -42,7 +41,7 @@ class _Ctx:
 
 
 def _scene_ctx(scene):
-    """Context fields every planner shares: goal, gains, walls, primitives."""
+    """Context fields every planner shares: goal, gains and walls."""
     ctx = _Ctx()
     ctx.goal = tuple(float(v) for v in scene.goal)
     ctx.k_attr = scene.gains.k_attr
@@ -51,7 +50,6 @@ def _scene_ctx(scene):
     ctx.walls = list(scene.boundary)
     for wall in ctx.walls:
         wall._n, wall._vs  # warm caches outside the timed region
-    ctx.prims = [obs.primitive for obs in scene.obstacles]
     return ctx
 
 
@@ -87,20 +85,25 @@ class GeoPFPlanner:
 
     def prepare(self, scene):
         ctx = _scene_ctx(scene)
-        ctx.gains_per_obstacle = [
-            scene.gains.k_rep if obs.gain is None else obs.gain
-            for obs in scene.obstacles
-        ]
-        # Bounding-sphere culling: skip primitives whose bounding sphere is
-        # provably beyond the activation radius.  Radii survive translation.
-        ctx.cull_thresholds = [
-            (ctx.act + obs.primitive.bounding_sphere[3]) ** 2 for obs in scene.obstacles
-        ]
-        ctx.is_plane = [isinstance(obs.primitive, RectPlane) for obs in scene.obstacles]
+        # Per obstacle: its base primitive, its base bounding-sphere centre
+        # and squared cull distance (beyond it the primitive is provably
+        # outside the activation radius), its gain, and whether it is a
+        # rectangle.
+        ctx.obstacles = []
+        for obs in scene.obstacles:
+            prim = obs.primitive
+            bx, by, bz, r = prim.bounding_sphere
+            k = scene.gains.k_rep if obs.gain is None else obs.gain
+            ctx.obstacles.append(
+                (prim, bx, by, bz, (ctx.act + r) ** 2, k, isinstance(prim, RectPlane))
+            )
+        ctx.offsets = [ZERO_OFFSET] * len(ctx.obstacles)
         return ctx
 
-    def update(self, ctx, prims):
-        ctx.prims = prims
+    def update(self, ctx, placed):
+        """Take the step's obstacle offsets from ``placed``, a
+        ``Scene.primitives_at_step`` view over the prepared base primitives."""
+        ctx.offsets = placed.offsets
 
     def obstacle_count(self, scene) -> int:
         return len(scene.obstacles)
@@ -124,17 +127,21 @@ class GeoPFPlanner:
             terms.append(("attractive", fx, fy, fz))
         act = ctx.act
         correction = self.correction
-        for i, prim in enumerate(ctx.prims):
-            bx, by, bz, _ = prim.bounding_sphere
-            dx, dy, dz = rx - bx, ry - by, rz - bz
-            if dx * dx + dy * dy + dz * dz >= ctx.cull_thresholds[i]:
+        offsets = ctx.offsets
+        # Each obstacle is queried at its base position, with the robot and
+        # the goal shifted by minus its offset.
+        for i, (prim, bx, by, bz, threshold, k, is_plane) in enumerate(ctx.obstacles):
+            ox, oy, oz = offsets[i]
+            sx, sy, sz = rx - ox, ry - oy, rz - oz
+            dx, dy, dz = sx - bx, sy - by, sz - bz
+            if dx * dx + dy * dy + dz * dz >= threshold:
                 continue
-            if ctx.is_plane[i]:
-                off = _plane_offset(rx, ry, rz, prim)
+            if is_plane:
+                off = _plane_offset(sx, sy, sz, prim)
                 if off >= act or off <= -act:
                     continue
             tx, ty, tz, d = obstacle_force_term(
-                rx, ry, rz, gx, gy, gz, prim, ctx.gains_per_obstacle[i], act, rng, correction
+                sx, sy, sz, gx - ox, gy - oy, gz - oz, prim, k, act, rng, correction
             )
             if d <= 0.0:
                 raise CollisionSignal(f"obstacle[{i}]", d)
@@ -184,7 +191,6 @@ class _SphereCloudPlanner:
 
     def prepare(self, scene):
         ctx = _scene_ctx(scene)
-        ctx.base_prims = ctx.prims
         static_flat = []
         dynamic_blocks = []
         for i, obs in enumerate(scene.obstacles):
@@ -201,17 +207,14 @@ class _SphereCloudPlanner:
         ctx.flat = static_flat if not dynamic_blocks else None
         return ctx
 
-    def update(self, ctx, prims):
-        ctx.prims = prims
+    def update(self, ctx, placed):
+        """Translate each drifting obstacle's spheres by its offset in
+        ``placed`` (a ``Scene.primitives_at_step`` view)."""
         if not ctx.dynamic_blocks:
             return
-        # Drifting primitives translate rigidly, so their spheres translate
-        # by the offset between current and base bounding centers.
         flat = list(ctx.static_flat)
         for i, base in ctx.dynamic_blocks:
-            b = ctx.base_prims[i].bounding_sphere
-            c = prims[i].bounding_sphere
-            ox, oy, oz = c[0] - b[0], c[1] - b[1], c[2] - b[2]
+            ox, oy, oz = placed.offsets[i]
             for j in range(0, len(base), 4):
                 flat.extend((base[j] + ox, base[j + 1] + oy, base[j + 2] + oz, base[j + 3]))
         ctx.flat = flat

@@ -43,6 +43,17 @@ def norm3(x: float, y: float, z: float) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+def cross3(a, b) -> tuple:
+    """Cross product of two 3-sequences as a float tuple.
+
+    The same products and differences, in the same order, as ``np.cross``
+    on 3-vectors, so both give the same bits.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def unit3(x: float, y: float, z: float) -> tuple:
     """Scalar-tuple normalize; raises DegenerateVector near zero length."""
     n = math.sqrt(x * x + y * y + z * z)
@@ -151,24 +162,27 @@ class RectPlane:
         self._validate()
 
     def _validate(self):
-        vs = self.corners
-        edges = [vs[(i + 1) % 4] - vs[i] for i in range(4)]
+        vs = self._vs
         units = []
-        for e in edges:
-            n = norm3(*e)
+        for i in range(4):
+            (ax, ay, az), (bx, by, bz) = vs[i], vs[(i + 1) % 4]
+            ex, ey, ez = bx - ax, by - ay, bz - az
+            n = norm3(ex, ey, ez)
             if n <= DEGENERACY_EPS:
                 raise ValueError("rectangle has a zero-length edge")
-            units.append(e / n)
+            units.append((ex / n, ey / n, ez / n))
         for i in range(4):
-            cos = abs(float(units[i] @ units[(i + 1) % 4]))
+            (ax, ay, az), (bx, by, bz) = units[i], units[(i + 1) % 4]
+            cos = abs(ax * bx + ay * by + az * bz)
             # |cos| of the corner angle equals the deviation from 90 degrees
             # for small deviations.
             if cos > ORTHO_TOL:
                 raise ValueError(
                     f"rectangle corners are not orthogonal (corner {i + 1}, |cos|={cos:.3e})"
                 )
-        n = np.cross(units[0], units[1])
-        off = abs(float((vs[3] - vs[0]) @ n))
+        nx, ny, nz = cross3(units[0], units[1])
+        (ax, ay, az), (dx, dy, dz) = vs[0], vs[3]
+        off = abs((dx - ax) * nx + (dy - ay) * ny + (dz - az) * nz)
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
 
@@ -184,9 +198,9 @@ class RectPlane:
     def _n(self) -> tuple:
         """Unit normal from the corner winding: normalize((v1 - v2) x (v3 - v2))."""
         v1, v2, v3 = self._vs[0], self._vs[1], self._vs[2]
-        ax, ay, az = v1[0] - v2[0], v1[1] - v2[1], v1[2] - v2[2]
-        bx, by, bz = v3[0] - v2[0], v3[1] - v2[1], v3[2] - v2[2]
-        return unit3(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+        a = (v1[0] - v2[0], v1[1] - v2[1], v1[2] - v2[2])
+        b = (v3[0] - v2[0], v3[1] - v2[1], v3[2] - v2[2])
+        return unit3(*cross3(a, b))
 
     @cached_property
     def normal(self) -> np.ndarray:

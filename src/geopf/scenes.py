@@ -11,6 +11,7 @@ between start (0, 1, 0) and goal (0, -1, 0); "longer" variants move the goal
 reflect off a containment box so they never reach the start/goal regions.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 import json
@@ -28,6 +29,7 @@ from .primitives import (
     Segment,
     Sphere,
     as_vec3,
+    cross3,
     translated,
 )
 from .queries import distance
@@ -84,17 +86,20 @@ class Obstacle:
 
 
 def _warm(prim: Primitive):
-    """Populate lazy caches so the timed force path never computes them."""
+    """Populate lazy caches, rectangle edges included, so the step loop
+    never computes or builds them."""
     prim.bounding_sphere
     if isinstance(prim, Segment):
         prim._u
     elif isinstance(prim, RectPlane):
         prim._n
+        for edge in prim.edges:
+            edge._u
     elif isinstance(prim, Cylinder):
         prim._axis
     elif isinstance(prim, Cube):
         for face in prim.faces:
-            face._n
+            _warm(face)
         prim._outward
 
 
@@ -105,6 +110,47 @@ def _fold(x0: float, v: float, t: float, lo: float, hi: float) -> float:
         return x0
     u = (x0 - lo + v * t) % (2.0 * span)
     return lo + (u if u <= span else 2.0 * span - u)
+
+
+def _drift_offset(drift, t: float) -> tuple:
+    """Offset at time ``t`` of a drifting obstacle's bounding centre, from
+    its fold constants (centre, velocity, lower and upper centre bounds)."""
+    (cx, cy, cz), (vx, vy, vz), (lx, ly, lz), (hx, hy, hz) = drift
+    return (
+        _fold(cx, vx, t, lx, hx) - cx,
+        _fold(cy, vy, t, ly, hy) - cy,
+        _fold(cz, vz, t, lz, hz) - cz,
+    )
+
+
+ZERO_OFFSET = (0.0, 0.0, 0.0)
+
+
+class PlacedObstacles(Sequence):
+    """Read-only view of the obstacles at one step.
+
+    ``base`` is the scene's list of obstacle primitives at their base
+    position and ``offsets`` holds one rigid translation ``(ox, oy, oz)``
+    per obstacle.  Distance is invariant under translation, so the hot
+    path queries ``base[i]`` at ``robot - offsets[i]`` and never builds a
+    primitive.  Indexing the view builds the placed primitive on demand
+    (the base object itself at a zero offset).
+    """
+
+    __slots__ = ("base", "offsets")
+
+    def __init__(self, base, offsets):
+        self.base = base
+        self.offsets = offsets
+
+    def __len__(self):
+        return len(self.base)
+
+    def __getitem__(self, index):
+        offset = self.offsets[index]
+        if offset == ZERO_OFFSET:
+            return self.base[index]
+        return translated(self.base[index], offset)
 
 
 @dataclass
@@ -130,53 +176,48 @@ class Scene:
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds
             self.drift_bounds = (as_vec3(lo), as_vec3(hi))
-        self._static = [obs.primitive for obs in self.obstacles]
-        for prim in self._static:
+        base = [obs.primitive for obs in self.obstacles]
+        for prim in base:
             _warm(prim)
         for wall in self.boundary:
             _warm(wall)
-        self._dynamic = [
-            i for i, obs in enumerate(self.obstacles) if obs.drift is not None
-        ]
+        self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base))
+        # Fold constants of each drifting obstacle, by index: its bounding
+        # centre, drift velocity and the range its centre stays in.
+        self._drifts = {}
+        if self.drift_bounds is not None:
+            lo, hi = self.drift_bounds
+            for i, obs in enumerate(self.obstacles):
+                if obs.drift is not None:
+                    *centre, r = obs.primitive.bounding_sphere
+                    bounds = ((lo + r).tolist(), (hi - r).tolist())
+                    self._drifts[i] = (centre, obs.drift.tolist(), *bounds)
 
     @property
     def has_dynamic(self) -> bool:
-        return bool(self._dynamic) and self.drift_bounds is not None
+        return bool(self._drifts)
 
     def obstacle_offset(self, index: int, t: float) -> tuple:
         """Rigid translation of obstacle ``index`` at obstacle time ``t``."""
-        obs = self.obstacles[index]
-        if obs.drift is None or self.drift_bounds is None:
-            return (0.0, 0.0, 0.0)
-        lo, hi = self.drift_bounds
-        cx, cy, cz, r = obs.primitive.bounding_sphere
-        centers = (cx, cy, cz)
-        out = []
-        for k in range(3):
-            out.append(
-                _fold(centers[k], float(obs.drift[k]), t, float(lo[k]) + r, float(hi[k]) - r)
-                - centers[k]
-            )
-        return tuple(out)
+        drift = self._drifts.get(index)
+        return ZERO_OFFSET if drift is None else _drift_offset(drift, t)
 
-    def primitives_at_step(self, step: int) -> list:
-        """Obstacle primitives advanced to the step's obstacle time.
+    def primitives_at_step(self, step: int) -> PlacedObstacles:
+        """The obstacles at the step's obstacle time, as a
+        :class:`PlacedObstacles` view over the shared base primitives.
 
         Obstacles move before each force evaluation, so step ``i`` sees the
-        obstacles at time ``(i + 1) * dt``.  Static scenes return a shared
-        list.
+        obstacles at time ``(i + 1) * dt``.  Only the offsets of drifting
+        obstacles are computed; static scenes return one shared view whose
+        offsets are all zero.
         """
-        if not self.has_dynamic:
-            return self._static
+        if not self._drifts:
+            return self._at_rest
         t = (step + 1) * self.sim.dt
-        prims = list(self._static)
-        for i in self._dynamic:
-            off = self.obstacle_offset(i, t)
-            if off != (0.0, 0.0, 0.0):
-                prim = translated(self.obstacles[i].primitive, off)
-                _warm(prim)
-                prims[i] = prim
-        return prims
+        offsets = list(self._at_rest.offsets)
+        for i, drift in self._drifts.items():
+            offsets[i] = _drift_offset(drift, t)
+        return PlacedObstacles(self._at_rest.base, offsets)
 
 
 def corridor_boundary(y_min: float, y_max: float, half_xz: float = WALL_XZ) -> list:
@@ -217,7 +258,7 @@ def _random_basis(rng) -> tuple:
         if nb < 1e-9:
             continue
         e2 = b / nb
-        return e1, e2, np.cross(e1, e2)
+        return e1, e2, np.array(cross3(e1, e2))
 
 
 def _sample_center(rng, y_lo, y_hi):

@@ -11,6 +11,12 @@ wall is touched (including zero-thickness rectangles crossed between steps),
 or the step budget runs out.  Per-step wall time covers force evaluation and
 integration only; distance instrumentation, recording and collision checks
 run outside the timed region.
+
+Each step starts from ``scene.primitives_at_step``: the scene's base
+primitives plus one rigid offset per obstacle.  Distance is invariant under
+translation, so every query runs the base primitive's kernel at the point
+minus the obstacle's offset, and crossing points are shifted back; no
+primitive is built inside the step loop.
 """
 
 from dataclasses import dataclass, field
@@ -120,6 +126,15 @@ def integrate_step(position, velocity, force, params: SimParams):
     return (npx, npy, npz), (nvx, nvy, nvz)
 
 
+def _distances(kernels, x, y, z, placed):
+    """Distance from (x, y, z) to each obstacle of a ``primitives_at_step``
+    view: the base primitive's kernel at the point minus its offset."""
+    return [
+        kern(x - ox, y - oy, z - oz, prim)[0]
+        for kern, prim, (ox, oy, oz) in zip(kernels, placed.base, placed.offsets)
+    ]
+
+
 def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     """Whether the straight move p -> q pierces the rectangle's interior.
 
@@ -178,6 +193,7 @@ def run_trial(
     goal_r2 = params.goal_radius * params.goal_radius
 
     kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
+    rects = [i for i, obs in enumerate(scene.obstacles) if isinstance(obs.primitive, RectPlane)]
     walls = list(scene.boundary)
     wall_kernels = [_kernel_for(w) for w in walls]
 
@@ -192,8 +208,8 @@ def run_trial(
         else:
             states[:] = [state]
 
-    def instrument(x, y, z, prims):
-        dists = [kern(x, y, z, p)[0] for kern, p in zip(kernels, prims)]
+    def instrument(x, y, z, placed):
+        dists = _distances(kernels, x, y, z, placed)
         if dists:
             md = min(dists)
             record.dist_sum += math.fsum(dists)
@@ -206,13 +222,13 @@ def run_trial(
 
     step_index = 0
     while True:
-        prims = scene.primitives_at_step(step_index)
-        planner.update(ctx, prims)
+        placed = scene.primitives_at_step(step_index)
+        planner.update(ctx, placed)
 
         # Goal test happens before force evaluation.
         dgx, dgy, dgz = px - gx, py - gy, pz - gz
         if dgx * dgx + dgy * dgy + dgz * dgz <= goal_r2:
-            _, md = instrument(px, py, pz, prims)
+            _, md = instrument(px, py, pz, placed)
             push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (0.0, 0.0, 0.0), md))
             record.verdict = Verdict(VerdictKind.REACHED_GOAL, step=step_index)
             break
@@ -231,7 +247,7 @@ def run_trial(
         t1 = perf()
         record.step_times.append(t1 - t0)
 
-        dists, md = instrument(px, py, pz, prims)
+        dists, md = instrument(px, py, pz, placed)
         push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
         if md <= 0.0:
@@ -261,12 +277,12 @@ def run_trial(
         # Zero-thickness rectangles can be crossed between steps; treat a
         # pierced rectangle (obstacle or wall) as a contact at distance zero.
         crossed = None
-        for i, prim in enumerate(prims):
-            if isinstance(prim, RectPlane):
-                hit = _crossing(px, py, pz, nx, ny, nz, prim)
-                if hit is not None:
-                    crossed = (f"obstacle[{i}]", i, hit)
-                    break
+        for i in rects:
+            ox, oy, oz = placed.offsets[i]
+            hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, placed.base[i])
+            if hit is not None:
+                crossed = (f"obstacle[{i}]", i, (hit[0] + ox, hit[1] + oy, hit[2] + oz))
+                break
         if crossed is None:
             for j, wall in enumerate(walls):
                 hit = _crossing(px, py, pz, nx, ny, nz, wall)
@@ -275,8 +291,8 @@ def run_trial(
                     break
         if crossed is not None:
             obstacle_id, obs_idx, (cx, cy, cz) = crossed
-            next_prims = scene.primitives_at_step(step_index + 1)
-            dists, md = instrument(cx, cy, cz, next_prims)
+            next_placed = scene.primitives_at_step(step_index + 1)
+            dists, md = instrument(cx, cy, cz, next_placed)
             if obs_idx is not None:
                 md = 0.0
                 record.min_dist = min(record.min_dist, 0.0)

@@ -12,6 +12,7 @@ from geopf import (
     SimParams,
     compute_metrics,
     generate,
+    replay_distances,
     run_suite,
     run_trial,
     write_csv,
@@ -30,6 +31,21 @@ def test_replayed_aggregates_match_the_recorded_ones():
     assert replayed.min_dist == pytest.approx(record.min_dist, abs=1e-9)
     assert replayed.avg_dist == pytest.approx(recorded.avg_dist, abs=1e-9)
     assert replayed.path_length == recorded.path_length
+
+
+def test_replayed_aggregates_of_drifting_obstacles_are_the_recorded_ones():
+    # The replay queries each base primitive at the same offsets as the
+    # simulator, so the aggregates agree to the bit.
+    scene = generate(SceneClass.DYNAMIC_HARD, 2)
+    assert scene.has_dynamic
+    record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=150))
+    assert record.dist_count > 0
+    recorded = compute_metrics(record, scene)
+    synthetic = dataclasses.replace(record, min_dist=math.inf, dist_sum=0.0, dist_count=0)
+    replayed = compute_metrics(synthetic, scene)
+    assert replayed.min_dist == recorded.min_dist
+    assert replayed.avg_dist == recorded.avg_dist
+    assert replay_distances(record.states, scene) == [s.min_dist for s in record.states]
 
 
 def test_replay_recomputes_path_length():

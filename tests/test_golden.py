@@ -3,10 +3,11 @@
 Each row is (scene, planner, verdict kind, obstacle id, step, path length,
 minimum obstacle distance), the last two to 9 significant digits.  GeoPF
 trials are capped at 1000 steps, where most trajectories have already been
-deflected by obstacles; the slow drifting classes at 150 steps, where the
-pinned minimum distance follows the drifting obstacles.  The maze runs to
-its collision; the maze class has that geometry for every seed, so it has
-one seeded row.  A refactor that changes any row changes a trajectory and
+deflected by obstacles, and PF/CF trials at 300; trials of the slow drifting
+classes are capped at 150 steps under every planner, where the pinned
+minimum distance follows the drifting obstacles.  The maze runs to its
+collision; the maze class has that geometry for every seed, so it has one
+seeded row.  A refactor that changes any row changes a trajectory and
 must say so.
 """
 
@@ -49,9 +50,13 @@ GOLDEN = [
     ('complex/1', 'geopf', 'timeout', None, 1000, 0.452047506, 0.24076475),
     ('complex/2', 'geopf', 'timeout', None, 1000, 0.429162165, 0.243373031),
     ('dynamic_easy/0', 'geopf', 'timeout', None, 150, 0.046391528, 0.449956858),
+    ('dynamic_easy/0', 'pf', 'timeout', None, 150, 0.046391528, 0.449956858),
+    ('dynamic_easy/0', 'cf', 'timeout', None, 150, 0.046391528, 0.449956858),
     ('dynamic_easy/1', 'geopf', 'timeout', None, 150, 0.046391528, 0.591646095),
     ('dynamic_easy/2', 'geopf', 'timeout', None, 150, 0.046391528, 0.594883998),
     ('dynamic_hard/0', 'geopf', 'timeout', None, 150, 0.046391528, 0.758018343),
+    ('dynamic_hard/0', 'pf', 'timeout', None, 150, 0.046391528, 0.758018343),
+    ('dynamic_hard/0', 'cf', 'timeout', None, 150, 0.046391528, 0.758018343),
     ('dynamic_hard/1', 'geopf', 'timeout', None, 150, 0.046391528, 0.494803392),
     ('dynamic_hard/2', 'geopf', 'timeout', None, 150, 0.046391528, 0.499056192),
 ]
@@ -65,7 +70,7 @@ def test_golden_verdict(row):
     else:
         scene_class, seed = label.split("/")
         scene = generate(SceneClass(scene_class), int(seed))
-        cap = CAPS.get(kind, CAPS.get(scene_class, 1000))
+        cap = CAPS.get(scene_class, CAPS.get(kind, 1000))
     params = dataclasses.replace(scene.sim, max_steps=cap)
     record = run_trial(scene, build_planner(kind), params, keep_states=False)
     verdict = record.verdict

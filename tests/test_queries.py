@@ -30,7 +30,9 @@ from geopf import (
     plane_normal,
     segment_closest,
     sphere_closest,
+    translated,
 )
+from geopf.queries import _kernel_for
 
 UNIT_SQUARE = RectPlane((1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0))
 UNIT_CUBE = Cube((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -417,3 +419,48 @@ def test_distance_lipschitz_along_paths(rng):
         ds = [distance(p, prim) for p in pts]
         for d0, d1 in zip(ds, ds[1:]):
             assert abs(d1 - d0) <= 2 * step
+
+
+# -- translation invariance -----------------------------------------------------
+
+
+def _kind_is_stable(kern, x, y, z, prim, eps=1e-7):
+    """Whether the feature kind stays put when the point moves by ``eps``
+    along each axis, i.e. the point is away from ties."""
+    kind = kern(x, y, z, prim)[7]
+    for axis in range(3):
+        for step in (eps, -eps):
+            p = [x, y, z]
+            p[axis] += step
+            if kern(*p, prim)[7] is not kind:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("kind", PRIMITIVE_KINDS)
+def test_kernels_are_translation_invariant(kind):
+    """Querying the base primitive at robot - offset gives the translated
+    primitive's distance and direction, and its foot shifted back."""
+    rng = np.random.default_rng(7 + PRIMITIVE_KINDS.index(kind))
+    compared = 0
+    for _ in range(20):
+        base = random_primitive(rng, kind)
+        kern = _kernel_for(base)
+        for _ in range(20):
+            ox, oy, oz = rng.uniform(-0.5, 0.5, size=3).tolist()
+            moved = translated(base, (ox, oy, oz))
+            robot = np.array(moved.bounding_sphere[:3]) + rng.uniform(-0.5, 0.5, size=3)
+            rx, ry, rz = robot.tolist()
+            shifted = kern(rx - ox, ry - oy, rz - oz, base)
+            direct = kern(rx, ry, rz, moved)
+            assert shifted[0] == pytest.approx(direct[0], abs=1e-12)
+            assert shifted[1:4] == pytest.approx(direct[1:4], abs=1e-12)
+            foot = (shifted[4] + ox, shifted[5] + oy, shifted[6] + oz)
+            assert foot == pytest.approx(direct[4:7], abs=1e-12)
+            if _kind_is_stable(kern, rx - ox, ry - oy, rz - oz, base):
+                # A box edge may come from either of its faces, so its
+                # corner ids may come in either order.
+                assert shifted[7] is direct[7]
+                assert sorted(shifted[8]) == sorted(direct[8])
+                compared += 1
+    assert compared >= 390

@@ -1,5 +1,6 @@
 """Scene generation, drift, maze construction and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from geopf import (
     load_scene,
     maze_scene,
     save_scene,
+    translated,
 )
 from geopf.scenes import MIN_CLEARANCE, scene_to_document
 
@@ -135,7 +137,25 @@ def test_drift_is_continuous_and_starts_at_base():
 
 def test_static_scene_prims_shared():
     scene = generate(SceneClass.LINE_EASY, 5)
-    assert scene.primitives_at_step(0) is scene.primitives_at_step(100)
+    placed = scene.primitives_at_step(0)
+    assert placed is scene.primitives_at_step(100)
+    assert all(p is obs.primitive for p, obs in zip(placed, scene.obstacles))
+
+
+def test_placed_obstacles_match_translated_primitives():
+    scene = generate(SceneClass.DYNAMIC_HARD, 4)
+    dt = scene.sim.dt
+    for s in (0, 1, 37, 5000):
+        placed = scene.primitives_at_step(s)
+        assert len(placed) == len(scene.obstacles)
+        for i, obs in enumerate(scene.obstacles):
+            assert placed.base[i] is obs.primitive
+            assert placed.offsets[i] == scene.obstacle_offset(i, (s + 1) * dt)
+            expected = translated(obs.primitive, scene.obstacle_offset(i, (s + 1) * dt))
+            got = placed[i]
+            assert type(got) is type(expected)
+            for f in dataclasses.fields(expected):
+                assert np.array_equal(getattr(got, f.name), getattr(expected, f.name))
 
 
 def test_generation_failure_is_reported():

@@ -4,25 +4,34 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_primitive
 
 from geopf import (
+    Cube,
+    Cylinder,
     DegenerateVector,
     Gains,
     GeoPFPlanner,
     Obstacle,
     RectPlane,
     Scene,
+    SceneClass,
     SimParams,
     Segment,
     Sphere,
     VerdictKind,
     build_planner,
     corridor_boundary,
+    generate,
     integrate_step,
     run_trial,
     trajectory_lines,
+    translated,
     write_trajectory,
 )
+from geopf import primitives, scenes
+from geopf.scenes import document_to_scene, scene_to_document
+from geopf.sim import _crossing
 
 
 def empty_scene(goal=(0, -1, 0), boundary=False, **sim_kw):
@@ -273,3 +282,64 @@ def test_trajectory_values_have_9_signif_digits():
     # A freshly accelerating robot has a long fractional part: the formatter
     # must keep exactly 9 significant digits.
     assert row[2] == f"{record.states[9].position[1]:.9g}"
+
+
+def test_crossing_is_translation_invariant():
+    """A crossing found on shifted endpoints, shifted back, is the crossing
+    of the translated rectangle."""
+    rng = np.random.default_rng(11)
+    hits = 0
+    for _ in range(50):
+        base = random_primitive(rng, "plane")
+        n = np.array(base._n)
+        for _ in range(20):
+            o = rng.uniform(-0.5, 0.5, size=3)
+            moved = translated(base, o)
+            c = np.array(moved.bounding_sphere[:3])
+            p = c + rng.uniform(0.01, 0.1) * n + rng.uniform(-0.15, 0.15, size=3)
+            q = c - rng.uniform(0.01, 0.1) * n + rng.uniform(-0.15, 0.15, size=3)
+            direct = _crossing(*p, *q, moved)
+            shifted = _crossing(*(p - o), *(q - o), base)
+            assert (direct is None) == (shifted is None)
+            if direct is not None:
+                hits += 1
+                assert np.allclose(np.array(shifted) + o, direct, rtol=0.0, atol=1e-12)
+    assert hits >= 100
+
+
+@pytest.mark.parametrize("kind", ["geopf", "pf", "cf"])
+def test_step_loop_builds_no_primitives(kind, monkeypatch):
+    """Drifting obstacles are queried at an offset: after prepare, no
+    primitive is built or translated in 50 steps of a drifting scene.  The
+    scene is rebuilt from its document, so no query ran on its primitives
+    before the scene's own set-up."""
+    scene = document_to_scene(scene_to_document(generate(SceneClass.DYNAMIC_HARD, 0)))
+    assert scene.has_dynamic
+    planner = build_planner(kind)
+    counting = [False]
+    built = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if counting[0]:
+                built.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (Sphere, Segment, RectPlane, Cube, Cylinder):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    monkeypatch.setattr(primitives, "translated", counted(primitives.translated))
+    monkeypatch.setattr(scenes, "translated", counted(scenes.translated))
+    prepare = planner.prepare
+
+    def prepare_then_count(s):
+        ctx = prepare(s)
+        counting[0] = True
+        return ctx
+
+    planner.prepare = prepare_then_count
+    params = SimParams(max_steps=50)
+    record = run_trial(scene, planner, params, keep_states=False)
+    assert record.verdict.step == 50
+    assert built == []
