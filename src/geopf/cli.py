@@ -144,7 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a seeded benchmark suite")
-    p_bench.add_argument("--class", dest="scene_class", required=True, help="scene class name")
+    p_bench.add_argument(
+        "--class",
+        dest="scene_class",
+        required=True,
+        help="scene class name (maze is one fixed geometry: its seeds only "
+        "break ties, so an n-seed maze suite reruns one scene n times)",
+    )
     _add_planner_args(p_bench)
     p_bench.add_argument("--trials", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)

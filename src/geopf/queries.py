@@ -10,6 +10,11 @@ they are shared by the public API here, the force generators and the
 simulator's per-step instrumentation, so all consumers see identical values.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
+
+A box is convex, so its query is the minimum over the faces whose plane the
+robot lies on or in front of: in front of one face only, that face's offset
+is the distance; in front of two or three, the nearest point lies on their
+boundaries; the faces behind the robot are never queried.
 """
 
 from dataclasses import dataclass
@@ -222,17 +227,19 @@ def _cube_kernel(rx, ry, rz, cube: Cube):
     faces = cube.faces
     outward = cube._outward
     offs = []
-    inside = True
-    for face, (nx, ny, nz) in zip(faces, outward):
+    facing = []
+    for k, (face, (nx, ny, nz)) in enumerate(zip(faces, outward)):
         v1x, v1y, v1z = face._vs[0]
         off = (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
         offs.append(off)
         if off >= 0.0:
-            inside = False
-    if inside:
-        # Penetration: negative depth to the nearest face, pushed out along
-        # that face's outward normal.
-        i = max(range(6), key=lambda k: offs[k])
+            facing.append(k)
+    if len(facing) <= 1:
+        # In front of one face only, the robot's foot lies inside that face:
+        # the face's offset is the distance.  Behind every face (penetration)
+        # the nearest face gives the negative depth.  Either way the robot is
+        # pushed out along that face's outward normal.
+        i = facing[0] if facing else max(range(6), key=offs.__getitem__)
         nx, ny, nz = outward[i]
         off = offs[i]
         return (
@@ -246,15 +253,21 @@ def _cube_kernel(rx, ry, rz, cube: Cube):
             FeatureKind.FACE,
             (i + 1,),
         )
-    # Outside: the nearest per-face result wins; the supporting-plane offset
-    # is a lower bound on each face's distance, so sort to prune queries.
-    order = sorted(range(6), key=lambda k: abs(offs[k]))
+    # In front of several faces the nearest point lies on the boundary of one
+    # of them (the box is convex).  A face's offset is a lower bound on its
+    # distance, so visit them nearest plane first and stop once none can win.
+    facing.sort(key=offs.__getitem__)
     best = None
     best_i = 0
-    for i in order:
-        if best is not None and abs(offs[i]) >= best[0]:
+    for i in facing:
+        if best is not None and offs[i] >= best[0]:
             break
-        res = _plane_kernel(rx, ry, rz, faces[i])
+        try:
+            res = _plane_side_kernel(rx, ry, rz, faces[i])
+        except DegenerateVector:
+            # The robot touches this face's boundary; the rectangle query's
+            # inclusive inside test reports the contact at distance zero.
+            res = _plane_kernel(rx, ry, rz, faces[i])
         if best is None or res[0] < best[0]:
             best = res
             best_i = i
@@ -500,10 +513,13 @@ def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
 
 
 def cube_closest(robot, cube: Cube) -> ClosestFeature:
-    """Closest feature of a box via the minimum over its six faces.
+    """Closest feature of a box via the minimum over the faces the robot
+    lies in front of.
 
-    Inside the box the distance is the negative depth to the nearest face and
-    the direction is that face's outward normal.
+    In front of one face only the result is that face's interior, at the
+    face's offset; in front of two or three, the nearest of their boundary
+    edges and corners.  Inside the box the distance is the negative depth to
+    the nearest face and the direction is that face's outward normal.
     """
     r = as_vec3(robot)
     return _wrap(_cube_kernel(r[0], r[1], r[2], cube))

@@ -327,6 +327,10 @@ _MIX = ("segment", "segment", "plane", "cube", "cylinder")
 def generate(scene_class: SceneClass, seed: int) -> Scene:
     """Deterministically generate a randomized scene of the given class.
 
+    The maze class is the exception: it returns the fixed geometry of
+    :func:`maze_scene` for every seed, and the seed only seeds the trial's
+    tie-breaks, so a suite of n maze seeds reruns one scene n times.
+
     Raises:
         GenerationFailure: when placement constraints reject 10^4 candidates.
     """
@@ -417,6 +421,8 @@ def maze_scene(seed: int = 0) -> Scene:
 
     The straight start-goal line pierces the central wall; the only passage
     is the rectangular duct between x = 0.15 and the x = +0.5 boundary wall.
+    The geometry does not depend on ``seed``; the seed is stored on the
+    scene and only seeds the trial's tie-breaks.
     """
 
     def plane(a, b, c, d):

@@ -8,6 +8,7 @@ from conftest import (
     PRIMITIVE_KINDS,
     SampledOracle,
     point_inside,
+    random_basis,
     random_primitive,
     rect_inside_frame,
 )
@@ -32,6 +33,8 @@ from geopf import (
     sphere_closest,
     translated,
 )
+from geopf import queries
+from geopf.primitives import CUBE_FACE_CORNERS
 from geopf.queries import _kernel_for
 
 UNIT_SQUARE = RectPlane((1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0))
@@ -260,6 +263,169 @@ def test_cube_edge_consistency(rng):
             _plane_kernel(p[0], p[1], p[2], f)[0] for f in cube.faces
         )
         assert per_face[1] - per_face[0] < 1e-9
+
+
+def _six_face_reference(rx, ry, rz, cube):
+    """The box query as the minimum of the rectangle query over all six
+    faces, pruned by |offset| only: the reference for ``_cube_kernel``,
+    which skips the faces the robot lies behind."""
+    offs = []
+    for face, (nx, ny, nz) in zip(cube.faces, cube._outward):
+        v1x, v1y, v1z = face._vs[0]
+        offs.append((rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz)
+    if max(offs) < 0.0:
+        i = max(range(6), key=lambda k: offs[k])
+        nx, ny, nz = cube._outward[i]
+        off = offs[i]
+        return (off, nx, ny, nz, rx - off * nx, ry - off * ny, rz - off * nz,
+                FeatureKind.FACE, (i + 1,))
+    best = None
+    best_i = 0
+    for i in sorted(range(6), key=lambda k: abs(offs[k])):
+        if best is not None and abs(offs[i]) >= best[0]:
+            break
+        res = queries._plane_kernel(rx, ry, rz, cube.faces[i])
+        if best is None or res[0] < best[0]:
+            best = res
+            best_i = i
+    kind, ids = best[7], best[8]
+    corners = CUBE_FACE_CORNERS[best_i]
+    if kind is FeatureKind.ORTHOGONAL:
+        return best[:7] + (FeatureKind.FACE, (best_i + 1,))
+    return best[:7] + (kind, tuple(corners[k - 1] + 1 for k in ids))
+
+
+def _seeded_boxes(rng, count):
+    """``count`` boxes, a third each axis-aligned, randomly rotated and thin
+    1:100 slabs, with their centre, local axes (rows) and half-extents."""
+    boxes = []
+    for i in range(count):
+        center = rng.uniform(-1, 1, size=3)
+        if i % 3 == 0:
+            axes = np.eye(3)
+        else:
+            axes = np.array(random_basis(rng))
+        if i % 3 == 2:
+            half = rng.permutation(np.array([0.5, 0.5, 0.005]) * rng.uniform(0.2, 1.0))
+        else:
+            half = rng.uniform(0.05, 0.5, size=3)
+        bottom = [center + sx * half[0] * axes[0] + sy * half[1] * axes[1] - half[2] * axes[2]
+                  for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        top = [v + 2 * half[2] * axes[2] for v in bottom]
+        boxes.append((Cube(*bottom, *top), center, axes, half))
+    return boxes
+
+
+def _region_point(rng, center, axes, half, signs):
+    """A point in the outside region given by per-axis signs (-1 below the
+    box, 0 within its slab, +1 above it), up to three box sizes away."""
+    size = 2.0 * float(half.max())
+    local = [
+        rng.uniform(-0.95, 0.95) * h if s == 0 else s * (h + rng.uniform(0.01, 3.0) * size)
+        for s, h in zip(signs, half)
+    ]
+    return center + np.asarray(local) @ axes
+
+
+_REGIONS = [s for s in np.ndindex(3, 3, 3) if s != (1, 1, 1)]
+
+
+def test_cube_kernel_matches_six_face_reference_on_generic_points():
+    rng = np.random.default_rng(41)
+    compared = 0
+    for cube, center, axes, half in _seeded_boxes(rng, 90):
+        size = 2.0 * float(half.max())
+        points = [_region_point(rng, center, axes, half, np.array(s) - 1) for s in _REGIONS]
+        for _ in range(10):
+            u = rng.normal(size=3)
+            points.append(center + u / np.linalg.norm(u) * rng.uniform(10, 100) * size)
+        for _ in range(5):
+            points.append(center + (rng.uniform(-0.95, 0.95, size=3) * half) @ axes)
+        for p in points:
+            x, y, z = p.tolist()
+            got = queries._cube_kernel(x, y, z, cube)
+            ref = _six_face_reference(x, y, z, cube)
+            assert got[:7] == ref[:7]  # == on every float
+            assert got[7] is ref[7] and got[8] == ref[8]
+            compared += 1
+    assert compared == 90 * (26 + 10 + 5)
+
+
+def test_cube_kernel_near_face_planes_agrees_with_reference():
+    """Within 1e-16 to 1e-7 m of a face plane's extension, and exactly on
+    edges and corners, the distance agrees with the reference to 1e-12 m,
+    and the kernel raises DegenerateVector only where the reference does."""
+    rng = np.random.default_rng(43)
+    compared = 0
+    for cube, center, axes, half in _seeded_boxes(rng, 90):
+        for _ in range(40):
+            signs = rng.integers(-1, 2, size=3)
+            local = _region_point(rng, np.zeros(3), np.eye(3), half, signs).tolist()
+            j = int(rng.integers(3))
+            side = float(rng.choice((-1.0, 1.0)))
+            local[j] = side * half[j] + float(rng.choice((-1.0, 1.0))) * 10 ** rng.uniform(-16, -7)
+            if rng.random() < 0.25:
+                local[j] = side * half[j]
+            if rng.random() < 0.2:  # onto an edge or a corner
+                for k in range(3):
+                    if rng.random() < 0.7:
+                        local[k] = float(rng.choice((-1.0, 1.0))) * half[k]
+            x, y, z = (center + np.asarray(local) @ axes).tolist()
+            try:
+                ref = _six_face_reference(x, y, z, cube)
+            except DegenerateVector:
+                continue
+            got = queries._cube_kernel(x, y, z, cube)
+            assert abs(got[0] - ref[0]) <= 1e-12, (got, ref)
+            compared += 1
+    assert compared >= 3500
+
+
+@pytest.mark.parametrize("region, most", [("face", 0), ("edge", 2), ("vertex", 3)])
+def test_cube_queries_only_faces_the_robot_is_in_front_of(monkeypatch, region, most):
+    """A face region needs no rectangle query, an edge region at most two
+    face boundaries, a vertex region at most three."""
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(queries, "_plane_kernel", counted(queries._plane_kernel))
+    monkeypatch.setattr(queries, "_plane_side_kernel", counted(queries._plane_side_kernel))
+    outside = {"face": 1, "edge": 2, "vertex": 3}[region]
+    rng = np.random.default_rng(47)
+    queried = 0
+    for cube, center, axes, half in _seeded_boxes(rng, 30):
+        for signs in _REGIONS:
+            signs = np.array(signs) - 1
+            if np.count_nonzero(signs) != outside:
+                continue
+            x, y, z = _region_point(rng, center, axes, half, signs).tolist()
+            calls.clear()
+            queries._cube_kernel(x, y, z, cube)
+            assert len(calls) <= most, (region, calls)
+            queried += len(calls)
+    assert queried > 0 or most == 0
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (0.5, 0.5, 1.0),  # on a face
+        (1.0, 1.0, 0.5),  # on an edge
+        (1.0, 1.0, 1.0),  # at a corner
+        (0.0, 0.5, 0.0),  # on an edge, at the origin's faces
+        (1.0 + 1e-13, 1.0, 0.5),  # 1e-13 beyond an edge, in a face's plane
+    ],
+)
+def test_cube_contact_is_zero_distance_on_a_face(point):
+    cf = cube_closest(point, UNIT_CUBE)
+    assert cf.distance == 0.0
+    assert cf.feature is FeatureKind.FACE
 
 
 # -- cylinder -------------------------------------------------------------
