@@ -48,8 +48,6 @@ def _scene_ctx(scene):
     ctx.k_rep = scene.gains.k_rep
     ctx.act = scene.gains.activation_radius
     ctx.walls = list(scene.boundary)
-    for wall in ctx.walls:
-        wall._n, wall._vs  # warm caches outside the timed region
     return ctx
 
 

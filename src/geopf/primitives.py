@@ -3,17 +3,18 @@
 Five primitive shapes are supported: spheres (radius 0 encodes a point),
 line segments, rectangles ("planes" with four corners), rectangular boxes
 ("cubes" with eight corners) and capped cylinders.  Each type validates its
-defining points on construction and caches derived quantities (unit axes,
-normals, decoded faces, bounding spheres) that the proximity queries and the
-simulator rely on.
+defining points on construction and computes there, once, the derived
+records that the proximity queries and the simulator read (unit axes,
+normals, rectangle edges, box faces, bounding spheres); a primitive never
+changes after construction.
 
-Positions are metres; all caches are plain float tuples so the query kernels
-can run without per-call numpy overhead.
+Positions are metres; the derived records are plain float tuples so the
+query kernels can run without per-call numpy overhead.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 import math
+import typing
 
 import numpy as np
 
@@ -79,68 +80,89 @@ def unit_from_to(src, dst) -> np.ndarray:
     return np.array(unit3(dx - sx, dy - sy, dz - sz))
 
 
+def _coerce(prim) -> list:
+    """Coerce the dataclass fields of ``prim`` in place, scalars to float and
+    points to float64 3-vectors; returns them in field order as floats and
+    (x, y, z) float tuples."""
+    values = []
+    for f in fields(prim):
+        value = getattr(prim, f.name)
+        value = float(value) if f.type is float else as_vec3(value)
+        object.__setattr__(prim, f.name, value)
+        values.append(value if f.type is float else tuple(value.tolist()))
+    return values
+
+
+def _derive(prim, **records):
+    """Store the derived records of a frozen primitive."""
+    for name, value in records.items():
+        object.__setattr__(prim, name, value)
+
+
+def _span(a: tuple, b: tuple, degenerate: str) -> tuple:
+    """Length and unit direction of the segment from ``a`` to ``b``.
+
+    Raises:
+        ValueError: with message ``degenerate`` when the length is at or
+            below 1e-12.
+    """
+    ex, ey, ez = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    n = norm3(ex, ey, ez)
+    if n <= DEGENERACY_EPS:
+        raise ValueError(degenerate)
+    return n, (ex / n, ey / n, ez / n)
+
+
+def _enclosing(points) -> tuple:
+    """Bounding sphere ``(cx, cy, cz, r)`` of corner tuples: their centroid
+    and the largest distance from it to one of them."""
+    n = len(points)
+    cx, cy, cz = (sum(p[k] for p in points) / n for k in range(3))
+    return (cx, cy, cz, max(norm3(x - cx, y - cy, z - cz) for x, y, z in points))
+
+
 @dataclass(frozen=True)
 class Sphere:
     """Ball obstacle; ``radius == 0`` is a point obstacle."""
+
+    scene_type: typing.ClassVar[str] = "sphere"
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
-            raise ValueError(f"sphere radius must be >= 0, got {self.radius}")
-
-    @cached_property
-    def _c(self) -> tuple:
-        return _t3(self.center)
-
-    @cached_property
-    def bounding_sphere(self) -> tuple:
-        return (*self._c, self.radius)
+        c, radius = _coerce(self)
+        if radius < 0:
+            raise ValueError(f"sphere radius must be >= 0, got {radius}")
+        _derive(self, _c=c, bounding_sphere=(*c, radius))
 
 
 @dataclass(frozen=True)
 class Segment:
     """Line segment between two distinct vertices."""
 
+    scene_type: typing.ClassVar[str] = "segment"
+
     p1: np.ndarray
     p2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p1", as_vec3(self.p1))
-        object.__setattr__(self, "p2", as_vec3(self.p2))
-        if norm3(*(self.p2 - self.p1)) <= DEGENERACY_EPS:
-            raise ValueError("segment endpoints must be distinct")
+        a, b = _coerce(self)
+        length, u = _span(a, b, "segment endpoints must be distinct")
+        center = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
+        _derive(self, _a=a, _b=b, _u=u, length=length, bounding_sphere=(*center, length / 2))
 
-    @cached_property
-    def _a(self) -> tuple:
-        return _t3(self.p1)
 
-    @cached_property
-    def _b(self) -> tuple:
-        return _t3(self.p2)
+class Edge:
+    """A rectangle edge as the float record ``_segment_kernel`` reads: ends
+    ``_a`` and ``_b``, unit direction ``_u`` from ``_a`` and ``length``."""
 
-    @cached_property
-    def length(self) -> float:
-        ax, ay, az = self._a
-        bx, by, bz = self._b
-        return norm3(bx - ax, by - ay, bz - az)
+    __slots__ = ("_a", "_b", "_u", "length")
 
-    @cached_property
-    def _u(self) -> tuple:
-        """Unit direction from p1 toward p2."""
-        ax, ay, az = self._a
-        bx, by, bz = self._b
-        return unit3(bx - ax, by - ay, bz - az)
-
-    @cached_property
-    def bounding_sphere(self) -> tuple:
-        ax, ay, az = self._a
-        bx, by, bz = self._b
-        cx, cy, cz = (ax + bx) / 2, (ay + by) / 2, (az + bz) / 2
-        return (cx, cy, cz, self.length / 2)
+    def __init__(self, a: tuple, b: tuple):
+        self._a = a
+        self._b = b
+        self.length, self._u = _span(a, b, "rectangle has a zero-length edge")
 
 
 @dataclass(frozen=True)
@@ -148,8 +170,11 @@ class RectPlane:
     """Rectangle given by four consecutively ordered corners.
 
     Corners must be coplanar and consecutive edges orthogonal; both are
-    checked on construction.
+    checked on construction.  ``edges`` runs in corner order: (v1, v2),
+    (v2, v3), (v3, v4), (v4, v1).
     """
+
+    scene_type: typing.ClassVar[str] = "plane"
 
     v1: np.ndarray
     v2: np.ndarray
@@ -157,22 +182,10 @@ class RectPlane:
     v4: np.ndarray
 
     def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4"):
-            object.__setattr__(self, name, as_vec3(getattr(self, name)))
-        self._validate()
-
-    def _validate(self):
-        vs = self._vs
-        units = []
+        vs = tuple(_coerce(self))
+        edges = tuple(Edge(vs[i], vs[(i + 1) % 4]) for i in range(4))
         for i in range(4):
-            (ax, ay, az), (bx, by, bz) = vs[i], vs[(i + 1) % 4]
-            ex, ey, ez = bx - ax, by - ay, bz - az
-            n = norm3(ex, ey, ez)
-            if n <= DEGENERACY_EPS:
-                raise ValueError("rectangle has a zero-length edge")
-            units.append((ex / n, ey / n, ez / n))
-        for i in range(4):
-            (ax, ay, az), (bx, by, bz) = units[i], units[(i + 1) % 4]
+            (ax, ay, az), (bx, by, bz) = edges[i]._u, edges[(i + 1) % 4]._u
             cos = abs(ax * bx + ay * by + az * bz)
             # |cos| of the corner angle equals the deviation from 90 degrees
             # for small deviations.
@@ -180,47 +193,28 @@ class RectPlane:
                 raise ValueError(
                     f"rectangle corners are not orthogonal (corner {i + 1}, |cos|={cos:.3e})"
                 )
-        nx, ny, nz = cross3(units[0], units[1])
+        nx, ny, nz = cross3(edges[0]._u, edges[1]._u)
         (ax, ay, az), (dx, dy, dz) = vs[0], vs[3]
         off = abs((dx - ax) * nx + (dy - ay) * ny + (dz - az) * nz)
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
+        # Unit normal from the corner winding: normalize((v1 - v2) x (v3 - v2)).
+        v1, v2, v3 = vs[0], vs[1], vs[2]
+        a = (v1[0] - v2[0], v1[1] - v2[1], v1[2] - v2[2])
+        b = (v3[0] - v2[0], v3[1] - v2[1], v3[2] - v2[2])
+        _derive(self, _vs=vs, _n=unit3(*cross3(a, b)), edges=edges, bounding_sphere=_enclosing(vs))
 
     @property
     def corners(self) -> list:
         return [self.v1, self.v2, self.v3, self.v4]
 
-    @cached_property
-    def _vs(self) -> tuple:
-        return tuple(_t3(v) for v in self.corners)
+    @property
+    def center(self) -> np.ndarray:
+        return np.array(self.bounding_sphere[:3])
 
-    @cached_property
-    def _n(self) -> tuple:
-        """Unit normal from the corner winding: normalize((v1 - v2) x (v3 - v2))."""
-        v1, v2, v3 = self._vs[0], self._vs[1], self._vs[2]
-        a = (v1[0] - v2[0], v1[1] - v2[1], v1[2] - v2[2])
-        b = (v3[0] - v2[0], v3[1] - v2[1], v3[2] - v2[2])
-        return unit3(*cross3(a, b))
-
-    @cached_property
+    @property
     def normal(self) -> np.ndarray:
         return np.array(self._n)
-
-    @cached_property
-    def edges(self) -> list:
-        """Edge segments in corner order: (v1,v2), (v2,v3), (v3,v4), (v4,v1)."""
-        vs = self.corners
-        return [Segment(vs[i], vs[(i + 1) % 4]) for i in range(4)]
-
-    @cached_property
-    def center(self) -> np.ndarray:
-        return sum(self.corners) / 4.0
-
-    @cached_property
-    def bounding_sphere(self) -> tuple:
-        c = self.center
-        r = max(norm3(*(v - c)) for v in self.corners)
-        return (*_t3(c), r)
 
 
 # Face decoding for a cube with corners v1..v4 (one face) and v5..v8 (the
@@ -237,7 +231,13 @@ CUBE_FACE_CORNERS = (
 
 @dataclass(frozen=True)
 class Cube:
-    """Rectangular box given by eight corners (two opposite rectangles)."""
+    """Rectangular box given by eight corners (two opposite rectangles).
+
+    ``_outward`` holds each face's unit normal oriented away from the
+    centroid.
+    """
+
+    scene_type: typing.ClassVar[str] = "cube"
 
     v1: np.ndarray
     v2: np.ndarray
@@ -249,106 +249,65 @@ class Cube:
     v8: np.ndarray
 
     def __post_init__(self):
-        for i in range(8):
-            name = f"v{i + 1}"
-            object.__setattr__(self, name, as_vec3(getattr(self, name)))
+        bounding_sphere = _enclosing(_coerce(self))
+        corners = self.corners
         # Face construction itself validates rectangularity of all six faces.
-        _ = self.faces
+        faces = tuple(RectPlane(*(corners[i] for i in idx)) for idx in CUBE_FACE_CORNERS)
+        cx, cy, cz, _ = bounding_sphere
+        outward = []
+        for face in faces:
+            n = face._n
+            fx, fy, fz, _ = face.bounding_sphere
+            d = (fx - cx) * n[0] + (fy - cy) * n[1] + (fz - cz) * n[2]
+            outward.append(n if d >= 0.0 else (-n[0], -n[1], -n[2]))
+        _derive(self, faces=faces, _outward=tuple(outward), bounding_sphere=bounding_sphere)
 
     @property
     def corners(self) -> list:
         return [getattr(self, f"v{i + 1}") for i in range(8)]
 
-    @cached_property
-    def faces(self) -> list:
-        vs = self.corners
-        return [RectPlane(*(vs[i] for i in idx)) for idx in CUBE_FACE_CORNERS]
-
-    @cached_property
-    def centroid(self) -> np.ndarray:
-        return sum(self.corners) / 8.0
-
-    @cached_property
-    def _outward(self) -> tuple:
-        """Per-face unit normals oriented away from the centroid."""
-        c = self.centroid
-        out = []
-        for face in self.faces:
-            n = face._n
-            d = float((face.center - c) @ n)
-            out.append(n if d >= 0.0 else (-n[0], -n[1], -n[2]))
-        return tuple(out)
-
-    @cached_property
-    def bounding_sphere(self) -> tuple:
-        c = self.centroid
-        r = max(norm3(*(v - c)) for v in self.corners)
-        return (*_t3(c), r)
-
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Capped cylinder around the axis from a1 to a2."""
+    """Capped cylinder around the axis from a1 to a2 (unit ``_axis``)."""
+
+    scene_type: typing.ClassVar[str] = "cylinder"
 
     a1: np.ndarray
     a2: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", as_vec3(self.a1))
-        object.__setattr__(self, "a2", as_vec3(self.a2))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError(f"cylinder radius must be > 0, got {self.radius}")
-        if norm3(*(self.a2 - self.a1)) <= DEGENERACY_EPS:
-            raise ValueError("cylinder axis endpoints must be distinct")
-
-    @cached_property
-    def _p1(self) -> tuple:
-        return _t3(self.a1)
-
-    @cached_property
-    def _p2(self) -> tuple:
-        return _t3(self.a2)
-
-    @cached_property
-    def length(self) -> float:
-        return norm3(*(self.a2 - self.a1))
-
-    @cached_property
-    def _axis(self) -> tuple:
-        """Unit direction from a1 toward a2."""
-        ax, ay, az = self._p1
-        bx, by, bz = self._p2
-        return unit3(bx - ax, by - ay, bz - az)
-
-    @cached_property
-    def axis(self) -> np.ndarray:
-        return np.array(self._axis)
-
-    @cached_property
-    def bounding_sphere(self) -> tuple:
-        ax, ay, az = self._p1
-        bx, by, bz = self._p2
-        cx, cy, cz = (ax + bx) / 2, (ay + by) / 2, (az + bz) / 2
-        r = math.sqrt((self.length / 2) ** 2 + self.radius**2)
-        return (cx, cy, cz, r)
+        p1, p2, radius = _coerce(self)
+        if radius <= 0:
+            raise ValueError(f"cylinder radius must be > 0, got {radius}")
+        length, axis = _span(p1, p2, "cylinder axis endpoints must be distinct")
+        center = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (p1[2] + p2[2]) / 2)
+        r = math.sqrt((length / 2) ** 2 + radius**2)
+        _derive(self, _p1=p1, _p2=p2, _axis=axis, length=length, bounding_sphere=(*center, r))
 
 
 Primitive = Sphere | Segment | RectPlane | Cube | Cylinder
+PRIMITIVE_TYPES = typing.get_args(Primitive)
+
+
+def primitive_fields(prim: Primitive) -> tuple:
+    """The dataclass fields of a primitive, in declaration order.
+
+    Raises:
+        TypeError: when ``prim`` is not one of the primitive types.
+    """
+    if type(prim) not in PRIMITIVE_TYPES:
+        raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    return fields(prim)
 
 
 def translated(prim: Primitive, offset) -> Primitive:
     """Return a copy of ``prim`` rigidly translated by ``offset``."""
     d = as_vec3(offset)
-    if isinstance(prim, Sphere):
-        return Sphere(prim.center + d, prim.radius)
-    if isinstance(prim, Segment):
-        return Segment(prim.p1 + d, prim.p2 + d)
-    if isinstance(prim, RectPlane):
-        return RectPlane(*(v + d for v in prim.corners))
-    if isinstance(prim, Cube):
-        return Cube(*(v + d for v in prim.corners))
-    if isinstance(prim, Cylinder):
-        return Cylinder(prim.a1 + d, prim.a2 + d, prim.radius)
-    raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    return type(prim)(
+        *(
+            getattr(prim, f.name) if f.type is float else getattr(prim, f.name) + d
+            for f in primitive_fields(prim)
+        )
+    )

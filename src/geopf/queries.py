@@ -5,9 +5,11 @@ closest point on the primitive (the perpendicular foot for orthogonal cases)
 and a classification of the feature realizing the minimum (face interior,
 edge, vertex, curved wall, cap, ...).
 
-The math lives in private scalar kernels operating on cached float tuples;
-they are shared by the public API here, the force generators and the
-simulator's per-step instrumentation, so all consumers see identical values.
+The math lives in private scalar kernels operating on the float records
+each primitive computes on construction; they are shared by the public API
+here, the force generators and the simulator's per-step instrumentation, so
+all consumers see identical values.  ``_kernel_for`` maps each primitive
+type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
@@ -267,7 +269,15 @@ def _cube_kernel(rx, ry, rz, cube: Cube):
         except DegenerateVector:
             # The robot touches this face's boundary; the rectangle query's
             # inclusive inside test reports the contact at distance zero.
-            res = _plane_kernel(rx, ry, rz, faces[i])
+            try:
+                res = _plane_kernel(rx, ry, rz, faces[i])
+            except DegenerateVector:
+                # Rounding put the foot just outside the face, so its inside
+                # test failed too: report the contact on this face directly.
+                nx, ny, nz = outward[i]
+                off = offs[i]
+                fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
+                res = (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         if best is None or res[0] < best[0]:
             best = res
             best_i = i
@@ -439,18 +449,25 @@ def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
     )
 
 
+_KERNELS = {
+    Sphere: _sphere_kernel,
+    Segment: _segment_kernel,
+    RectPlane: _plane_kernel,
+    Cube: _cube_kernel,
+    Cylinder: _cylinder_kernel,
+}
+
+
 def _kernel_for(prim: Primitive):
-    if isinstance(prim, Sphere):
-        return _sphere_kernel
-    if isinstance(prim, Segment):
-        return _segment_kernel
-    if isinstance(prim, RectPlane):
-        return _plane_kernel
-    if isinstance(prim, Cube):
-        return _cube_kernel
-    if isinstance(prim, Cylinder):
-        return _cylinder_kernel
-    raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    """The scalar kernel of the primitive's type.
+
+    Raises:
+        TypeError: when ``prim`` is not one of the primitive types.
+    """
+    kernel = _KERNELS.get(type(prim))
+    if kernel is None:
+        raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +501,7 @@ def segment_closest(robot, seg: Segment) -> ClosestFeature:
 
 def plane_normal(plane: RectPlane) -> np.ndarray:
     """Unit normal of the rectangle, oriented by the corner winding."""
-    return plane.normal.copy()
+    return plane.normal
 
 
 def plane_foot(robot, plane: RectPlane):

@@ -12,7 +12,7 @@ reflect off a containment box so they never reach the start/goal regions.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 import json
 import math
@@ -22,14 +22,15 @@ import numpy as np
 from .errors import GenerationFailure, SceneSchemaError
 from .forces import Gains
 from .primitives import (
+    PRIMITIVE_TYPES,
     Cube,
     Cylinder,
     Primitive,
     RectPlane,
     Segment,
-    Sphere,
     as_vec3,
     cross3,
+    primitive_fields,
     translated,
 )
 from .queries import distance
@@ -85,24 +86,6 @@ class Obstacle:
             object.__setattr__(self, "drift", as_vec3(self.drift))
 
 
-def _warm(prim: Primitive):
-    """Populate lazy caches, rectangle edges included, so the step loop
-    never computes or builds them."""
-    prim.bounding_sphere
-    if isinstance(prim, Segment):
-        prim._u
-    elif isinstance(prim, RectPlane):
-        prim._n
-        for edge in prim.edges:
-            edge._u
-    elif isinstance(prim, Cylinder):
-        prim._axis
-    elif isinstance(prim, Cube):
-        for face in prim.faces:
-            _warm(face)
-        prim._outward
-
-
 def _fold(x0: float, v: float, t: float, lo: float, hi: float) -> float:
     """Triangle-wave reflection of x0 + v*t inside [lo, hi]."""
     span = hi - lo
@@ -153,6 +136,12 @@ class PlacedObstacles(Sequence):
         return translated(self.base[index], offset)
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 @dataclass
 class Scene:
     """Everything needed to reproduce one trial."""
@@ -170,17 +159,13 @@ class Scene:
     def __post_init__(self):
         self.start = as_vec3(self.start)
         self.goal = as_vec3(self.goal)
-        self.seed = int(self.seed)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        self.seed = _check_seed(int(self.seed))
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds
             self.drift_bounds = (as_vec3(lo), as_vec3(hi))
+        elif any(obs.drift is not None for obs in self.obstacles):
+            raise ValueError("drifting obstacles need drift_bounds")
         base = [obs.primitive for obs in self.obstacles]
-        for prim in base:
-            _warm(prim)
-        for wall in self.boundary:
-            _warm(wall)
         self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base))
         # Fold constants of each drifting obstacle, by index: its bounding
         # centre, drift velocity and the range its centre stays in.
@@ -463,23 +448,28 @@ def _vec_list(v) -> list:
     return [float(x) for x in v]
 
 
+# Scene-file entries name a primitive by its class's ``scene_type`` and hold
+# its dataclass fields by name, except that the corners v1, v2, ... of
+# rectangles and boxes form one "corners" list.
+_PRIMITIVE_BY_TYPE = {cls.scene_type: cls for cls in PRIMITIVE_TYPES}
+
+
+def _is_corner(name: str) -> bool:
+    return name[0] == "v" and name[1:].isdigit()
+
+
 def _encode_primitive(prim: Primitive) -> dict:
-    if isinstance(prim, Sphere):
-        return {"type": "sphere", "center": _vec_list(prim.center), "radius": prim.radius}
-    if isinstance(prim, Segment):
-        return {"type": "segment", "p1": _vec_list(prim.p1), "p2": _vec_list(prim.p2)}
-    if isinstance(prim, RectPlane):
-        return {"type": "plane", "corners": [_vec_list(v) for v in prim.corners]}
-    if isinstance(prim, Cube):
-        return {"type": "cube", "corners": [_vec_list(v) for v in prim.corners]}
-    if isinstance(prim, Cylinder):
-        return {
-            "type": "cylinder",
-            "a1": _vec_list(prim.a1),
-            "a2": _vec_list(prim.a2),
-            "radius": prim.radius,
-        }
-    raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    prim_fields = primitive_fields(prim)
+    entry = {"type": prim.scene_type}
+    for f in prim_fields:
+        value = getattr(prim, f.name)
+        if f.type is float:
+            entry[f.name] = value
+        elif _is_corner(f.name):
+            entry.setdefault("corners", []).append(_vec_list(value))
+        else:
+            entry[f.name] = _vec_list(value)
+    return entry
 
 
 def scene_to_document(scene: Scene) -> dict:
@@ -498,19 +488,8 @@ def scene_to_document(scene: Scene) -> dict:
         "seed": scene.seed,
         "start": _vec_list(scene.start),
         "goal": _vec_list(scene.goal),
-        "gains": {
-            "k_attr": scene.gains.k_attr,
-            "k_rep": scene.gains.k_rep,
-            "activation_radius": scene.gains.activation_radius,
-        },
-        "sim": {
-            "mass": scene.sim.mass,
-            "dt": scene.sim.dt,
-            "damping": scene.sim.damping,
-            "max_speed": scene.sim.max_speed,
-            "goal_radius": scene.sim.goal_radius,
-            "max_steps": scene.sim.max_steps,
-        },
+        "gains": asdict(scene.gains),
+        "sim": asdict(scene.sim),
         "drift_bounds": None
         if scene.drift_bounds is None
         else [_vec_list(scene.drift_bounds[0]), _vec_list(scene.drift_bounds[1])],
@@ -604,28 +583,32 @@ def _decode_corners(raw, path, count):
 
 def _decode_primitive(reader: _Reader) -> Primitive:
     kind = reader.get("type", "string")
+    cls = _PRIMITIVE_BY_TYPE.get(kind)
+    if cls is None:
+        raise SceneSchemaError(f"unknown primitive type {kind!r}", reader._label("type"))
+    prim_fields = fields(cls)
+    if _is_corner(prim_fields[0].name):
+        raw = reader.get("corners", "raw")
+        values = _decode_corners(raw, reader._label("corners"), len(prim_fields))
+    else:
+        values = [reader.get(f.name, "number" if f.type is float else "vec3") for f in prim_fields]
     try:
-        if kind == "sphere":
-            return Sphere(reader.get("center", "vec3"), reader.get("radius", "number"))
-        if kind == "segment":
-            return Segment(reader.get("p1", "vec3"), reader.get("p2", "vec3"))
-        if kind == "plane":
-            corners = _decode_corners(
-                reader.get("corners", "raw"), reader._label("corners"), 4
-            )
-            return RectPlane(*corners)
-        if kind == "cube":
-            corners = _decode_corners(
-                reader.get("corners", "raw"), reader._label("corners"), 8
-            )
-            return Cube(*corners)
-        if kind == "cylinder":
-            return Cylinder(
-                reader.get("a1", "vec3"), reader.get("a2", "vec3"), reader.get("radius", "number")
-            )
+        return cls(*values)
     except ValueError as exc:
         raise SceneSchemaError(str(exc), reader.path) from exc
-    raise SceneSchemaError(f"unknown primitive type {kind!r}", reader._label("type"))
+
+
+def _decode_params(root: _Reader, key: str, cls):
+    """Read the block ``key`` into the parameter dataclass ``cls``, one
+    document field per dataclass field."""
+    reader = root.get(key, "object")
+    values = {f.name: reader.get(f.name, "int" if f.type is int else "number") for f in fields(cls)}
+    try:
+        params = cls(**values)
+    except ValueError as exc:
+        raise SceneSchemaError(str(exc), key) from exc
+    reader.finish()
+    return params
 
 
 def document_to_scene(doc) -> Scene:
@@ -637,33 +620,14 @@ def document_to_scene(doc) -> Scene:
         raise SceneSchemaError(f"unsupported format {fmt!r}", "format")
     scene_class = root.get("class", "string")
     seed = root.get("seed", "int")
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise SceneSchemaError(str(exc), "seed") from exc
     start = root.get("start", "vec3")
     goal = root.get("goal", "vec3")
-
-    gains_r = root.get("gains", "object")
-    try:
-        gains = Gains(
-            k_attr=gains_r.get("k_attr", "number"),
-            k_rep=gains_r.get("k_rep", "number"),
-            activation_radius=gains_r.get("activation_radius", "number"),
-        )
-    except ValueError as exc:
-        raise SceneSchemaError(str(exc), "gains") from exc
-    gains_r.finish()
-
-    sim_r = root.get("sim", "object")
-    try:
-        sim = SimParams(
-            mass=sim_r.get("mass", "number"),
-            dt=sim_r.get("dt", "number"),
-            damping=sim_r.get("damping", "number"),
-            max_speed=sim_r.get("max_speed", "number"),
-            goal_radius=sim_r.get("goal_radius", "number"),
-            max_steps=sim_r.get("max_steps", "int"),
-        )
-    except ValueError as exc:
-        raise SceneSchemaError(str(exc), "sim") from exc
-    sim_r.finish()
+    gains = _decode_params(root, "gains", Gains)
+    sim = _decode_params(root, "sim", SimParams)
 
     drift_bounds = None
     raw_bounds = root.get("drift_bounds", "raw")
@@ -688,6 +652,8 @@ def document_to_scene(doc) -> Scene:
         drift = None
         if drift_raw is not None:
             drift = _decode_corners([drift_raw], reader._label("drift"), 1)[0]
+            if drift_bounds is None:
+                raise SceneSchemaError("drift needs drift_bounds", reader._label("drift"))
         reader.finish()
         try:
             obstacles.append(Obstacle(prim, gain=gain, drift=drift))

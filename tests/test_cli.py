@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, files written and exit codes."""
 
+import json
+
 from geopf.cli import EXIT_GENERATION, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -34,3 +36,13 @@ def test_unknown_class(tmp_path, capsys):
     assert not out.exists()
     assert "unknown scene class" in capsys.readouterr().err
 
+
+
+def test_negative_seed_in_scene_file(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert main(["gen", "--class", "line_easy", "--seed", "0", "--out", str(scene)]) == EXIT_OK
+    doc = json.loads(scene.read_text())
+    doc["seed"] = -1
+    scene.write_text(json.dumps(doc))
+    assert main(["run", "--scene", str(scene)]) == EXIT_SCHEMA
+    assert "(field: seed)" in capsys.readouterr().err

@@ -1,4 +1,7 @@
-"""Primitive type validation and derived geometry."""
+"""Primitive type validation, derived geometry and the per-type tables."""
+
+from dataclasses import dataclass, fields
+import typing
 
 import numpy as np
 import pytest
@@ -7,13 +10,18 @@ from geopf import (
     Cube,
     Cylinder,
     DegenerateVector,
+    Obstacle,
+    Primitive,
     RectPlane,
+    Scene,
     Segment,
     Sphere,
     normalize,
     translated,
     unit_from_to,
 )
+from geopf import queries
+from geopf.scenes import _decode_primitive, _encode_primitive, _Reader, scene_to_document
 
 
 def test_normalize_axis():
@@ -134,3 +142,78 @@ def test_bounding_sphere_contains_surface(rng):
         pts = sample_surface(prim, 0.02)
         d = np.linalg.norm(pts - np.array([cx, cy, cz]), axis=1)
         assert float(d.max()) <= r + 1e-9
+
+
+# -- one table per primitive type ---------------------------------------------
+
+PRIMITIVE_TYPES = typing.get_args(Primitive)
+
+
+def _sample(cls):
+    from conftest import random_primitive
+
+    return random_primitive(np.random.default_rng(11), cls.scene_type)
+
+
+def _same_bits(p, q) -> bool:
+    return type(p) is type(q) and all(
+        np.asarray(getattr(p, f.name)).tobytes() == np.asarray(getattr(q, f.name)).tobytes()
+        for f in fields(p)
+    )
+
+
+@pytest.mark.parametrize("cls", PRIMITIVE_TYPES, ids=lambda cls: cls.__name__)
+def test_kernel_for_returns_the_types_kernel(cls):
+    assert queries._kernel_for(_sample(cls)) is getattr(queries, f"_{cls.scene_type}_kernel")
+
+
+@pytest.mark.parametrize("cls", PRIMITIVE_TYPES, ids=lambda cls: cls.__name__)
+def test_scene_file_entry_round_trips(cls):
+    prim = _sample(cls)
+    entry = _encode_primitive(prim)
+    assert entry["type"] == cls.scene_type
+    again = _decode_primitive(_Reader(entry, "obstacles[0]"))
+    assert _same_bits(prim, again)
+    assert _encode_primitive(again) == entry
+
+
+@pytest.mark.parametrize("cls", PRIMITIVE_TYPES, ids=lambda cls: cls.__name__)
+def test_translated_by_zero_keeps_the_bits(cls):
+    prim = _sample(cls)
+    moved = translated(prim, (0.0, 0.0, 0.0))
+    assert moved is not prim
+    assert _same_bits(prim, moved)
+    assert moved.bounding_sphere == prim.bounding_sphere
+
+
+@pytest.mark.parametrize("cls", PRIMITIVE_TYPES, ids=lambda cls: cls.__name__)
+def test_queries_leave_a_primitive_unchanged(cls):
+    """Every derived record exists from construction: a kernel query and a
+    bounding-sphere read add or replace nothing, box faces included."""
+    prim = _sample(cls)
+    parts = [prim, *getattr(prim, "faces", ())]
+    before = [dict(vars(p)) for p in parts]
+    x, y, z = (np.array(prim.bounding_sphere[:3]) + 1.0).tolist()
+    queries._kernel_for(prim)(x, y, z, prim)
+    for p in parts:
+        p.bounding_sphere
+    for p, seen in zip(parts, before):
+        assert vars(p).keys() == seen.keys()
+        assert all(vars(p)[k] is v for k, v in seen.items())
+
+
+@dataclass(frozen=True)
+class _Torus:
+    center: np.ndarray
+    radius: float
+
+
+def test_unsupported_type_is_a_type_error():
+    torus = _Torus(np.zeros(3), 1.0)
+    with pytest.raises(TypeError):
+        queries._kernel_for(torus)
+    with pytest.raises(TypeError):
+        translated(torus, (1.0, 0.0, 0.0))
+    scene = Scene(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[Obstacle(torus)], boundary=[])
+    with pytest.raises(TypeError):
+        scene_to_document(scene)

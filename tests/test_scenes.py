@@ -23,7 +23,7 @@ from geopf import (
     save_scene,
     translated,
 )
-from geopf.scenes import MIN_CLEARANCE, scene_to_document
+from geopf.scenes import MIN_CLEARANCE, document_to_scene, scene_to_document
 
 
 def doc_bytes(scene):
@@ -301,3 +301,38 @@ def test_invalid_primitive_geometry_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SceneSchemaError):
         load_scene(path)
+
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("obstacles", 0, "p1"), [0.0, 0.0], "obstacles[0].p1"),
+        (("gains", "k_rep"), "high", "gains.k_rep"),
+        (("sim", "max_steps"), 1.5, "sim.max_steps"),
+        (("seed",), -1, "seed"),
+    ],
+    ids=["obstacle_point", "gain", "sim_param", "negative_seed"],
+)
+def test_bad_field_is_reported_at_its_own_path(path, value, field):
+    doc = scene_to_document(generate(SceneClass.LINE_EASY, 0))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(SceneSchemaError) as exc:
+        document_to_scene(doc)
+    assert exc.value.field == field
+    assert str(exc.value).count("(field:") == 1
+
+
+def test_drift_without_drift_bounds_is_rejected():
+    scene = generate(SceneClass.DYNAMIC_EASY, 0)
+    i = next(i for i, obs in enumerate(scene.obstacles) if obs.drift is not None)
+    doc = scene_to_document(scene)
+    doc["drift_bounds"] = None
+    with pytest.raises(SceneSchemaError) as exc:
+        document_to_scene(doc)
+    assert exc.value.field == f"obstacles[{i}].drift"
+    with pytest.raises(ValueError, match="drift_bounds"):
+        dataclasses.replace(scene, drift_bounds=None)
