@@ -22,7 +22,7 @@ from .primitives import (
     Segment,
     Sphere,
     as_vec3,
-    unit3,
+    axis_frame,
 )
 
 # Velocity below this is treated as standstill by the circulatory field.
@@ -62,20 +62,6 @@ def _grid_points(origin, e1, e2, pitch):
     return pts
 
 
-def _axis_frame(axis):
-    """Two unit vectors spanning the plane perpendicular to ``axis``."""
-    ux, uy, uz = axis
-    seed = (1.0, 0.0, 0.0) if abs(ux) < 0.9 else (0.0, 1.0, 0.0)
-    dot = seed[0] * ux + seed[1] * uy + seed[2] * uz
-    b1 = unit3(seed[0] - dot * ux, seed[1] - dot * uy, seed[2] - dot * uz)
-    b2 = (
-        uy * b1[2] - uz * b1[1],
-        uz * b1[0] - ux * b1[2],
-        ux * b1[1] - uy * b1[0],
-    )
-    return np.array(b1), np.array(b2)
-
-
 def _dedup(points):
     seen = set()
     out = []
@@ -109,8 +95,7 @@ def spherize(prim: Primitive, params: SpherizationParams) -> list:
             pts.extend(_grid_points(face.v1, face.v2 - face.v1, face.v4 - face.v1, pitch))
         return [Sphere(p, r) for p in _dedup(pts)]
     if isinstance(prim, Cylinder):
-        axis = prim._axis
-        b1, b2 = _axis_frame(axis)
+        b1, b2 = map(np.array, axis_frame(prim._axis))
         R = prim.radius
         n_circ = max(int(math.ceil(math.pi * R / r)), 3)
         angles = [2.0 * math.pi * i / n_circ for i in range(n_circ)]

@@ -7,8 +7,11 @@ and clamped to ``k / D_MIN`` near contact.  One function computes the
 repulsion of any primitive, obstacle or boundary wall:
 :func:`obstacle_force_term`.  Rectangles, box faces and cylinder caps add a
 trap correction: when the straight robot-goal stretch pierces the
-obstacle, the repulsion turns parallel to the surface toward the nearest
-edge so that attraction cannot cancel it.
+obstacle, the repulsion turns parallel to the surface so that attraction
+cannot cancel it -- toward the nearest edge of a rectangle or box face, and
+radially toward the nearest rim point of a cap.  One routine finds the
+piercing point (``queries._pierce``); a rectangle tests it in its own frame
+(``queries._plane_contains``) and a cap by its distance from the cap centre.
 
 Everything here works on plain floats over the scalar kernels of
 :mod:`geopf.queries`; the public functions wrap the same code in numpy
@@ -22,14 +25,15 @@ import math
 import numpy as np
 
 from .errors import CollisionSignal
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, as_vec3, unit3
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, as_vec3, axis_frame
 from .queries import (
     ClosestFeature,
     FeatureKind,
     _cube_kernel,
     _cylinder_kernel,
     _kernel_for,
-    _plane_inside_kernel,
+    _pierce,
+    _plane_contains,
     _plane_kernel,
     _segment_kernel,
 )
@@ -137,38 +141,21 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane, rng):
     return k, results[k]
 
 
-def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, disk, rng):
-    """Surface-parallel corrected direction, or None when no trap is present.
+def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane, rng):
+    """Surface-parallel corrected direction of a rectangle, or None when the
+    robot-goal stretch does not pierce it.
 
-    The robot-goal stretch must pierce the supporting plane inside the
-    rectangle (``disk`` None) or inside the disk ``(center, radius)``; the
-    returned unit direction is parallel to the surface, perpendicular to the
-    nearest edge, signed toward it.
+    The returned unit direction is parallel to the rectangle, perpendicular
+    to the nearest edge, signed toward it.
     """
-    nx, ny, nz = plane._n
-    v1x, v1y, v1z = plane._vs[0]
-    off = (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
-    dxg, dyg, dzg = rx - gx, ry - gy, rz - gz
-    glen = math.sqrt(dxg * dxg + dyg * dyg + dzg * dzg)
-    if glen <= DEGENERACY_EPS:
+    hit = _pierce(rx, ry, rz, gx, gy, gz, plane._vs[0], plane._n)
+    if hit is None:
         return None
-    ux, uy, uz = dxg / glen, dyg / glen, dzg / glen  # unit goal -> robot
-    denom = ux * nx + uy * ny + uz * nz
-    if abs(denom) < 1e-9:
-        return None  # line parallel to the plane
-    d_inter = off / denom
-    if d_inter <= 0.0 or d_inter > glen:
-        return None  # the plane is not between robot and goal
-    px, py, pz = rx - d_inter * ux, ry - d_inter * uy, rz - d_inter * uz
-    if disk is None:
-        if not _plane_inside_kernel(px, py, pz, plane):
-            return None
-    else:
-        (ccx, ccy, ccz), rr = disk
-        dx, dy, dz = px - ccx, py - ccy, pz - ccz
-        if not dx * dx + dy * dy + dz * dz <= rr * rr:
-            return None
+    px, py, pz = hit
+    if not _plane_contains(px, py, pz, plane):
+        return None
     k, edge_res = _nearest_edge(rx, ry, rz, plane, rng)
+    nx, ny, nz = plane._n
     ex, ey, ez = plane.edges[k]._u
     cx = ny * ez - nz * ey
     cy = nz * ex - nx * ez
@@ -181,76 +168,53 @@ def _correction_direction(rx, ry, rz, gx, gy, gz, plane: RectPlane, disk, rng):
     return (cx, cy, cz)
 
 
-def _cap_square(cyl: Cylinder, kind: FeatureKind, rx, ry, rz, rng):
-    """Inscribed square spanning the cap facing the robot.
+def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
+    """Surface-parallel corrected direction over a cylinder cap, or None
+    when the robot-goal stretch does not pierce the cap disk.
 
-    The square's corners sit on the cap rim along the radial direction to the
-    robot and its in-plane perpendicular; for an on-axis robot the radial
-    direction is drawn from the RNG (or a fixed fallback axis).
+    The direction is the unit radial direction from the axis to the robot,
+    which points at the rim point nearest to the robot.  On the axis it is
+    undefined, and an in-plane direction at an RNG-drawn angle (angle 0
+    without an RNG) is used instead.
     """
-    ux, uy, uz = cyl._axis
-    if kind is FeatureKind.CAP_TOP:
-        ccx, ccy, ccz = cyl._p2
-    else:
-        ccx, ccy, ccz = cyl._p1
+    center = cyl._p2 if kind is FeatureKind.CAP_TOP else cyl._p1
+    axis = cyl._axis
+    hit = _pierce(rx, ry, rz, gx, gy, gz, center, axis)
+    if hit is None:
+        return None
+    ccx, ccy, ccz = center
+    dx, dy, dz = hit[0] - ccx, hit[1] - ccy, hit[2] - ccz
+    R = cyl.radius
+    if not dx * dx + dy * dy + dz * dz <= R * R:
+        return None
+    ux, uy, uz = axis
     wx, wy, wz = rx - ccx, ry - ccy, rz - ccz
     t = wx * ux + wy * uy + wz * uz
     qx, qy, qz = wx - t * ux, wy - t * uy, wz - t * uz
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
-    if qn <= DEGENERACY_EPS:
-        # Radial direction undefined: pick one in the cap plane.
-        seed = (1.0, 0.0, 0.0) if abs(ux) < 0.9 else (0.0, 1.0, 0.0)
-        bx, by, bz = seed
-        dot = bx * ux + by * uy + bz * uz
-        b1 = unit3(bx - dot * ux, by - dot * uy, bz - dot * uz)
-        b2 = (
-            uy * b1[2] - uz * b1[1],
-            uz * b1[0] - ux * b1[2],
-            ux * b1[1] - uy * b1[0],
-        )
-        ang = float(rng.uniform(0.0, 2.0 * math.pi)) if rng is not None else 0.0
-        ca, sa = math.cos(ang), math.sin(ang)
-        nq = (
-            ca * b1[0] + sa * b2[0],
-            ca * b1[1] + sa * b2[1],
-            ca * b1[2] + sa * b2[2],
-        )
-    else:
-        nq = (qx / qn, qy / qn, qz / qn)
-    # In-plane direction perpendicular to nq.
-    na = (
-        uy * nq[2] - uz * nq[1],
-        uz * nq[0] - ux * nq[2],
-        ux * nq[1] - uy * nq[0],
-    )
-    r = cyl.radius
-    c = np.array((ccx, ccy, ccz))
-    e1 = c + r * np.array(na)
-    e2 = c + r * np.array(nq)
-    e3 = c - r * np.array(na)
-    e4 = c - r * np.array(nq)
-    return RectPlane(e1, e2, e3, e4), (ccx, ccy, ccz)
+    if qn > DEGENERACY_EPS:
+        return (qx / qn, qy / qn, qz / qn)
+    b1, b2 = axis_frame(axis)
+    ang = float(rng.uniform(0.0, 2.0 * math.pi)) if rng is not None else 0.0
+    ca, sa = math.cos(ang), math.sin(ang)
+    return (ca * b1[0] + sa * b2[0], ca * b1[1] + sa * b2[1], ca * b1[2] + sa * b2[2])
 
 
 _CAPS = (FeatureKind.CAP_TOP, FeatureKind.CAP_BOTTOM)
 
 
-def _trap(kernel, prim, kind, index, rx, ry, rz, rng):
-    """Rectangle whose piercing triggers the trap correction, or None.
+def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz, rng):
+    """Trap-corrected direction of a primitive's repulsion, or None.
 
-    Returns ``(rect, disk)``.  A rectangle's trap is the rectangle itself, a
-    box's is the face realizing a FACE feature, and a cylinder's is the
-    inscribed square of the cap realizing a cap feature.  ``disk`` is None
-    when the piercing point must lie inside ``rect``; for a cap it is the
-    ``(center, radius)`` of the cap disk the point must lie in instead.
+    A rectangle's trap is the rectangle itself, a box's is the face realizing
+    a FACE feature, and a cylinder's is the cap disk realizing a cap feature.
     """
     if kernel is _plane_kernel:
-        return prim, None
+        return _rect_correction(rx, ry, rz, gx, gy, gz, prim, rng)
     if kernel is _cube_kernel and kind is FeatureKind.FACE:
-        return prim.faces[index[0] - 1], None
+        return _rect_correction(rx, ry, rz, gx, gy, gz, prim.faces[index[0] - 1], rng)
     if kernel is _cylinder_kernel and kind in _CAPS:
-        square, center = _cap_square(prim, kind, rx, ry, rz, rng)
-        return square, (center, prim.radius)
+        return _cap_correction(rx, ry, rz, gx, gy, gz, prim, kind, rng)
     return None
 
 
@@ -261,8 +225,8 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
     activation radius and at a non-positive distance (the caller reacts to
     contact).  Otherwise it has magnitude ``k / max(d, D_MIN)`` along the
     closest feature's direction, or, with ``correction`` on and the
-    robot-goal stretch piercing the primitive's trap rectangle, along the
-    surface-parallel corrected direction.
+    robot-goal stretch piercing the primitive's trap (a rectangle, a box
+    face or a cap disk), along the surface-parallel corrected direction.
     """
     kernel = _kernel_for(prim)
     kern = kernel(rx, ry, rz, prim)
@@ -271,11 +235,9 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
         return 0.0, 0.0, 0.0, d
     ux, uy, uz = kern[1], kern[2], kern[3]
     if correction:
-        trap = _trap(kernel, prim, kern[7], kern[8], rx, ry, rz, rng)
-        if trap is not None:
-            corr = _correction_direction(rx, ry, rz, gx, gy, gz, trap[0], trap[1], rng)
-            if corr is not None:
-                ux, uy, uz = corr
+        corr = _correction_direction(kernel, prim, kern[7], kern[8], rx, ry, rz, gx, gy, gz, rng)
+        if corr is not None:
+            ux, uy, uz = corr
     mag = k / max(d, D_MIN)
     return mag * ux, mag * uy, mag * uz, d
 
@@ -313,10 +275,11 @@ def cylinder_cap_correction(
 ) -> np.ndarray:
     """Repulsive force of a cylinder with the circular-cap trap correction.
 
-    Applies when the closest feature is a cap: the cap is spanned by an
-    inscribed square whose rim corners face the robot, the rectangle
-    correction logic runs against it, and the piercing test uses the radial
-    distance from the cap center instead of the four-indicator test.
+    Applies when the closest feature is a cap and the robot-goal stretch
+    pierces the cap disk: the force turns to the unit radial direction from
+    the axis to the robot, toward the nearest rim point (magnitude still
+    k/d).  On the axis, where that direction is undefined, an in-plane
+    direction is drawn from ``rng``.
 
     Raises:
         CollisionSignal: when the robot touches the cylinder.

@@ -63,6 +63,17 @@ def unit3(x: float, y: float, z: float) -> tuple:
     return (x / n, y / n, z / n)
 
 
+def axis_frame(axis) -> tuple:
+    """Two unit float tuples spanning the plane perpendicular to the unit
+    ``axis``: the x (or, near the x axis, the y) unit vector with its axial
+    part removed, and ``axis`` crossed with that."""
+    ux, uy, uz = axis
+    sx, sy, sz = (1.0, 0.0, 0.0) if abs(ux) < 0.9 else (0.0, 1.0, 0.0)
+    dot = sx * ux + sy * uy + sz * uz
+    b1 = unit3(sx - dot * ux, sy - dot * uy, sz - dot * uz)
+    return b1, cross3(axis, b1)
+
+
 def normalize(v) -> np.ndarray:
     """Return v / ||v||.
 

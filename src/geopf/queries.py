@@ -13,6 +13,12 @@ type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
+A rectangle tests whether the robot's foot lies inside it in its own frame
+(``_plane_contains``); outside, the nearest boundary edge or corner is the
+closest feature.  ``_pierce`` finds where a straight move crosses a plane;
+with the frame test it tells the simulator's crossing check and the trap
+correction whether a rectangle was pierced.
+
 A box is convex, so its query is the minimum over the faces whose plane the
 robot lies on or in front of: in front of one face only, that face's offset
 is the distance; in front of two or three, the nearest point lies on their
@@ -149,47 +155,41 @@ def _plane_offset(rx, ry, rz, plane: RectPlane):
     return (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
 
 
-def _plane_inside_kernel(fx, fy, fz, plane: RectPlane) -> bool:
-    """Four-indicator containment test for a point on the supporting plane.
+def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
+    """Whether a point on the supporting plane lies in the closed rectangle.
 
-    The indicators are the normalized cross products of successive unit
-    directions from the query point to the corners; the point is inside iff
-    they all share one orientation.  Points landing exactly on a corner or an
-    edge count as inside.
+    The test runs in the rectangle's own frame: with v1 the first corner and
+    u1, u2 the unit directions of the first two edges (lengths L1, L2), the
+    point is inside iff s = (f - v1).u1 lies in [0, L1] and t = (f - v1).u2
+    in [0, L2].  The boundary is inclusive.
     """
-    vs = plane._vs
-    nx, ny, nz = plane._n
-    dirs = []
-    for vx, vy, vz in vs:
-        dx, dy, dz = vx - fx, vy - fy, vz - fz
-        m = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if m <= DEGENERACY_EPS:
-            return True  # on a corner: boundary is inclusive
-        dirs.append((dx / m, dy / m, dz / m))
-    pos = neg = False
-    for i in range(4):
-        ax, ay, az = dirs[i]
-        bx, by, bz = dirs[(i + 1) % 4]
-        cx = ay * bz - az * by
-        cy = az * bx - ax * bz
-        cz = ax * by - ay * bx
-        if cx * cx + cy * cy + cz * cz <= 1e-24:
-            # Collinear with the corner pair: on the edge iff between them.
-            va, vb = vs[i], vs[(i + 1) % 4]
-            between = (
-                (va[0] - fx) * (vb[0] - fx)
-                + (va[1] - fy) * (vb[1] - fy)
-                + (va[2] - fz) * (vb[2] - fz)
-            )
-            return between <= 0.0
-        s = cx * nx + cy * ny + cz * nz
-        if s > 0.0:
-            pos = True
-        else:
-            neg = True
-        if pos and neg:
-            return False
-    return True
+    e1, e2 = plane.edges[0], plane.edges[1]
+    ax, ay, az = e1._a
+    wx, wy, wz = fx - ax, fy - ay, fz - az
+    ux, uy, uz = e1._u
+    s = wx * ux + wy * uy + wz * uz
+    if s < 0.0 or s > e1.length:
+        return False
+    ux, uy, uz = e2._u
+    t = wx * ux + wy * uy + wz * uz
+    return 0.0 <= t <= e2.length
+
+
+def _pierce(px, py, pz, qx, qy, qz, origin, normal):
+    """Point where the straight move p -> q crosses the plane through
+    ``origin`` with unit ``normal``, or None.
+
+    The crossing is strict: p and q lie on opposite sides and neither lies
+    on the plane.  ``origin`` and ``normal`` are float triples.
+    """
+    ox, oy, oz = origin
+    nx, ny, nz = normal
+    o0 = (px - ox) * nx + (py - oy) * ny + (pz - oz) * nz
+    o1 = (qx - ox) * nx + (qy - oy) * ny + (qz - oz) * nz
+    if o0 == 0.0 or o1 == 0.0 or (o0 > 0.0) == (o1 > 0.0):
+        return None
+    t = o0 / (o0 - o1)
+    return (px + t * (qx - px), py + t * (qy - py), pz + t * (qz - pz))
 
 
 # Corner-id pairs (1-based) of rectangle edge k = 0..3.
@@ -218,7 +218,7 @@ def _plane_kernel(rx, ry, rz, plane: RectPlane):
     off = _plane_offset(rx, ry, rz, plane)
     nx, ny, nz = plane._n
     fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-    if _plane_inside_kernel(fx, fy, fz, plane):
+    if _plane_contains(fx, fy, fz, plane):
         if off >= 0.0:  # sign(0) defaults to the stored normal
             return (off, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         return (-off, -nx, -ny, -nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
@@ -517,14 +517,23 @@ def plane_foot(robot, plane: RectPlane):
 
 
 def plane_inside(foot, plane: RectPlane) -> bool:
-    """Whether a point on the supporting plane lies in the closed rectangle."""
+    """Whether a point on the supporting plane lies in the closed rectangle.
+
+    The point's coordinates in the rectangle's frame (along the first two
+    edge directions, from the first corner) must lie within the edge
+    lengths; the boundary is inclusive.
+    """
     f = as_vec3(foot)
-    return _plane_inside_kernel(f[0], f[1], f[2], plane)
+    return _plane_contains(f[0], f[1], f[2], plane)
 
 
 def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
-    """Closest feature of a rectangle: foot-inside gives the orthogonal case,
-    otherwise the nearest boundary edge or corner."""
+    """Closest feature of a rectangle.
+
+    When the robot's perpendicular foot passes the frame test of
+    :func:`plane_inside`, the foot is the closest point (the orthogonal
+    case); otherwise the nearest boundary edge or corner is.
+    """
     r = as_vec3(robot)
     return _wrap(_plane_kernel(r[0], r[1], r[2], plane))
 

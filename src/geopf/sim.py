@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import CollisionSignal
 from .primitives import RectPlane
-from .queries import _kernel_for, _plane_inside_kernel, _plane_offset
+from .queries import _kernel_for, _pierce, _plane_contains
 from .seeding import trial_rng
 
 # With a stall speed set, a trial times out after this many slow steps in a row.
@@ -136,22 +136,19 @@ def _distances(kernels, x, y, z, placed):
 
 
 def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
-    """Whether the straight move p -> q pierces the rectangle's interior.
+    """Whether the straight move p -> q pierces the closed rectangle.
 
-    Returns the crossing point, or None.  Both offsets are measured against
-    the same plane instance, so quasi-static motion within one step is fine.
+    Returns the crossing point, or None.  The move must cross the supporting
+    plane strictly (``queries._pierce``), and the crossing point must pass
+    the rectangle's frame test (``queries._plane_contains``).  Both ends are
+    measured against the same plane instance, so quasi-static motion within
+    one step is fine.
     """
-    o0 = _plane_offset(px, py, pz, plane)
-    o1 = _plane_offset(qx, qy, qz, plane)
-    if o0 == 0.0 or o1 == 0.0 or (o0 > 0.0) == (o1 > 0.0):
+    hit = _pierce(px, py, pz, qx, qy, qz, plane._vs[0], plane._n)
+    if hit is None:
         return None
-    t = o0 / (o0 - o1)
-    cx = px + t * (qx - px)
-    cy = py + t * (qy - py)
-    cz = pz + t * (qz - pz)
-    if _plane_inside_kernel(cx, cy, cz, plane):
-        return (cx, cy, cz)
-    return None
+    cx, cy, cz = hit
+    return hit if _plane_contains(cx, cy, cz, plane) else None
 
 
 def run_trial(

@@ -2,8 +2,10 @@
 
 The distance oracle densely samples primitive surfaces and takes the
 nearest-neighbor distance through a KD-tree.  Containment tests and the
-rectangle distance oracle work in local coordinate frames, deliberately
-avoiding the indicator-based logic under test.
+rectangle distance oracle work in local coordinate frames with numpy
+vectors and corner-relative coordinates, independently of the package's
+scalar kernels.  The paper's four-indicator rectangle test is kept in
+``test_queries.py`` as a second reference.
 """
 
 import math

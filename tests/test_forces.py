@@ -186,6 +186,23 @@ def test_cap_correction_lateral_when_goal_below():
     assert abs(f[2]) < 1e-9  # perpendicular to the axis
 
 
+@pytest.mark.parametrize(
+    "x, y, z, goal_z",
+    [(0.2, 0.1, 3, -3), (-0.05, 0.3, 3, -3), (0.4, -0.25, 3, -3), (0.1, -0.2, -1, 5)],
+)
+def test_cap_correction_turns_radially_toward_the_rim(x, y, z, goal_z):
+    # Off the axis, one unit beyond a cap, with the goal across the cylinder:
+    # the stretch passes through the cap disk, and the force turns to the
+    # radial direction, toward the nearest rim point, with magnitude k/d
+    # (d = 1).  No RNG is drawn.
+    rng = trial_rng(3)
+    state = rng.bit_generator.state
+    f = cylinder_cap_correction((x, y, z), (x, y, goal_z), CYL, CORR_GAINS, rng=rng)
+    radial = np.array((x, y, 0.0)) / math.hypot(x, y)
+    assert np.allclose(f, 0.1 * radial, rtol=0.0, atol=1e-15)
+    assert rng.bit_generator.state == state
+
+
 def test_cap_correction_inert_when_goal_above():
     f = cylinder_cap_correction((0, 0, 3), (0, 0, 5), CYL, CORR_GAINS, rng=trial_rng(3))
     assert np.allclose(f, (0, 0, 0.1))

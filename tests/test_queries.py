@@ -34,7 +34,7 @@ from geopf import (
     translated,
 )
 from geopf import queries
-from geopf.primitives import CUBE_FACE_CORNERS
+from geopf.primitives import CUBE_FACE_CORNERS, DEGENERACY_EPS
 from geopf.queries import _kernel_for
 
 UNIT_SQUARE = RectPlane((1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0))
@@ -175,6 +175,62 @@ def test_plane_foot_residual(rng):
         assert abs(float((foot - p.v1) @ p.normal)) < 1e-9
 
 
+def _four_indicator_inside(fx, fy, fz, plane):
+    """The paper's four-indicator containment test, kept as a reference for
+    the rectangle's frame test.
+
+    The indicators are the normalized cross products of successive unit
+    directions from the point to the corners; the point is inside iff they
+    all share one orientation.  Points on a corner or an edge count as
+    inside.
+    """
+    vs = plane._vs
+    nx, ny, nz = plane._n
+    dirs = []
+    for vx, vy, vz in vs:
+        dx, dy, dz = vx - fx, vy - fy, vz - fz
+        m = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if m <= DEGENERACY_EPS:
+            return True  # on a corner: boundary is inclusive
+        dirs.append((dx / m, dy / m, dz / m))
+    pos = neg = False
+    for i in range(4):
+        ax, ay, az = dirs[i]
+        bx, by, bz = dirs[(i + 1) % 4]
+        cx = ay * bz - az * by
+        cy = az * bx - ax * bz
+        cz = ax * by - ay * bx
+        if cx * cx + cy * cy + cz * cz <= 1e-24:
+            # Collinear with the corner pair: on the edge iff between them.
+            va, vb = vs[i], vs[(i + 1) % 4]
+            between = (
+                (va[0] - fx) * (vb[0] - fx)
+                + (va[1] - fy) * (vb[1] - fy)
+                + (va[2] - fz) * (vb[2] - fz)
+            )
+            return between <= 0.0
+        if cx * nx + cy * ny + cz * nz > 0.0:
+            pos = True
+        else:
+            neg = True
+        if pos and neg:
+            return False
+    return True
+
+
+def _four_indicator_plane_kernel(rx, ry, rz, plane):
+    """The paper's rectangle query: the perpendicular foot when the
+    four-indicator test puts it inside, else the nearest boundary feature."""
+    off = queries._plane_offset(rx, ry, rz, plane)
+    nx, ny, nz = plane._n
+    fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
+    if _four_indicator_inside(fx, fy, fz, plane):
+        if off >= 0.0:
+            return (off, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
+        return (-off, -nx, -ny, -nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
+    return queries._plane_side_kernel(rx, ry, rz, plane)
+
+
 def test_plane_inside_examples():
     assert plane_inside((0, 0, 0), UNIT_SQUARE)
     assert not plane_inside((3, 0, 0), UNIT_SQUARE)
@@ -199,7 +255,9 @@ def test_plane_inside_matches_box_oracle(rng):
             dv = min(abs(v), abs(v - 1.0)) * float(np.linalg.norm(e2))
             if min(du, dv) <= 1e-9:
                 continue
-            assert plane_inside(foot, p) == rect_inside_frame(foot, p)
+            inside = plane_inside(foot, p)
+            assert inside == rect_inside_frame(foot, p)
+            assert inside == _four_indicator_inside(*foot.tolist(), p)
 
 
 def test_plane_closest_orthogonal():
@@ -266,9 +324,10 @@ def test_cube_edge_consistency(rng):
 
 
 def _six_face_reference(rx, ry, rz, cube):
-    """The box query as the minimum of the rectangle query over all six
-    faces, pruned by |offset| only: the reference for ``_cube_kernel``,
-    which skips the faces the robot lies behind."""
+    """The box query as the minimum of the paper's rectangle query over all
+    six faces, pruned by |offset| only: the reference for ``_cube_kernel``,
+    which skips the faces the robot lies behind and tests containment in
+    each face's frame."""
     offs = []
     for face, (nx, ny, nz) in zip(cube.faces, cube._outward):
         v1x, v1y, v1z = face._vs[0]
@@ -284,7 +343,7 @@ def _six_face_reference(rx, ry, rz, cube):
     for i in sorted(range(6), key=lambda k: abs(offs[k])):
         if best is not None and abs(offs[i]) >= best[0]:
             break
-        res = queries._plane_kernel(rx, ry, rz, cube.faces[i])
+        res = _four_indicator_plane_kernel(rx, ry, rz, cube.faces[i])
         if best is None or res[0] < best[0]:
             best = res
             best_i = i

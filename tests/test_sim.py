@@ -29,7 +29,7 @@ from geopf import (
     translated,
     write_trajectory,
 )
-from geopf import primitives, scenes
+from geopf import forces, primitives, scenes
 from geopf.scenes import document_to_scene, scene_to_document
 from geopf.sim import _crossing
 
@@ -307,17 +307,30 @@ def test_crossing_is_translation_invariant():
     assert hits >= 100
 
 
-@pytest.mark.parametrize("kind", ["geopf", "pf", "cf"])
-def test_step_loop_builds_no_primitives(kind, monkeypatch):
-    """Drifting obstacles are queried at an offset: after prepare, no
-    primitive is built or translated in 50 steps of a drifting scene.  The
-    scene is rebuilt from its document, so no query ran on its primitives
-    before the scene's own set-up."""
-    scene = document_to_scene(scene_to_document(generate(SceneClass.DYNAMIC_HARD, 0)))
-    assert scene.has_dynamic
+@pytest.mark.parametrize(
+    "kind, scene_class, seed, max_steps",
+    [
+        *(pytest.param(kind, "dynamic_hard", 0, 50, id=kind) for kind in ("geopf", "pf", "cf")),
+        # The robot passes within the activation radius of cylinder caps.
+        pytest.param("geopf", "complex", 2, 3000, id="geopf-complex-2"),
+    ],
+)
+def test_step_loop_builds_no_primitives(kind, scene_class, seed, max_steps, monkeypatch):
+    """After prepare, no primitive is built or translated in the step loop:
+    drifting obstacles are queried at an offset, and the cap trap correction
+    works on the cylinder's own records.  The scene is rebuilt from its
+    document, so no query ran on its primitives before the scene's own
+    set-up."""
+    scene = document_to_scene(scene_to_document(generate(SceneClass(scene_class), seed)))
+    assert scene.has_dynamic == (scene_class == "dynamic_hard")
     planner = build_planner(kind)
     counting = [False]
     built = []
+    cap_corrections = []
+    cap_correction = forces._cap_correction
+    monkeypatch.setattr(
+        forces, "_cap_correction", lambda *a: cap_corrections.append(a) or cap_correction(*a)
+    )
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -339,7 +352,8 @@ def test_step_loop_builds_no_primitives(kind, monkeypatch):
         return ctx
 
     planner.prepare = prepare_then_count
-    params = SimParams(max_steps=50)
+    params = SimParams(max_steps=max_steps)
     record = run_trial(scene, planner, params, keep_states=False)
-    assert record.verdict.step == 50
+    assert record.verdict.step == max_steps  # the whole budget ran
     assert built == []
+    assert (len(cap_corrections) > 0) == (scene_class == "complex")

@@ -1,20 +1,25 @@
-"""Bit-identity fingerprints of the simulator and the scene generator.
+"""Bit-identity and verdict fingerprints of the simulator and the scene generator.
 
-Prints two sha256 hashes that a behaviour-preserving change must leave
-unchanged:
+Prints sha256 hashes that a behaviour-preserving change must leave
+unchanged.  Each trial is run with ``run_trial(keep_states=False)`` and
+contributes a verdict record ``verdict kind|obstacle id|step`` and a bit
+record, the verdict record followed by ``|path_length|min_dist|dist_sum``
+with the three floats as ``float.hex``.  A hash covers its trials' records
+concatenated without a separator; each trial set prints the bit hash and,
+beside it, the verdict hash, which a change that moves the floats but no
+verdict leaves unchanged.
 
-- ``trajectory``: 97 trials run with ``run_trial(keep_states=False)``:
-  ``maze_scene()``, then seeds 0-7 of every scene class (class by class)
-  under GeoPF capped at 3,000 steps, then plane_easy seeds 0-7 under PF and
-  CF (seed by seed) capped at 300 steps.  Each trial contributes
-  ``verdict kind|obstacle id|step|path_length|min_dist|dist_sum`` with the
-  three floats as ``float.hex``; the records are concatenated without a
-  separator.
+- ``trajectory``: 97 capped trials: ``maze_scene()``, then seeds 0-7 of
+  every scene class (class by class) under GeoPF capped at 3,000 steps, then
+  plane_easy seeds 0-7 under PF and CF (seed by seed) capped at 300 steps.
+- ``full-length``: trials where the rectangle trap correction fires, run
+  under GeoPF to the scene's own step cap: ``maze_scene()``, then
+  plane_hard seeds 3 and 4.
 - ``scenes``: ``json.dumps(scene_to_document(scene), sort_keys=True)`` of
   400 generated scenes (seeds 0-39, and for each seed every scene class),
   concatenated without a separator.
 
-Run from the repository root (about half a minute on one core)::
+Run from the repository root (under a minute on one core)::
 
     PYTHONPATH=src python tools/fingerprint.py
 """
@@ -28,24 +33,37 @@ from geopf.bench import PlannerSpec
 from geopf.scenes import scene_to_document
 
 
-def _trial_record(scene, kind: str, max_steps: int) -> str:
-    params = dataclasses.replace(scene.sim, max_steps=max_steps)
+def _trial_records(scene, kind: str, max_steps: int | None = None) -> tuple:
+    """The trial's verdict record and bit record."""
+    params = scene.sim if max_steps is None else dataclasses.replace(scene.sim, max_steps=max_steps)
     rec = run_trial(scene, PlannerSpec(kind).build(), params, keep_states=False)
     v = rec.verdict
+    verdict = "|".join([v.kind.value, str(v.obstacle_id), str(v.step)])
     floats = (rec.path_length, rec.min_dist, rec.dist_sum)
-    return "|".join([v.kind.value, str(v.obstacle_id), str(v.step), *map(float.hex, floats)])
+    return verdict, "|".join([verdict, *map(float.hex, floats)])
 
 
-def trajectory_hash() -> str:
-    records = [_trial_record(maze_scene(), "geopf", 3000)]
+def _hashes(trials) -> tuple:
+    """Bit hash and verdict hash of ``(scene, kind, max_steps)`` trials."""
+    verdicts, bits = zip(*(_trial_records(*trial) for trial in trials))
+    return tuple(hashlib.sha256("".join(r).encode()).hexdigest() for r in (bits, verdicts))
+
+
+def capped_trials():
+    yield maze_scene(), "geopf", 3000
     for scene_class in SceneClass:
         for seed in range(8):
-            records.append(_trial_record(generate(scene_class, seed), "geopf", 3000))
+            yield generate(scene_class, seed), "geopf", 3000
     for seed in range(8):
         scene = generate(SceneClass.PLANE_EASY, seed)
         for kind in ("pf", "cf"):
-            records.append(_trial_record(scene, kind, 300))
-    return hashlib.sha256("".join(records).encode()).hexdigest()
+            yield scene, kind, 300
+
+
+def full_length_trials():
+    yield maze_scene(), "geopf", None
+    for seed in (3, 4):
+        yield generate(SceneClass.PLANE_HARD, seed), "geopf", None
 
 
 def scene_hash() -> str:
@@ -58,5 +76,7 @@ def scene_hash() -> str:
 
 
 if __name__ == "__main__":
-    print(f"trajectory {trajectory_hash()}")
-    print(f"scenes     {scene_hash()}")
+    for name, trials in (("trajectory", capped_trials()), ("full-length", full_length_trials())):
+        bits, verdicts = _hashes(trials)
+        print(f"{name:<11} {bits}  verdicts {verdicts}")
+    print(f"{'scenes':<11} {scene_hash()}")
