@@ -5,6 +5,11 @@ placed at pitch ``2 r`` over the primitive (along segments, as grids over
 rectangles and box faces, as rings plus cap disks for cylinders).  The
 baseline planners then repel from every sphere: PF radially, CF with a
 circulatory term perpendicular to the current velocity.
+
+:func:`sphere_cloud` builds a primitive's cloud as ``(cx, cy, cz, r)`` float
+records with scalar arithmetic; the planners flatten those records and build
+no object per sphere.  :class:`Sphere` objects exist only on the public path,
+:func:`spherize` and the :func:`pf_force` / :func:`cf_force` functions.
 """
 
 from dataclasses import dataclass
@@ -43,84 +48,109 @@ class SpherizationParams:
             raise ValueError("spherization k_rep must be > 0")
 
 
-def _line_points(p1, p2, pitch):
-    length = float(np.linalg.norm(p2 - p1))
-    n = max(int(math.ceil(length / pitch)), 1) + 1
-    return [p1 + (i / (n - 1)) * (p2 - p1) for i in range(n)]
+def _steps(a, b, pitch) -> list:
+    """Offsets ``(i / (n - 1)) * (b - a)``, ``i = 0 .. n - 1``, for points
+    at most ``pitch`` apart from ``a`` to ``b``, both ends included.
+
+    The length is ``np.linalg.norm``'s: a scalar square root can differ in
+    the last bit, which at a whole number of pitches changes ``n``.
+    """
+    ex, ey, ez = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    n = max(int(math.ceil(float(np.linalg.norm((ex, ey, ez))) / pitch)), 1) + 1
+    return [(t * ex, t * ey, t * ez) for t in (i / (n - 1) for i in range(n))]
 
 
-def _grid_points(origin, e1, e2, pitch):
-    l1 = float(np.linalg.norm(e1))
-    l2 = float(np.linalg.norm(e2))
-    n1 = max(int(math.ceil(l1 / pitch)), 1) + 1
-    n2 = max(int(math.ceil(l2 / pitch)), 1) + 1
-    pts = []
-    for i in range(n1):
-        a = origin + (i / (n1 - 1)) * e1
-        for j in range(n2):
-            pts.append(a + (j / (n2 - 1)) * e2)
-    return pts
+def _line_points(a, b, pitch) -> list:
+    ax, ay, az = a
+    return [(ax + dx, ay + dy, az + dz) for dx, dy, dz in _steps(a, b, pitch)]
 
 
-def _dedup(points):
+def _records(points, offsets, r) -> list:
+    """Records of radius ``r`` at every point plus every offset, point by point."""
+    return [(x + dx, y + dy, z + dz, r) for x, y, z in points for dx, dy, dz in offsets]
+
+
+def _circle(rho, r, b1, b2) -> list:
+    """Offsets ``rho * (cos(a) * b1 + sin(a) * b2)`` at ``m`` equal angles
+    ``a``, enough for tangent spheres of radius ``r`` around the circle of
+    radius ``rho``."""
+    (b1x, b1y, b1z), (b2x, b2y, b2z) = b1, b2
+    m = max(int(math.ceil(math.pi * rho / r)), 3)
+    offsets = []
+    for i in range(m):
+        a = 2.0 * math.pi * i / m
+        c, s = math.cos(a), math.sin(a)
+        offsets.append(
+            (rho * (c * b1x + s * b2x), rho * (c * b1y + s * b2y), rho * (c * b1z + s * b2z))
+        )
+    return offsets
+
+
+def _dedup(records) -> list:
+    """First record of each centre, centres compared rounded to 1e-9 m by
+    numpy's rounding (Python's ``round`` can round differently)."""
     seen = set()
     out = []
-    for p in points:
-        key = (round(p[0], 9), round(p[1], 9), round(p[2], 9))
+    for rec, key in zip(records, np.round(np.array(records), 9).tolist()):
+        key = tuple(key)
         if key not in seen:
             seen.add(key)
-            out.append(p)
+            out.append(rec)
     return out
+
+
+def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
+    """The tangent spheres approximating a primitive, as ``(cx, cy, cz, r)``
+    float records; a sphere is its own one-record cloud.
+
+    The planners build their flattened clouds from these records;
+    :func:`spherize` wraps them in :class:`Sphere` objects.
+    """
+    r = params.radius
+    pitch = 2.0 * r
+    if isinstance(prim, Sphere):
+        return [prim.bounding_sphere]
+    if isinstance(prim, Segment):
+        return [(x, y, z, r) for x, y, z in _line_points(prim._a, prim._b, pitch)]
+    if isinstance(prim, RectPlane):
+        v1, v2, _, v4 = prim._vs
+        return _records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r)
+    if isinstance(prim, Cube):
+        out = []
+        for face in prim.faces:
+            v1, v2, _, v4 = face._vs
+            out.extend(_records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r))
+        return _dedup(out)
+    if isinstance(prim, Cylinder):
+        b1, b2 = axis_frame(prim._axis)
+        R = prim.radius
+        wall = _circle(R, r, b1, b2)
+        out = _records(_line_points(prim._p1, prim._p2, pitch), wall, r)
+        # Cap disks as polar grids: the center, rings at radial pitch, the rim.
+        disk = []
+        rho = pitch
+        while rho < R:
+            disk.extend(_circle(rho, r, b1, b2))
+            rho += pitch
+        disk.extend(wall)
+        for cap in (prim._p1, prim._p2):
+            out.append((*cap, r))
+            out.extend(_records([cap], disk, r))
+        return _dedup(out)
+    raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
 
 
 def spherize(prim: Primitive, params: SpherizationParams) -> list:
     """Approximate a primitive by tangent spheres at pitch ``2 * radius``.
 
-    Spheres pass through unchanged.  Every surface point of the primitive
-    lies within ``radius * sqrt(2)`` of some returned center.
+    Spheres pass through unchanged; every other primitive becomes one
+    :class:`Sphere` per record of :func:`sphere_cloud`.  Every surface point
+    of the primitive lies within ``radius * sqrt(2)`` of some returned
+    center.
     """
-    r = params.radius
-    pitch = 2.0 * r
     if isinstance(prim, Sphere):
         return [prim]
-    if isinstance(prim, Segment):
-        return [Sphere(p, r) for p in _line_points(prim.p1, prim.p2, pitch)]
-    if isinstance(prim, RectPlane):
-        e1 = prim.v2 - prim.v1
-        e2 = prim.v4 - prim.v1
-        return [Sphere(p, r) for p in _grid_points(prim.v1, e1, e2, pitch)]
-    if isinstance(prim, Cube):
-        pts = []
-        for face in prim.faces:
-            pts.extend(_grid_points(face.v1, face.v2 - face.v1, face.v4 - face.v1, pitch))
-        return [Sphere(p, r) for p in _dedup(pts)]
-    if isinstance(prim, Cylinder):
-        b1, b2 = map(np.array, axis_frame(prim._axis))
-        R = prim.radius
-        n_circ = max(int(math.ceil(math.pi * R / r)), 3)
-        angles = [2.0 * math.pi * i / n_circ for i in range(n_circ)]
-        ring = [math.cos(a) * b1 + math.sin(a) * b2 for a in angles]
-        pts = []
-        for c in _line_points(prim.a1, prim.a2, pitch):
-            pts.extend(c + R * d for d in ring)
-        # Cap disks as polar grids (center point, rings at radial pitch, rim).
-        radii = [0.0]
-        rho = pitch
-        while rho < R:
-            radii.append(rho)
-            rho += pitch
-        radii.append(R)
-        for cap in (prim.a1, prim.a2):
-            for rho in radii:
-                if rho == 0.0:
-                    pts.append(cap.copy())
-                    continue
-                m = max(int(math.ceil(math.pi * rho / r)), 3)
-                for i in range(m):
-                    a = 2.0 * math.pi * i / m
-                    pts.append(cap + rho * (math.cos(a) * b1 + math.sin(a) * b2))
-        return [Sphere(p, r) for p in _dedup(pts)]
-    raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
+    return [Sphere((cx, cy, cz), r) for cx, cy, cz, r in sphere_cloud(prim, params)]
 
 
 def _sphere_terms(rx, ry, rz, flat, k, act, on_penetration):

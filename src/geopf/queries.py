@@ -222,7 +222,15 @@ def _plane_kernel(rx, ry, rz, plane: RectPlane):
         if off >= 0.0:  # sign(0) defaults to the stored normal
             return (off, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         return (-off, -nx, -ny, -nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
-    return _plane_side_kernel(rx, ry, rz, plane)
+    try:
+        return _plane_side_kernel(rx, ry, rz, plane)
+    except DegenerateVector:
+        # The robot touches an edge, but rounding put its foot just outside
+        # the rectangle: report the contact at distance zero, along the
+        # normal on the robot's side.
+        if off < 0.0:
+            nx, ny, nz = -nx, -ny, -nz
+        return (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
 
 
 def _cube_kernel(rx, ry, rz, cube: Cube):
@@ -267,17 +275,12 @@ def _cube_kernel(rx, ry, rz, cube: Cube):
         try:
             res = _plane_side_kernel(rx, ry, rz, faces[i])
         except DegenerateVector:
-            # The robot touches this face's boundary; the rectangle query's
-            # inclusive inside test reports the contact at distance zero.
-            try:
-                res = _plane_kernel(rx, ry, rz, faces[i])
-            except DegenerateVector:
-                # Rounding put the foot just outside the face, so its inside
-                # test failed too: report the contact on this face directly.
-                nx, ny, nz = outward[i]
-                off = offs[i]
-                fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-                res = (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
+            # The robot touches this face's boundary: report the contact on
+            # this face, pushed out along its outward normal.
+            nx, ny, nz = outward[i]
+            off = offs[i]
+            fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
+            res = (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         if best is None or res[0] < best[0]:
             best = res
             best_i = i

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import sample_surface
+from conftest import random_primitive, sample_surface
 
 from geopf import (
     CollisionSignal,
@@ -12,14 +12,19 @@ from geopf import (
     Cylinder,
     Gains,
     RectPlane,
+    SceneClass,
     Segment,
     Sphere,
     SpherizationParams,
+    build_planner,
     cf_force,
+    generate,
     pf_force,
     spherize,
     sphere_closest,
 )
+from geopf.baselines import _dedup, sphere_cloud
+from geopf.primitives import axis_frame
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 
@@ -69,8 +74,6 @@ def test_cube_faces_dedup_shared_edges():
 
 
 def test_spherization_coverage(rng):
-    from conftest import random_primitive
-
     params = SpherizationParams(radius=0.02)
     for kind in ("segment", "plane", "cube", "cylinder"):
         prim = random_primitive(rng, kind)
@@ -91,6 +94,112 @@ def test_sphere_counts_scale_with_size():
     r1 = RectPlane((0, 0, 0), (0.2, 0, 0), (0.2, 0.2, 0), (0, 0.2, 0))
     r2 = RectPlane((0, 0, 0), (0.4, 0, 0), (0.4, 0.4, 0), (0, 0.4, 0))
     assert len(spherize(r2, p)) == pytest.approx(4 * len(spherize(r1, p)), rel=0.1)
+
+
+def _numpy_cloud(prim, params):
+    """Reference spherization on numpy 3-vectors, one array per point; the
+    float-record builder must reproduce its records bit for bit."""
+    r = params.radius
+    pitch = 2.0 * r
+
+    def count(e):
+        return max(int(math.ceil(float(np.linalg.norm(e)) / pitch)), 1) + 1
+
+    def line(p1, p2):
+        n = count(p2 - p1)
+        return [p1 + (i / (n - 1)) * (p2 - p1) for i in range(n)]
+
+    def grid(origin, e1, e2):
+        n1, n2 = count(e1), count(e2)
+        return [
+            origin + (i / (n1 - 1)) * e1 + (j / (n2 - 1)) * e2
+            for i in range(n1)
+            for j in range(n2)
+        ]
+
+    def dedup(points):
+        seen = {}
+        for p in points:  # round() on numpy floats rounds as np.round does
+            seen.setdefault((round(p[0], 9), round(p[1], 9), round(p[2], 9)), p)
+        return list(seen.values())
+
+    if isinstance(prim, Sphere):
+        return [(*prim._c, prim.radius)]
+    if isinstance(prim, Segment):
+        pts = line(prim.p1, prim.p2)
+    elif isinstance(prim, RectPlane):
+        pts = grid(prim.v1, prim.v2 - prim.v1, prim.v4 - prim.v1)
+    elif isinstance(prim, Cube):
+        pts = dedup([p for f in prim.faces for p in grid(f.v1, f.v2 - f.v1, f.v4 - f.v1)])
+    else:
+        b1, b2 = map(np.array, axis_frame(prim._axis))
+        R = prim.radius
+
+        def circle(rho):
+            m = max(int(math.ceil(math.pi * rho / r)), 3)
+            angles = (2.0 * math.pi * i / m for i in range(m))
+            return [rho * (math.cos(a) * b1 + math.sin(a) * b2) for a in angles]
+
+        pts = [c + d for c in line(prim.a1, prim.a2) for d in circle(R)]
+        radii, rho = [], pitch
+        while rho < R:
+            radii.append(rho)
+            rho += pitch
+        for cap in (prim.a1, prim.a2):
+            pts.append(cap.copy())
+            pts.extend(cap + d for rho in radii + [R] for d in circle(rho))
+        pts = dedup(pts)
+    return [(*p.tolist(), r) for p in pts]
+
+
+def _hand_built_primitives():
+    rng = np.random.default_rng(17)
+    prims = [
+        # 0.34 m long by numpy's norm; a scalar square root reads one more
+        # ulp, which at pitch 0.02 adds a sphere.
+        Segment((0.73, 0.72, 0.32), (0.89, 0.9, 0.08)),
+        Cube((0, 0, 0), (0.1, 0, 0), (0.1, 0.1, 0), (0, 0.1, 0),
+             (0, 0, 0.1), (0.1, 0, 0.1), (0.1, 0.1, 0.1), (0, 0.1, 0.1)),
+        Cylinder((0, 0, 0), (0, 0, 0.2), 0.05),
+        Cylinder((0.1, -0.2, 0.3), (0.1, -0.2, 0.3 + 1e-3), 0.004),
+    ]
+    for _ in range(20):
+        prims.append(random_primitive(rng, "cube"))
+        prims.append(random_primitive(rng, "cylinder"))
+    return prims
+
+
+def test_sphere_cloud_matches_reference_and_spherize_bit_for_bit():
+    default, fine = SpherizationParams(), SpherizationParams(radius=0.0037)
+    cases = [(prim, p) for prim in _hand_built_primitives() for p in (default, fine)]
+    for scene_class in SceneClass:
+        for seed in range(4):
+            cases.extend((obs.primitive, default) for obs in generate(scene_class, seed).obstacles)
+    for prim, params in cases:
+        records = sphere_cloud(prim, params)
+        assert [tuple(map(float.hex, rec)) for rec in records] == [
+            tuple(map(float.hex, rec)) for rec in _numpy_cloud(prim, params)
+        ], prim
+        spheres = spherize(prim, params)
+        assert [(*s._c, s.radius) for s in spheres] == records
+        assert all(type(x) is float for rec in records for x in rec)
+
+
+def test_box_and_cylinder_dedup_rounds_as_numpy():
+    # Python's round puts 2.5e-9 and the next float both at 3e-9; numpy's
+    # rounding, which has always decided the duplicates, keeps them apart.
+    x, y = 2.5e-9, math.nextafter(2.5e-9, 1.0)
+    records = [(x, 0.0, 0.0, 0.01), (y, 0.0, 0.0, 0.01)]
+    assert round(x, 9) == round(y, 9)
+    assert _dedup(records) == records
+
+
+@pytest.mark.parametrize("kind", ["pf", "cf"])
+def test_obstacle_count_is_the_prepared_cloud_size(kind):
+    scene = generate(SceneClass.COMPLEX, 1)
+    assert all(obs.drift is None for obs in scene.obstacles)
+    planner = build_planner(kind)
+    assert planner.obstacle_count(scene) == len(planner.prepare(scene).flat) // 4
 
 
 # -- PF -----------------------------------------------------------------------

@@ -282,6 +282,31 @@ def test_plane_on_plane_interior_defaults_to_normal():
     assert np.allclose(cf.direction, UNIT_SQUARE.normal)
 
 
+def test_plane_in_plane_near_edges_never_raises():
+    """In a rectangle's plane, 1e-16 to 1e-7 m inside or outside an edge, the
+    query never raises and its distance is the true one to 1e-12 m: zero
+    inside, the offset outside.  Within 1e-12 m of the edge that is a
+    contact, whose direction degenerates in the edge query."""
+    rng = np.random.default_rng(53)
+    contacts = 0
+    for _ in range(200):
+        rect = random_primitive(rng, "plane")
+        center = rect.center
+        for _ in range(50):
+            edge = rect.edges[int(rng.integers(4))]
+            u = np.array(edge._u)
+            on_edge = np.array(edge._a) + rng.uniform(0.0, edge.length) * u
+            outward = np.cross(u, rect.normal)
+            if outward @ (on_edge - center) < 0.0:
+                outward = -outward
+            delta = 10 ** rng.uniform(-16, -7)
+            side = float(rng.choice((-1.0, 1.0)))
+            d = distance(on_edge + side * delta * outward, rect)
+            assert abs(d - (delta if side > 0.0 else 0.0)) <= 1e-12, (delta, side, d)
+            contacts += delta <= 1e-12
+    assert contacts > 0
+
+
 # -- cube ---------------------------------------------------------------
 
 
@@ -489,6 +514,7 @@ def test_cube_contact_is_zero_distance_on_a_face(point):
     cf = cube_closest(point, UNIT_CUBE)
     assert cf.distance == 0.0
     assert cf.feature is FeatureKind.FACE
+    assert float(cf.direction @ (np.array(point) - 0.5)) > 0.0  # out of the box
 
 
 # -- cylinder -------------------------------------------------------------

@@ -18,6 +18,10 @@ verdict leaves unchanged.
 - ``scenes``: ``json.dumps(scene_to_document(scene), sort_keys=True)`` of
   400 generated scenes (seeds 0-39, and for each seed every scene class),
   concatenated without a separator.
+- ``clouds``: the PF/CF sphere cloud of every obstacle of the same 400
+  scenes at the default ``SpherizationParams``, scene by scene and obstacle
+  by obstacle, as the records ``cx|cy|cz|r`` of ``baselines.sphere_cloud``
+  with the four floats as ``float.hex``, concatenated without a separator.
 
 Run from the repository root (under a minute on one core)::
 
@@ -28,7 +32,8 @@ import dataclasses
 import hashlib
 import json
 
-from geopf import SceneClass, generate, maze_scene, run_trial
+from geopf import SceneClass, SpherizationParams, generate, maze_scene, run_trial
+from geopf.baselines import sphere_cloud
 from geopf.bench import PlannerSpec
 from geopf.scenes import scene_to_document
 
@@ -66,12 +71,26 @@ def full_length_trials():
         yield generate(SceneClass.PLANE_HARD, seed), "geopf", None
 
 
-def scene_hash() -> str:
-    h = hashlib.sha256()
+def generated_scenes():
     for seed in range(40):
         for scene_class in SceneClass:
-            doc = scene_to_document(generate(scene_class, seed))
-            h.update(json.dumps(doc, sort_keys=True).encode())
+            yield generate(scene_class, seed)
+
+
+def scene_hash() -> str:
+    h = hashlib.sha256()
+    for scene in generated_scenes():
+        h.update(json.dumps(scene_to_document(scene), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def cloud_hash() -> str:
+    params = SpherizationParams()
+    h = hashlib.sha256()
+    for scene in generated_scenes():
+        for obs in scene.obstacles:
+            for record in sphere_cloud(obs.primitive, params):
+                h.update("|".join(map(float.hex, record)).encode())
     return h.hexdigest()
 
 
@@ -80,3 +99,4 @@ if __name__ == "__main__":
         bits, verdicts = _hashes(trials)
         print(f"{name:<11} {bits}  verdicts {verdicts}")
     print(f"{'scenes':<11} {scene_hash()}")
+    print(f"{'clouds':<11} {cloud_hash()}")
