@@ -244,8 +244,12 @@ CUBE_FACE_CORNERS = (
 class Cube:
     """Rectangular box given by eight corners (two opposite rectangles).
 
-    ``_outward`` holds each face's unit normal oriented away from the
-    centroid.
+    ``faces`` are the six rectangles in ``CUBE_FACE_CORNERS`` order.
+    ``_frame`` is the box's own frame as one float record: corner v1, then
+    the length and unit direction of v1->v2, v1->v4 and v1->v5,
+    ``(ox, oy, oz, L1, u1x, u1y, u1z, L2, u2x, u2y, u2z, L3, u3x, u3y, u3z)``.
+    The three axes are orthogonal to ``ORTHO_TOL`` because every face is
+    validated as a rectangle.
     """
 
     scene_type: typing.ClassVar[str] = "cube"
@@ -260,18 +264,15 @@ class Cube:
     v8: np.ndarray
 
     def __post_init__(self):
-        bounding_sphere = _enclosing(_coerce(self))
+        vs = _coerce(self)
         corners = self.corners
         # Face construction itself validates rectangularity of all six faces.
         faces = tuple(RectPlane(*(corners[i] for i in idx)) for idx in CUBE_FACE_CORNERS)
-        cx, cy, cz, _ = bounding_sphere
-        outward = []
-        for face in faces:
-            n = face._n
-            fx, fy, fz, _ = face.bounding_sphere
-            d = (fx - cx) * n[0] + (fy - cy) * n[1] + (fz - cz) * n[2]
-            outward.append(n if d >= 0.0 else (-n[0], -n[1], -n[2]))
-        _derive(self, faces=faces, _outward=tuple(outward), bounding_sphere=bounding_sphere)
+        frame = vs[0]
+        for k in (1, 3, 4):
+            length, u = _span(vs[0], vs[k], "box has a zero-length edge")
+            frame += (length, *u)
+        _derive(self, faces=faces, _frame=frame, bounding_sphere=_enclosing(vs))
 
     @property
     def corners(self) -> list:

@@ -19,10 +19,13 @@ closest feature.  ``_pierce`` finds where a straight move crosses a plane;
 with the frame test it tells the simulator's crossing check and the trap
 correction whether a rectangle was pierced.
 
-A box is convex, so its query is the minimum over the faces whose plane the
-robot lies on or in front of: in front of one face only, that face's offset
-is the distance; in front of two or three, the nearest point lies on their
-boundaries; the faces behind the robot are never queried.
+A box is one clamp in its own frame (``Cube._frame``): the robot's
+coordinates along the three edge axes from corner v1 are clamped to the
+box's extents, and the distance is measured to the clamped point.  How many
+coordinates were clamped names the feature: none, the robot is inside and
+the nearest face gives the negative depth; one, a FACE at the coordinate's
+excess; two, an EDGE; three, a corner.  Reference: Ericson, *Real-Time
+Collision Detection*, 2004, section 5.1.4.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,6 @@ import numpy as np
 
 from .errors import DegenerateVector
 from .primitives import (
-    CUBE_FACE_CORNERS,
     DEGENERACY_EPS,
     Cube,
     Cylinder,
@@ -233,70 +235,84 @@ def _plane_kernel(rx, ry, rz, plane: RectPlane):
         return (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
 
 
+# The box's frame axes are v1->v2, v1->v4 and v1->v5 (``Cube._frame``).
+# Face payloads (1-based, ``CUBE_FACE_CORNERS`` numbering) of the faces below
+# and above the box along axis k, at 2 k and 2 k + 1.
+_CUBE_FACES = ((6,), (4,), (3,), (5,), (1,), (2,))
+# Corner-id pairs (1-based) of the four edges along each axis, indexed by
+# b + 2 b', where b and b' are 1 at the far end of the other two axes, in
+# axis order.
+_CUBE_EDGES = (
+    ((1, 2), (4, 3), (5, 6), (8, 7)),
+    ((1, 4), (2, 3), (5, 8), (6, 7)),
+    ((1, 5), (2, 6), (4, 8), (3, 7)),
+)
+# Corner-id payloads by b1 + 2 b2 + 4 b3, b_k being 1 at the far end of axis k.
+_CUBE_CORNERS = ((1,), (2,), (4,), (3,), (5,), (6,), (8,), (7,))
+
+
+def _cube_face(rx, ry, rz, d, above, ux, uy, uz, axis):
+    """FACE result at distance ``d`` from the face below or above the box
+    along frame axis ``axis`` (unit u), along that face's outward normal.
+    A positive distance at or below 1e-12 m is a contact, reported as 0."""
+    if 0.0 < d <= DEGENERACY_EPS:
+        d = 0.0
+    if not above:
+        ux, uy, uz = -ux, -uy, -uz
+    return (d, ux, uy, uz, rx - d * ux, ry - d * uy, rz - d * uz, FeatureKind.FACE,
+            _CUBE_FACES[2 * axis + above])
+
+
 def _cube_kernel(rx, ry, rz, cube: Cube):
-    faces = cube.faces
-    outward = cube._outward
-    offs = []
-    facing = []
-    for k, (face, (nx, ny, nz)) in enumerate(zip(faces, outward)):
-        v1x, v1y, v1z = face._vs[0]
-        off = (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
-        offs.append(off)
-        if off >= 0.0:
-            facing.append(k)
-    if len(facing) <= 1:
-        # In front of one face only, the robot's foot lies inside that face:
-        # the face's offset is the distance.  Behind every face (penetration)
-        # the nearest face gives the negative depth.  Either way the robot is
-        # pushed out along that face's outward normal.
-        i = facing[0] if facing else max(range(6), key=offs.__getitem__)
-        nx, ny, nz = outward[i]
-        off = offs[i]
-        return (
-            off,
-            nx,
-            ny,
-            nz,
-            rx - off * nx,
-            ry - off * ny,
-            rz - off * nz,
-            FeatureKind.FACE,
-            (i + 1,),
-        )
-    # In front of several faces the nearest point lies on the boundary of one
-    # of them (the box is convex).  A face's offset is a lower bound on its
-    # distance, so visit them nearest plane first and stop once none can win.
-    facing.sort(key=offs.__getitem__)
-    best = None
-    best_i = 0
-    for i in facing:
-        if best is not None and offs[i] >= best[0]:
-            break
-        try:
-            res = _plane_side_kernel(rx, ry, rz, faces[i])
-        except DegenerateVector:
-            # The robot touches this face's boundary: report the contact on
-            # this face, pushed out along its outward normal.
-            nx, ny, nz = outward[i]
-            off = offs[i]
-            fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-            res = (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
-        if best is None or res[0] < best[0]:
-            best = res
-            best_i = i
-    kind = best[7]
-    corner_ids = CUBE_FACE_CORNERS[best_i]
-    if kind is FeatureKind.ORTHOGONAL:
-        return best[:7] + (FeatureKind.FACE, (best_i + 1,))
-    if kind is FeatureKind.EDGE:
-        a, b = best[8]
-        return best[:7] + (
-            FeatureKind.EDGE,
-            (corner_ids[a - 1] + 1, corner_ids[b - 1] + 1),
-        )
-    # Side vertex: remap the rectangle corner id to the cube corner id.
-    local = best[8][0]
-    return best[:7] + (kind, (corner_ids[local - 1] + 1,))
+    ox, oy, oz, l1, ax, ay, az, l2, bx, by, bz, l3, cx, cy, cz = cube._frame
+    wx, wy, wz = rx - ox, ry - oy, rz - oz
+    s1 = wx * ax + wy * ay + wz * az
+    s2 = wx * bx + wy * by + wz * bz
+    s3 = wx * cx + wy * cy + wz * cz
+    # Clamp the coordinates to the box.  The residue e = s - clamp is how far
+    # the robot lies below (< 0) or above (> 0) the box along each axis.
+    c1 = 0.0 if s1 < 0.0 else l1 if s1 > l1 else s1
+    c2 = 0.0 if s2 < 0.0 else l2 if s2 > l2 else s2
+    c3 = 0.0 if s3 < 0.0 else l3 if s3 > l3 else s3
+    e1, e2, e3 = s1 - c1, s2 - c2, s3 - c3
+    # One clamped axis names a face, two an edge, three a corner.
+    if e1 == 0.0:
+        if e2 == 0.0:
+            if e3 == 0.0:
+                # Inside: the negative depth to the nearest face; o_k > -s_k
+                # when the face above is the nearer one on axis k.
+                o1, o2, o3 = max(-s1, s1 - l1), max(-s2, s2 - l2), max(-s3, s3 - l3)
+                if o1 >= o2 and o1 >= o3:
+                    return _cube_face(rx, ry, rz, o1, o1 > -s1, ax, ay, az, 0)
+                if o2 >= o3:
+                    return _cube_face(rx, ry, rz, o2, o2 > -s2, bx, by, bz, 1)
+                return _cube_face(rx, ry, rz, o3, o3 > -s3, cx, cy, cz, 2)
+            return _cube_face(rx, ry, rz, abs(e3), e3 > 0.0, cx, cy, cz, 2)
+        if e3 == 0.0:
+            return _cube_face(rx, ry, rz, abs(e2), e2 > 0.0, bx, by, bz, 1)
+        index = _CUBE_EDGES[0][(e2 > 0.0) + 2 * (e3 > 0.0)]
+    elif e2 == 0.0:
+        if e3 == 0.0:
+            return _cube_face(rx, ry, rz, abs(e1), e1 > 0.0, ax, ay, az, 0)
+        index = _CUBE_EDGES[1][(e1 > 0.0) + 2 * (e3 > 0.0)]
+    elif e3 == 0.0:
+        index = _CUBE_EDGES[2][(e1 > 0.0) + 2 * (e2 > 0.0)]
+    else:
+        index = _CUBE_CORNERS[(e1 > 0.0) + 2 * (e2 > 0.0) + 4 * (e3 > 0.0)]
+    # The clamped point in world coordinates, and the robot minus it.
+    fx = ox + c1 * ax + c2 * bx + c3 * cx
+    fy = oy + c1 * ay + c2 * by + c3 * cy
+    fz = oz + c1 * az + c2 * bz + c3 * cz
+    dx, dy, dz = rx - fx, ry - fy, rz - fz
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d <= DEGENERACY_EPS:
+        # A contact at an edge or a corner: zero distance on a face the
+        # robot lies past (two clamped axes include axis 1 or 2).
+        if e1 != 0.0:
+            return _cube_face(rx, ry, rz, 0.0, e1 > 0.0, ax, ay, az, 0)
+        return _cube_face(rx, ry, rz, 0.0, e2 > 0.0, bx, by, bz, 1)
+    kind = FeatureKind.EDGE if len(index) == 2 else FeatureKind.SIDE_VERTEX_1
+    return (d, dx / d, dy / d, dz / d, fx, fy, fz, kind, index)
 
 
 def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
@@ -542,13 +558,16 @@ def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
 
 
 def cube_closest(robot, cube: Cube) -> ClosestFeature:
-    """Closest feature of a box via the minimum over the faces the robot
-    lies in front of.
+    """Closest feature of a box by one clamp in the box's own frame.
 
-    In front of one face only the result is that face's interior, at the
-    face's offset; in front of two or three, the nearest of their boundary
-    edges and corners.  Inside the box the distance is the negative depth to
-    the nearest face and the direction is that face's outward normal.
+    The robot's coordinates along the box's three edge axes are clamped to
+    the box.  Past one face only the result is that face (FACE, with the
+    face number), at the coordinate's excess along the outward normal; past
+    two faces it is their shared EDGE and past three their corner
+    (SIDE_VERTEX_1), with 1-based corner ids.  Inside the box the distance
+    is the negative depth to the nearest face and the direction is that
+    face's outward normal.  A robot within 1e-12 m outside the box is a
+    contact: distance 0 on a face it lies past.
     """
     r = as_vec3(robot)
     return _wrap(_cube_kernel(r[0], r[1], r[2], cube))

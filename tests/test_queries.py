@@ -348,18 +348,30 @@ def test_cube_edge_consistency(rng):
         assert per_face[1] - per_face[0] < 1e-9
 
 
+def _outward_normals(cube):
+    """Each face's unit normal, oriented away from the box's centroid."""
+    cx, cy, cz, _ = cube.bounding_sphere
+    normals = []
+    for face in cube.faces:
+        nx, ny, nz = face._n
+        fx, fy, fz, _ = face.bounding_sphere
+        d = (fx - cx) * nx + (fy - cy) * ny + (fz - cz) * nz
+        normals.append((nx, ny, nz) if d >= 0.0 else (-nx, -ny, -nz))
+    return normals
+
+
 def _six_face_reference(rx, ry, rz, cube):
     """The box query as the minimum of the paper's rectangle query over all
     six faces, pruned by |offset| only: the reference for ``_cube_kernel``,
-    which skips the faces the robot lies behind and tests containment in
-    each face's frame."""
+    which clamps the robot in the box's own frame instead."""
+    outward = _outward_normals(cube)
     offs = []
-    for face, (nx, ny, nz) in zip(cube.faces, cube._outward):
+    for face, (nx, ny, nz) in zip(cube.faces, outward):
         v1x, v1y, v1z = face._vs[0]
         offs.append((rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz)
     if max(offs) < 0.0:
         i = max(range(6), key=lambda k: offs[k])
-        nx, ny, nz = cube._outward[i]
+        nx, ny, nz = outward[i]
         off = offs[i]
         return (off, nx, ny, nz, rx - off * nx, ry - off * ny, rz - off * nz,
                 FeatureKind.FACE, (i + 1,))
@@ -429,10 +441,23 @@ def test_cube_kernel_matches_six_face_reference_on_generic_points():
             x, y, z = p.tolist()
             got = queries._cube_kernel(x, y, z, cube)
             ref = _six_face_reference(x, y, z, cube)
-            assert got[:7] == ref[:7]  # == on every float
-            assert got[7] is ref[7] and got[8] == ref[8]
+            assert np.allclose(got[:7], ref[:7], rtol=0.0, atol=1e-12), (got, ref)
+            assert _same_cube_feature(got, ref), (got, ref)
             compared += 1
     assert compared == 90 * (26 + 10 + 5)
+
+
+_CORNER_KINDS = (FeatureKind.SIDE_VERTEX_1, FeatureKind.SIDE_VERTEX_2)
+
+
+def _same_cube_feature(got, ref):
+    """The same FACE number, the same EDGE as a set of corner ids, or the
+    same corner id under either SIDE_VERTEX kind."""
+    if ref[7] in _CORNER_KINDS:
+        return got[7] in _CORNER_KINDS and got[8] == ref[8]
+    if ref[7] is FeatureKind.EDGE:
+        return got[7] is FeatureKind.EDGE and set(got[8]) == set(ref[8])
+    return got[7] is ref[7] and got[8] == ref[8]
 
 
 def test_cube_kernel_near_face_planes_agrees_with_reference():
@@ -469,10 +494,10 @@ def test_cube_kernel_near_face_planes_agrees_with_reference():
     assert contacts > 0
 
 
-@pytest.mark.parametrize("region, most", [("face", 0), ("edge", 2), ("vertex", 3)])
-def test_cube_queries_only_faces_the_robot_is_in_front_of(monkeypatch, region, most):
-    """A face region needs no rectangle query, an edge region at most two
-    face boundaries, a vertex region at most three."""
+@pytest.mark.parametrize("outside", [0, 1, 2, 3], ids=["inside", "face", "edge", "vertex"])
+def test_cube_kernel_calls_no_rectangle_or_segment_kernel(monkeypatch, outside):
+    """The box query is one clamp: in every outside region (past one, two or
+    three faces' planes) and inside, it calls no rectangle or segment query."""
     calls = []
 
     def counted(kernel):
@@ -482,22 +507,23 @@ def test_cube_queries_only_faces_the_robot_is_in_front_of(monkeypatch, region, m
 
         return wrapper
 
-    monkeypatch.setattr(queries, "_plane_kernel", counted(queries._plane_kernel))
-    monkeypatch.setattr(queries, "_plane_side_kernel", counted(queries._plane_side_kernel))
-    outside = {"face": 1, "edge": 2, "vertex": 3}[region]
+    for name in ("_plane_kernel", "_plane_side_kernel", "_segment_kernel"):
+        monkeypatch.setattr(queries, name, counted(getattr(queries, name)))
     rng = np.random.default_rng(47)
+    regions = [np.array(s) - 1 for s in np.ndindex(3, 3, 3)]
     queried = 0
     for cube, center, axes, half in _seeded_boxes(rng, 30):
-        for signs in _REGIONS:
-            signs = np.array(signs) - 1
+        for signs in regions:
             if np.count_nonzero(signs) != outside:
                 continue
-            x, y, z = _region_point(rng, center, axes, half, signs).tolist()
-            calls.clear()
+            if outside:
+                x, y, z = _region_point(rng, center, axes, half, signs).tolist()
+            else:
+                x, y, z = (center + (rng.uniform(-0.95, 0.95, size=3) * half) @ axes).tolist()
             queries._cube_kernel(x, y, z, cube)
-            assert len(calls) <= most, (region, calls)
-            queried += len(calls)
-    assert queried > 0 or most == 0
+            assert calls == [], (signs, calls)
+            queried += 1
+    assert queried == 30 * {0: 1, 1: 6, 2: 12, 3: 8}[outside]
 
 
 @pytest.mark.parametrize(

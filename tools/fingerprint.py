@@ -15,6 +15,8 @@ verdict leaves unchanged.
 - ``full-length``: trials where the rectangle trap correction fires, run
   under GeoPF to the scene's own step cap: ``maze_scene()``, then
   plane_hard seeds 3 and 4.
+- ``drift``: 200 trials with drifting obstacles: dynamic_easy seeds 0-99,
+  then dynamic_hard seeds 0-99, under GeoPF capped at 5,000 steps.
 - ``scenes``: ``json.dumps(scene_to_document(scene), sort_keys=True)`` of
   400 generated scenes (seeds 0-39, and for each seed every scene class),
   concatenated without a separator.
@@ -23,7 +25,8 @@ verdict leaves unchanged.
   by obstacle, as the records ``cx|cy|cz|r`` of ``baselines.sphere_cloud``
   with the four floats as ``float.hex``, concatenated without a separator.
 
-Run from the repository root (under a minute on one core)::
+Run from the repository root (about two minutes on one core, most of
+it in ``drift``)::
 
     PYTHONPATH=src python tools/fingerprint.py
 """
@@ -71,6 +74,12 @@ def full_length_trials():
         yield generate(SceneClass.PLANE_HARD, seed), "geopf", None
 
 
+def drift_trials():
+    for scene_class in (SceneClass.DYNAMIC_EASY, SceneClass.DYNAMIC_HARD):
+        for seed in range(100):
+            yield generate(scene_class, seed), "geopf", 5000
+
+
 def generated_scenes():
     for seed in range(40):
         for scene_class in SceneClass:
@@ -95,7 +104,11 @@ def cloud_hash() -> str:
 
 
 if __name__ == "__main__":
-    for name, trials in (("trajectory", capped_trials()), ("full-length", full_length_trials())):
+    for name, trials in (
+        ("trajectory", capped_trials()),
+        ("full-length", full_length_trials()),
+        ("drift", drift_trials()),
+    ):
         bits, verdicts = _hashes(trials)
         print(f"{name:<11} {bits}  verdicts {verdicts}")
     print(f"{'scenes':<11} {scene_hash()}")
