@@ -7,9 +7,13 @@ baseline planners then repel from every sphere: PF radially, CF with a
 circulatory term perpendicular to the current velocity.
 
 :func:`sphere_cloud` builds a primitive's cloud as ``(cx, cy, cz, r)`` float
-records with scalar arithmetic; the planners flatten those records and build
-no object per sphere.  :class:`Sphere` objects exist only on the public path,
-:func:`spherize` and the :func:`pf_force` / :func:`cf_force` functions.
+records with scalar arithmetic.  The planners keep one block of records per
+obstacle, built once at its base position, and a drifting obstacle's block
+is queried with its offset: :func:`_near_spheres`, the one loop over a
+cloud that both force laws share, adds the offset to each centre.
+:class:`Sphere` objects exist only on the public path, :func:`spherize` and
+the :func:`pf_force` / :func:`cf_force` functions, which pass their spheres
+as one block at a zero offset.
 """
 
 from dataclasses import dataclass
@@ -153,20 +157,43 @@ def spherize(prim: Primitive, params: SpherizationParams) -> list:
     return [Sphere((cx, cy, cz), r) for cx, cy, cz, r in sphere_cloud(prim, params)]
 
 
-def _sphere_terms(rx, ry, rz, flat, k, act, on_penetration):
-    """Radial repulsion accumulated over a flattened sphere list."""
+def _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
+    """``(dx, dy, dz, wn, d)`` of every sphere nearer than ``act``, in cloud
+    order: the robot minus the centre, its length and the surface distance.
+
+    ``cloud`` is a list of ``(i, records)`` blocks, one per obstacle, and the
+    records of obstacle ``i`` are queried at ``offsets[i]``: each centre is
+    ``c + o``, the arithmetic of a translated record, and at a zero offset
+    ``c + 0.0 == c``.  Where ``d <= 0``, ``"raise"`` raises and names the
+    sphere by its index in the whole cloud; ``"clamp"`` keeps the sphere,
+    unless the robot is at its centre, where the repulsion has no direction.
+    """
+    near = []
+    n = 0
+    for i, records in cloud:
+        ox, oy, oz = offsets[i]
+        for cx, cy, cz, r in records:
+            dx = rx - (cx + ox)
+            dy = ry - (cy + oy)
+            dz = rz - (cz + oz)
+            wn = math.sqrt(dx * dx + dy * dy + dz * dz)
+            d = wn - r
+            if d >= act:
+                continue
+            if d <= 0.0 and on_penetration == "raise":
+                # An equal earlier record would have raised first.
+                raise CollisionSignal(f"sphere[{n + records.index((cx, cy, cz, r))}]", d)
+            if wn <= 1e-12:
+                continue
+            near.append((dx, dy, dz, wn, d))
+        n += len(records)
+    return near
+
+
+def _sphere_terms(rx, ry, rz, cloud, offsets, k, act, on_penetration):
+    """Radial repulsion summed over the spheres of :func:`_near_spheres`."""
     fx = fy = fz = 0.0
-    for i in range(0, len(flat), 4):
-        cx, cy, cz, r = flat[i], flat[i + 1], flat[i + 2], flat[i + 3]
-        dx, dy, dz = rx - cx, ry - cy, rz - cz
-        wn = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d = wn - r
-        if d >= act:
-            continue
-        if d <= 0.0 and on_penetration == "raise":
-            raise CollisionSignal(f"sphere[{i // 4}]", d)
-        if wn <= 1e-12:
-            continue  # clamp mode, robot at a sphere center: no direction
+    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
         scale = (k / max(d, D_MIN)) / wn
         fx += dx * scale
         fy += dy * scale
@@ -174,23 +201,14 @@ def _sphere_terms(rx, ry, rz, flat, k, act, on_penetration):
     return fx, fy, fz
 
 
-def _cf_terms(rx, ry, rz, vx, vy, vz, flat, k, act, on_penetration):
-    """Circulatory repulsion: per sphere a force along normalize(v x B) with
+def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act, on_penetration):
+    """Circulatory repulsion summed over the spheres of :func:`_near_spheres`:
+    per sphere a force along normalize(v x B) with
     B = normalize((robot - center) x v); radial fallback when degenerate."""
     fx = fy = fz = 0.0
     speed2 = vx * vx + vy * vy + vz * vz
     moving = speed2 >= CF_VELOCITY_EPS * CF_VELOCITY_EPS
-    for i in range(0, len(flat), 4):
-        cx, cy, cz, r = flat[i], flat[i + 1], flat[i + 2], flat[i + 3]
-        dx, dy, dz = rx - cx, ry - cy, rz - cz
-        wn = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d = wn - r
-        if d >= act:
-            continue
-        if d <= 0.0 and on_penetration == "raise":
-            raise CollisionSignal(f"sphere[{i // 4}]", d)
-        if wn <= 1e-12:
-            continue
+    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
         mag = k / max(d, D_MIN)
         if moving:
             bx = dy * vz - dz * vy
@@ -217,12 +235,9 @@ def _cf_terms(rx, ry, rz, vx, vy, vz, flat, k, act, on_penetration):
     return fx, fy, fz
 
 
-def _flatten(spheres) -> list:
-    flat = []
-    for s in spheres:
-        cx, cy, cz = s._c
-        flat.extend((cx, cy, cz, s.radius))
-    return flat
+def _at_rest(spheres) -> tuple:
+    """One block of the spheres' records and its zero offset."""
+    return [(0, [s.bounding_sphere for s in spheres])], [(0.0, 0.0, 0.0)]
 
 
 def pf_force(robot, goal, spheres, gains: Gains) -> np.ndarray:
@@ -234,13 +249,7 @@ def pf_force(robot, goal, spheres, gains: Gains) -> np.ndarray:
     r = as_vec3(robot)
     g = as_vec3(goal)
     fx, fy, fz = _sphere_terms(
-        float(r[0]),
-        float(r[1]),
-        float(r[2]),
-        _flatten(spheres),
-        gains.k_rep,
-        gains.activation_radius,
-        "raise",
+        *r.tolist(), *_at_rest(spheres), gains.k_rep, gains.activation_radius, "raise"
     )
     return attractive_force(r, g, gains) + np.array((fx, fy, fz))
 
@@ -257,13 +266,9 @@ def cf_force(robot, velocity, goal, spheres, gains: Gains) -> np.ndarray:
     v = as_vec3(velocity)
     g = as_vec3(goal)
     fx, fy, fz = _cf_terms(
-        float(r[0]),
-        float(r[1]),
-        float(r[2]),
-        float(v[0]),
-        float(v[1]),
-        float(v[2]),
-        _flatten(spheres),
+        *r.tolist(),
+        *v.tolist(),
+        *_at_rest(spheres),
         gains.k_rep,
         gains.activation_radius,
         "raise",

@@ -1,18 +1,18 @@
 """Planner adapters used by the simulator and the benchmark harness.
 
-Each planner prepares a per-scene context, receives the scene's
-``primitives_at_step`` view before every step (the base primitives plus one
-rigid offset per obstacle), and produces the resultant force as plain
+Each planner prepares a per-scene context from the obstacles at their base
+position.  Before every step its one shared ``update`` takes the step's
+rigid offsets, one per obstacle, from the scene's ``primitives_at_step``
+view, and builds nothing.  ``force`` then produces the resultant as plain
 floats (this call is the timed region of a simulation step).  Every
 resultant is summed left to right as attraction, then the obstacle terms,
-then the boundary walls.  The geometric planner works directly on the
-primitives and its ``force`` is the one loop that sums a GeoPF resultant;
-:func:`resultant_force` runs it and keeps the terms.  The baseline planners
-work on the spherized cloud.  All planners feel the same boundary-wall
-repulsion.
+then the boundary walls.  The geometric planner queries each base primitive
+at the robot minus its obstacle's offset, and its ``force`` is the one loop
+that sums a GeoPF resultant; :func:`resultant_force` runs it and keeps the
+terms.  The baseline planners hold one block of sphere records per obstacle
+and query each block with its obstacle's offset.  All planners feel the
+same boundary-wall repulsion.
 """
-
-from itertools import chain
 
 import numpy as np
 
@@ -38,20 +38,20 @@ class _Ctx:
         "walls",
         "obstacles",
         "offsets",
-        "static_flat",
-        "dynamic_blocks",
-        "flat",
+        "cloud",
     )
 
 
 def _scene_ctx(scene):
-    """Context fields every planner shares: goal, gains and walls."""
+    """Context fields every planner shares: goal, gains, walls and one zero
+    offset per obstacle."""
     ctx = _Ctx()
     ctx.goal = tuple(float(v) for v in scene.goal)
     ctx.k_attr = scene.gains.k_attr
     ctx.k_rep = scene.gains.k_rep
     ctx.act = scene.gains.activation_radius
     ctx.walls = list(scene.boundary)
+    ctx.offsets = [ZERO_OFFSET] * len(scene.obstacles)
     return ctx
 
 
@@ -77,7 +77,17 @@ def _wall_terms(ctx, rx, ry, rz, rng, correction):
     return wx, wy, wz
 
 
-class GeoPFPlanner:
+class _Planner:
+    """Every planner prepares its obstacles at their base position and sees
+    drift as one rigid offset per obstacle."""
+
+    def update(self, ctx, placed):
+        """Take the step's obstacle offsets from ``placed``, a
+        ``Scene.primitives_at_step`` view over the scene's base primitives."""
+        ctx.offsets = placed.offsets
+
+
+class GeoPFPlanner(_Planner):
     """Closed-form geometric planner: one closest-feature query per primitive."""
 
     name = "geopf"
@@ -99,13 +109,7 @@ class GeoPFPlanner:
             ctx.obstacles.append(
                 (prim, bx, by, bz, (ctx.act + r) ** 2, k, isinstance(prim, RectPlane))
             )
-        ctx.offsets = [ZERO_OFFSET] * len(ctx.obstacles)
         return ctx
-
-    def update(self, ctx, placed):
-        """Take the step's obstacle offsets from ``placed``, a
-        ``Scene.primitives_at_step`` view over the prepared base primitives."""
-        ctx.offsets = placed.offsets
 
     def obstacle_count(self, scene) -> int:
         return len(scene.obstacles)
@@ -185,38 +189,20 @@ def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreak
     )
 
 
-class _SphereCloudPlanner:
+class _SphereCloudPlanner(_Planner):
     """Shared machinery of the spherized baselines."""
 
     def __init__(self, params: SpherizationParams | None = None):
         self.params = params or SpherizationParams()
 
     def prepare(self, scene):
+        """One block of sphere records per obstacle, at its base position:
+        static obstacles first, then drifting ones, each in index order."""
         ctx = _scene_ctx(scene)
-        static_flat = []
-        dynamic_blocks = []
-        for i, obs in enumerate(scene.obstacles):
-            records = chain.from_iterable(spherize(obs.primitive, self.params))
-            if obs.drift is None:
-                static_flat.extend(records)
-            else:
-                dynamic_blocks.append((i, list(records)))
-        ctx.static_flat = static_flat
-        ctx.dynamic_blocks = dynamic_blocks
-        ctx.flat = static_flat if not dynamic_blocks else None
+        obstacles = scene.obstacles
+        order = sorted(range(len(obstacles)), key=lambda i: obstacles[i].drift is not None)
+        ctx.cloud = [(i, spherize(obstacles[i].primitive, self.params)) for i in order]
         return ctx
-
-    def update(self, ctx, placed):
-        """Translate each drifting obstacle's spheres by its offset in
-        ``placed`` (a ``Scene.primitives_at_step`` view)."""
-        if not ctx.dynamic_blocks:
-            return
-        flat = list(ctx.static_flat)
-        for i, base in ctx.dynamic_blocks:
-            ox, oy, oz = placed.offsets[i]
-            for j in range(0, len(base), 4):
-                flat.extend((base[j] + ox, base[j + 1] + oy, base[j + 2] + oz, base[j + 3]))
-        ctx.flat = flat
 
     def obstacle_count(self, scene) -> int:
         return sum(len(spherize(obs.primitive, self.params)) for obs in scene.obstacles)
@@ -230,7 +216,7 @@ class SpherePFPlanner(_SphereCloudPlanner):
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _sphere_terms(
-            rx, ry, rz, ctx.flat, self.params.k_rep, ctx.act, "clamp"
+            rx, ry, rz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act, "clamp"
         )
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz
@@ -244,7 +230,7 @@ class SphereCFPlanner(_SphereCloudPlanner):
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _cf_terms(
-            rx, ry, rz, vx, vy, vz, ctx.flat, self.params.k_rep, ctx.act, "clamp"
+            rx, ry, rz, vx, vy, vz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act, "clamp"
         )
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz

@@ -490,7 +490,8 @@ def _kernel_for(prim: Primitive):
 
 
 # ---------------------------------------------------------------------------
-# Public API
+# Public API.  Each function hands its kernel the robot as Python floats, as
+# the step loop does, so both run the same arithmetic on the same types.
 # ---------------------------------------------------------------------------
 
 
@@ -500,8 +501,7 @@ def sphere_closest(robot, sph: Sphere) -> ClosestFeature:
     Raises:
         DegenerateVector: when the robot coincides with the center.
     """
-    r = as_vec3(robot)
-    return _wrap(_sphere_kernel(r[0], r[1], r[2], sph))
+    return _wrap(_sphere_kernel(*as_vec3(robot).tolist(), sph))
 
 
 def segment_closest(robot, seg: Segment) -> ClosestFeature:
@@ -514,8 +514,7 @@ def segment_closest(robot, seg: Segment) -> ClosestFeature:
     Raises:
         DegenerateVector: when the robot lies on the segment itself.
     """
-    r = as_vec3(robot)
-    return _wrap(_segment_kernel(r[0], r[1], r[2], seg))
+    return _wrap(_segment_kernel(*as_vec3(robot).tolist(), seg))
 
 
 def plane_normal(plane: RectPlane) -> np.ndarray:
@@ -531,7 +530,7 @@ def plane_foot(robot, plane: RectPlane):
         the robot along the rectangle normal.
     """
     r = as_vec3(robot)
-    off = _plane_offset(r[0], r[1], r[2], plane)
+    off = _plane_offset(*r.tolist(), plane)
     return r - off * plane.normal, off
 
 
@@ -542,8 +541,7 @@ def plane_inside(foot, plane: RectPlane) -> bool:
     edge directions, from the first corner) must lie within the edge
     lengths; the boundary is inclusive.
     """
-    f = as_vec3(foot)
-    return _plane_contains(f[0], f[1], f[2], plane)
+    return _plane_contains(*as_vec3(foot).tolist(), plane)
 
 
 def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
@@ -553,8 +551,7 @@ def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
     :func:`plane_inside`, the foot is the closest point (the orthogonal
     case); otherwise the nearest boundary edge or corner is.
     """
-    r = as_vec3(robot)
-    return _wrap(_plane_kernel(r[0], r[1], r[2], plane))
+    return _wrap(_plane_kernel(*as_vec3(robot).tolist(), plane))
 
 
 def cube_closest(robot, cube: Cube) -> ClosestFeature:
@@ -569,8 +566,7 @@ def cube_closest(robot, cube: Cube) -> ClosestFeature:
     face's outward normal.  A robot within 1e-12 m outside the box is a
     contact: distance 0 on a face it lies past.
     """
-    r = as_vec3(robot)
-    return _wrap(_cube_kernel(r[0], r[1], r[2], cube))
+    return _wrap(_cube_kernel(*as_vec3(robot).tolist(), cube))
 
 
 def cylinder_closest(robot, cyl: Cylinder) -> ClosestFeature:
@@ -581,17 +577,14 @@ def cylinder_closest(robot, cyl: Cylinder) -> ClosestFeature:
     the nearest of wall and caps as negative depth).  Near the axis the
     radial direction is degenerate and a pure axial result is returned.
     """
-    r = as_vec3(robot)
-    return _wrap(_cylinder_kernel(r[0], r[1], r[2], cyl))
+    return _wrap(_cylinder_kernel(*as_vec3(robot).tolist(), cyl))
 
 
 def closest_feature(robot, prim: Primitive) -> ClosestFeature:
     """Dispatch to the closest-feature query for the primitive's type."""
-    r = as_vec3(robot)
-    return _wrap(_kernel_for(prim)(r[0], r[1], r[2], prim))
+    return _wrap(_kernel_for(prim)(*as_vec3(robot).tolist(), prim))
 
 
 def distance(robot, prim: Primitive) -> float:
     """Shortest distance only (negative inside volumetric primitives)."""
-    r = as_vec3(robot)
-    return _kernel_for(prim)(r[0], r[1], r[2], prim)[0]
+    return _kernel_for(prim)(*as_vec3(robot).tolist(), prim)[0]

@@ -174,6 +174,8 @@ class Scene:
             lo, hi = self.drift_bounds
             for i, obs in enumerate(self.obstacles):
                 if obs.drift is not None:
+                    if not _inside_box(obs.primitive, lo, hi):
+                        raise ValueError(f"obstacles[{i}]: {_DRIFT_OUTSIDE_BOUNDS}")
                     *centre, r = obs.primitive.bounding_sphere
                     bounds = ((lo + r).tolist(), (hi - r).tolist())
                     self._drifts[i] = (centre, obs.drift.tolist(), *bounds)
@@ -284,6 +286,11 @@ def _sample_primitive(rng, kind: str, center) -> Primitive:
         length = rng.uniform(0.1, 0.3)
         return Cylinder(center - 0.5 * length * e1, center + 0.5 * length * e1, radius)
     raise ValueError(f"unknown primitive kind {kind!r}")
+
+
+# A drifting obstacle folds its bounding centre into drift_bounds shrunk by
+# its radius; a centre outside that range would jump there on the first step.
+_DRIFT_OUTSIDE_BOUNDS = "drifting obstacle's bounding sphere must lie inside drift_bounds"
 
 
 def _inside_box(prim: Primitive, lo, hi) -> bool:
@@ -654,6 +661,8 @@ def document_to_scene(doc) -> Scene:
             drift = _decode_corners([drift_raw], reader._label("drift"), 1)[0]
             if drift_bounds is None:
                 raise SceneSchemaError("drift needs drift_bounds", reader._label("drift"))
+            if not _inside_box(prim, *drift_bounds):
+                raise SceneSchemaError(_DRIFT_OUTSIDE_BOUNDS, reader._label("drift"))
         reader.finish()
         try:
             obstacles.append(Obstacle(prim, gain=gain, drift=drift))

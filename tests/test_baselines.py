@@ -23,7 +23,9 @@ from geopf import (
     spherize,
     sphere_closest,
 )
-from geopf.baselines import _dedup, sphere_cloud
+from geopf.baselines import CF_VELOCITY_EPS, _dedup, sphere_cloud
+from geopf.forces import D_MIN, _attraction
+from geopf.planners import _wall_terms
 from geopf.primitives import axis_frame
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
@@ -199,7 +201,132 @@ def test_obstacle_count_is_the_prepared_cloud_size(kind):
     scene = generate(SceneClass.COMPLEX, 1)
     assert all(obs.drift is None for obs in scene.obstacles)
     planner = build_planner(kind)
-    assert planner.obstacle_count(scene) == len(planner.prepare(scene).flat) // 4
+    cloud = planner.prepare(scene).cloud
+    assert planner.obstacle_count(scene) == sum(len(records) for _, records in cloud)
+
+
+# -- drift as offsets -----------------------------------------------------------
+
+
+def _rebuilt_flat(scene, params, placed) -> list:
+    """The cloud as one flat float list, rebuilt for the step: static
+    obstacles' records, then each drifting obstacle's records translated by
+    its offset (the sphere-cloud planners' former per-step rebuild)."""
+    flat = []
+    for obs in scene.obstacles:
+        if obs.drift is None:
+            for record in sphere_cloud(obs.primitive, params):
+                flat.extend(record)
+    for i, obs in enumerate(scene.obstacles):
+        if obs.drift is not None:
+            ox, oy, oz = placed.offsets[i]
+            for cx, cy, cz, r in sphere_cloud(obs.primitive, params):
+                flat.extend((cx + ox, cy + oy, cz + oz, r))
+    return flat
+
+
+def _flat_near(rx, ry, rz, flat, act):
+    """The former loop head over a flat list, clamp mode."""
+    for j in range(0, len(flat), 4):
+        cx, cy, cz, r = flat[j], flat[j + 1], flat[j + 2], flat[j + 3]
+        dx, dy, dz = rx - cx, ry - cy, rz - cz
+        wn = math.sqrt(dx * dx + dy * dy + dz * dz)
+        d = wn - r
+        if d < act and wn > 1e-12:
+            yield dx, dy, dz, wn, d
+
+
+def _flat_pf(rx, ry, rz, flat, k, act):
+    fx = fy = fz = 0.0
+    for dx, dy, dz, wn, d in _flat_near(rx, ry, rz, flat, act):
+        scale = (k / max(d, D_MIN)) / wn
+        fx += dx * scale
+        fy += dy * scale
+        fz += dz * scale
+    return fx, fy, fz
+
+
+def _flat_cf(rx, ry, rz, vx, vy, vz, flat, k, act):
+    fx = fy = fz = 0.0
+    moving = vx * vx + vy * vy + vz * vz >= CF_VELOCITY_EPS * CF_VELOCITY_EPS
+    for dx, dy, dz, wn, d in _flat_near(rx, ry, rz, flat, act):
+        mag = k / max(d, D_MIN)
+        bx, by, bz = dy * vz - dz * vy, dz * vx - dx * vz, dx * vy - dy * vx
+        bn = math.sqrt(bx * bx + by * by + bz * bz)
+        if moving and bn > 1e-12:
+            bx, by, bz = bx / bn, by / bn, bz / bn
+            tx, ty, tz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
+            tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+            if tn > 1e-12:
+                fx, fy, fz = fx + tx * (mag / tn), fy + ty * (mag / tn), fz + tz * (mag / tn)
+                continue
+        fx, fy, fz = fx + dx * (mag / wn), fy + dy * (mag / wn), fz + dz * (mag / wn)
+    return fx, fy, fz
+
+
+def _robots_near_drifting_spheres(scene, params, placed):
+    """Points a few centimetres from translated spheres of each drifting
+    obstacle, inside the activation radius of many spheres."""
+    for i, obs in enumerate(scene.obstacles):
+        if obs.drift is not None:
+            ox, oy, oz = placed.offsets[i]
+            cx, cy, cz, r = sphere_cloud(obs.primitive, params)[0]
+            yield cx + ox + 0.031, cy + oy - 0.022, cz + oz + 0.017
+
+
+@pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)])
+def test_cloud_forces_under_drift_match_the_rebuilt_flat_list_bit_for_bit(velocity):
+    scene = generate(SceneClass.DYNAMIC_HARD, 2)
+    assert scene.has_dynamic
+    pf, cf = build_planner("pf"), build_planner("cf")
+    params = pf.params
+    vx, vy, vz = velocity
+    ctxs = [(pf, pf.prepare(scene)), (cf, cf.prepare(scene))]
+    active = 0
+    for step in (0, 1, 250, 999, 4321):
+        placed = scene.primitives_at_step(step)
+        flat = _rebuilt_flat(scene, params, placed)
+        for rx, ry, rz in _robots_near_drifting_spheres(scene, params, placed):
+            fx, fy, fz = _attraction(rx, ry, rz, *map(float, scene.goal), scene.gains.k_attr)
+            for planner, ctx in ctxs:
+                planner.update(ctx, placed)
+                try:
+                    wall = _wall_terms(ctx, rx, ry, rz, None, False)
+                except CollisionSignal:
+                    continue
+                if planner is pf:
+                    terms = _flat_pf(rx, ry, rz, flat, params.k_rep, ctx.act)
+                else:
+                    terms = _flat_cf(rx, ry, rz, vx, vy, vz, flat, params.k_rep, ctx.act)
+                expected = tuple(a + t + w for a, t, w in zip((fx, fy, fz), terms, wall))
+                got = planner.force(ctx, rx, ry, rz, vx, vy, vz, None)
+                assert list(map(float.hex, got)) == list(map(float.hex, expected))
+                active += terms != (0.0, 0.0, 0.0)
+    assert active >= 40
+
+
+def test_update_keeps_the_cloud_and_takes_the_offsets():
+    scene = generate(SceneClass.DYNAMIC_HARD, 2)
+    planner = build_planner("pf")
+    ctx = planner.prepare(scene)
+    cloud = ctx.cloud
+    snapshot = [(i, list(records)) for i, records in cloud]
+    drifting = [i for i, obs in enumerate(scene.obstacles) if obs.drift is not None]
+    static = [i for i, obs in enumerate(scene.obstacles) if obs.drift is None]
+    assert [i for i, _ in cloud] == static + drifting
+    placed = scene.primitives_at_step(500)
+    planner.update(ctx, placed)
+    assert ctx.cloud is cloud
+    assert [(i, list(records)) for i, records in ctx.cloud] == snapshot
+    assert ctx.offsets is placed.offsets
+    assert all(ctx.offsets[i] != (0.0, 0.0, 0.0) for i in drifting)
+
+
+def test_pf_penetration_names_the_sphere_by_its_cloud_index():
+    spheres = [Sphere((1.0, 0, 0), 0.01), Sphere((0.005, 0, 0), 0.01), Sphere((0, 0, 0), 0.02)]
+    with pytest.raises(CollisionSignal) as exc:
+        pf_force((0, 0, 0), (0, -1, 0), spheres, GAINS)
+    assert exc.value.obstacle_id == "sphere[1]"
 
 
 # -- PF -----------------------------------------------------------------------

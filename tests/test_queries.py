@@ -745,3 +745,46 @@ def test_kernels_are_translation_invariant(kind):
                 assert sorted(shifted[8]) == sorted(direct[8])
                 compared += 1
     assert compared >= 390
+
+
+# -- public functions on Python floats --------------------------------------------
+
+_CLOSEST = {
+    "sphere": sphere_closest,
+    "segment": segment_closest,
+    "plane": plane_closest,
+    "cube": cube_closest,
+    "cylinder": cylinder_closest,
+}
+
+
+@pytest.mark.parametrize("kind", PRIMITIVE_KINDS)
+def test_public_queries_return_python_floats_matching_the_kernel(kind):
+    """A numpy robot gives the kernel's own result on the robot's floats,
+    bit for bit, with a Python ``float`` distance."""
+    rng = np.random.default_rng(31 + PRIMITIVE_KINDS.index(kind))
+    for _ in range(50):
+        prim = random_primitive(rng, kind)
+        robot = rng.uniform(-0.6, 0.6, size=3)
+        raw = _kernel_for(prim)(*robot.tolist(), prim)
+        dist = distance(robot, prim)
+        assert type(dist) is float and dist.hex() == raw[0].hex()
+        for cf in (closest_feature(robot, prim), _CLOSEST[kind](robot, prim)):
+            assert type(cf.distance) is float
+            floats = (cf.distance, *cf.direction.tolist(), *cf.foot.tolist())
+            assert list(map(float.hex, floats)) == list(map(float.hex, raw[:7]))
+            assert (cf.feature, cf.index) == raw[7:]
+
+
+def test_plane_foot_and_inside_return_python_scalars():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        plane = random_primitive(rng, "plane")
+        robot = rng.uniform(-0.6, 0.6, size=3)
+        foot, off = plane_foot(robot, plane)
+        assert type(off) is float
+        assert off.hex() == queries._plane_offset(*robot.tolist(), plane).hex()
+        inside = plane_inside(foot, plane)
+        assert type(inside) is bool
+        assert inside is queries._plane_contains(*foot.tolist(), plane)
+    assert type(plane_inside((0, 0, 0), UNIT_SQUARE)) is bool

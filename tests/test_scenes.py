@@ -11,6 +11,7 @@ from scipy import ndimage
 
 from geopf import (
     GenerationFailure,
+    Obstacle,
     RectPlane,
     Scene,
     SceneClass,
@@ -336,3 +337,33 @@ def test_drift_without_drift_bounds_is_rejected():
     assert exc.value.field == f"obstacles[{i}].drift"
     with pytest.raises(ValueError, match="drift_bounds"):
         dataclasses.replace(scene, drift_bounds=None)
+
+
+def _drifting_scene(prim, bound):
+    return Scene(
+        start=(0, -0.5, 0),
+        goal=(0, 0.5, 0),
+        obstacles=[Obstacle(prim, drift=(0.01, 0.0, 0.0))],
+        boundary=[],
+        drift_bounds=((-bound,) * 3, (bound,) * 3),
+    )
+
+
+def test_drift_outside_its_bounds_is_rejected():
+    # Centre 0.3 m past the bounds: the fold would move it 0.40 m in one step.
+    with pytest.raises(ValueError, match="drift_bounds"):
+        _drifting_scene(Segment((0.4, -0.05, 0), (0.4, 0.05, 0)), 0.1)
+    # Wider than its bounds: the fold range is empty, so it would never move.
+    with pytest.raises(ValueError, match="drift_bounds"):
+        _drifting_scene(Segment((-0.15, 0, 0), (0.15, 0, 0)), 0.1)
+    assert _drifting_scene(Segment((-0.05, 0, 0), (0.05, 0, 0)), 0.1).has_dynamic
+
+
+def test_drift_outside_its_bounds_is_a_schema_error_at_the_drift():
+    scene = generate(SceneClass.DYNAMIC_HARD, 0)
+    i = next(i for i, obs in enumerate(scene.obstacles) if obs.drift is not None)
+    doc = scene_to_document(scene)
+    doc["drift_bounds"] = [[-0.01, -0.01, -0.01], [0.01, 0.01, 0.01]]
+    with pytest.raises(SceneSchemaError, match="drift_bounds") as exc:
+        document_to_scene(doc)
+    assert exc.value.field == f"obstacles[{i}].drift"

@@ -17,6 +17,9 @@ verdict leaves unchanged.
   plane_hard seeds 3 and 4.
 - ``drift``: 200 trials with drifting obstacles: dynamic_easy seeds 0-99,
   then dynamic_hard seeds 0-99, under GeoPF capped at 5,000 steps.
+- ``cloud-drift``: 40 sphere-cloud trials with drifting obstacles:
+  dynamic_easy seeds 0-9, then dynamic_hard seeds 0-9, each seed under PF
+  and then CF, capped at 1,500 steps.
 - ``scenes``: ``json.dumps(scene_to_document(scene), sort_keys=True)`` of
   400 generated scenes (seeds 0-39, and for each seed every scene class),
   concatenated without a separator.
@@ -25,8 +28,8 @@ verdict leaves unchanged.
   by obstacle, as the records ``cx|cy|cz|r`` of ``baselines.sphere_cloud``
   with the four floats as ``float.hex``, concatenated without a separator.
 
-Run from the repository root (about two minutes on one core, most of
-it in ``drift``)::
+Run from the repository root (about two and a half minutes on one core,
+most of it in ``drift``; ``cloud-drift`` takes about 30 s)::
 
     PYTHONPATH=src python tools/fingerprint.py
 """
@@ -80,6 +83,14 @@ def drift_trials():
             yield generate(scene_class, seed), "geopf", 5000
 
 
+def cloud_drift_trials():
+    for scene_class in (SceneClass.DYNAMIC_EASY, SceneClass.DYNAMIC_HARD):
+        for seed in range(10):
+            scene = generate(scene_class, seed)
+            for kind in ("pf", "cf"):
+                yield scene, kind, 1500
+
+
 def generated_scenes():
     for seed in range(40):
         for scene_class in SceneClass:
@@ -108,6 +119,7 @@ if __name__ == "__main__":
         ("trajectory", capped_trials()),
         ("full-length", full_length_trials()),
         ("drift", drift_trials()),
+        ("cloud-drift", cloud_drift_trials()),
     ):
         bits, verdicts = _hashes(trials)
         print(f"{name:<11} {bits}  verdicts {verdicts}")
