@@ -12,7 +12,15 @@ that sums a GeoPF resultant; :func:`resultant_force` runs it and keeps the
 terms.  The baseline planners hold one block of sphere records per obstacle
 and query each block with its obstacle's offset.  All planners feel the
 same boundary-wall repulsion.
+
+Every context also holds ``dists``, one slot per obstacle, which ``update``
+empties (all None) before each step.  GeoPF's ``force`` writes into slot i
+the distance its obstacle term measured for obstacle i, so the simulator's
+distance instrumentation takes it instead of querying the obstacle again.
+Culled obstacles keep None; the sphere-cloud planners write nothing.
 """
+
+import weakref
 
 import numpy as np
 
@@ -38,13 +46,14 @@ class _Ctx:
         "walls",
         "obstacles",
         "offsets",
+        "dists",
         "cloud",
     )
 
 
 def _scene_ctx(scene):
-    """Context fields every planner shares: goal, gains, walls and one zero
-    offset per obstacle."""
+    """Context fields every planner shares: goal, gains, walls, one zero
+    offset and one empty distance slot per obstacle."""
     ctx = _Ctx()
     ctx.goal = tuple(float(v) for v in scene.goal)
     ctx.k_attr = scene.gains.k_attr
@@ -52,6 +61,7 @@ def _scene_ctx(scene):
     ctx.act = scene.gains.activation_radius
     ctx.walls = list(scene.boundary)
     ctx.offsets = [ZERO_OFFSET] * len(scene.obstacles)
+    ctx.dists = [None] * len(scene.obstacles)
     return ctx
 
 
@@ -83,8 +93,10 @@ class _Planner:
 
     def update(self, ctx, placed):
         """Take the step's obstacle offsets from ``placed``, a
-        ``Scene.primitives_at_step`` view over the scene's base primitives."""
+        ``Scene.primitives_at_step`` view over the scene's base primitives,
+        and empty the distance slots."""
         ctx.offsets = placed.offsets
+        ctx.dists = [None] * len(placed.offsets)
 
 
 class GeoPFPlanner(_Planner):
@@ -119,7 +131,8 @@ class GeoPFPlanner(_Planner):
 
         When ``terms`` is a list, it receives ``(label, fx, fy, fz)`` for the
         attraction, for each obstacle within its activation radius, and for
-        the summed boundary walls, in summation order.
+        the summed boundary walls, in summation order.  Each obstacle term's
+        distance goes into ``ctx.dists``.
 
         Raises:
             CollisionSignal: on contact with an obstacle or a wall.
@@ -134,6 +147,7 @@ class GeoPFPlanner(_Planner):
         act = ctx.act
         correction = self.correction
         offsets = ctx.offsets
+        dists = ctx.dists
         # Each obstacle is queried at its base position, with the robot and
         # the goal shifted by minus its offset.
         for i, (prim, bx, by, bz, threshold, k, is_plane) in enumerate(ctx.obstacles):
@@ -149,6 +163,7 @@ class GeoPFPlanner(_Planner):
             tx, ty, tz, d = obstacle_force_term(
                 sx, sy, sz, gx - ox, gy - oy, gz - oz, prim, k, act, rng, correction
             )
+            dists[i] = d
             if d <= 0.0:
                 raise CollisionSignal(f"obstacle[{i}]", d)
             fx += tx
@@ -194,6 +209,10 @@ class _SphereCloudPlanner(_Planner):
 
     def __init__(self, params: SpherizationParams | None = None):
         self.params = params or SpherizationParams()
+        # A weak reference to the scene ``prepare`` last built a cloud for,
+        # and that cloud's size.  Weak, so that the planner keeps no scene
+        # alive.
+        self._prepared = (None, 0)
 
     def prepare(self, scene):
         """One block of sphere records per obstacle, at its base position:
@@ -202,9 +221,15 @@ class _SphereCloudPlanner(_Planner):
         obstacles = scene.obstacles
         order = sorted(range(len(obstacles)), key=lambda i: obstacles[i].drift is not None)
         ctx.cloud = [(i, spherize(obstacles[i].primitive, self.params)) for i in order]
+        self._prepared = (weakref.ref(scene), sum(len(records) for _, records in ctx.cloud))
         return ctx
 
     def obstacle_count(self, scene) -> int:
+        """Spheres in the scene's cloud; the scene ``prepare`` last built is
+        counted without building its cloud again."""
+        prepared, count = self._prepared
+        if prepared is not None and prepared() is scene:
+            return count
         return sum(len(spherize(obs.primitive, self.params)) for obs in scene.obstacles)
 
 

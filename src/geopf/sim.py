@@ -17,16 +17,26 @@ primitives plus one rigid offset per obstacle.  Distance is invariant under
 translation, so every query runs the base primitive's kernel at the point
 minus the obstacle's offset, and crossing points are shifted back; no
 primitive is built inside the step loop.
+
+Each obstacle is measured once per step.  The geometric planner's
+``force`` leaves in ``ctx.dists`` the distance it measured for every
+obstacle it did not cull, and the instrumentation after the force call
+takes those values instead of querying again: each is the same kernel at
+the same shifted point, so the recorded distances keep every bit.  The
+crossing test then skips every rectangle and wall farther from the move's
+start than the move is long: a pierced closed rectangle holds a point of
+the move, and every point of the move lies within its length of the start.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 import math
 import time
 from typing import NamedTuple
 
 from .errors import CollisionSignal
-from .primitives import RectPlane
+from .primitives import DEGENERACY_EPS, RectPlane
 from .queries import _kernel_for, _pierce, _plane_contains
 from .seeding import trial_rng
 
@@ -126,12 +136,18 @@ def integrate_step(position, velocity, force, params: SimParams):
     return (npx, npy, npz), (nvx, nvy, nvz)
 
 
-def _distances(kernels, x, y, z, placed):
+def _distances(kernels, x, y, z, placed, known=None):
     """Distance from (x, y, z) to each obstacle of a ``primitives_at_step``
-    view: the base primitive's kernel at the point minus its offset."""
+    view: the base primitive's kernel at the point minus its offset.
+
+    ``known``, when given, holds one slot per obstacle; a slot that is not
+    None is that obstacle's distance at this point and is taken as it is.
+    """
+    if known is None:
+        known = repeat(None)
     return [
-        kern(x - ox, y - oy, z - oz, prim)[0]
-        for kern, prim, (ox, oy, oz) in zip(kernels, placed.base, placed.offsets)
+        kern(x - ox, y - oy, z - oz, prim)[0] if d is None else d
+        for d, kern, prim, (ox, oy, oz) in zip(known, kernels, placed.base, placed.offsets)
     ]
 
 
@@ -175,6 +191,18 @@ def run_trial(
     Returns:
         TrajectoryRecord with one state per step and the termination verdict.
         Deterministic for fixed (scene, planner, params) except step_times.
+
+    The distances recorded after a force call reuse the ones the planner
+    left in ``ctx.dists``, when its context has that field, and query only
+    the other obstacles; the goal step and a crossing point are measured
+    afresh.  A move of length m can pierce only a rectangle within m of its
+    start, so ``_crossing`` runs only for the rectangles and walls whose
+    distance there is at most m + ``DEGENERACY_EPS``, a margin for rounding
+    in the kernel and in the crossing point.  The margin assumes right
+    corners to rounding: on a rectangle whose corners are off by up to
+    ``ORTHO_TOL``, the frame test of ``_crossing`` accepts points up to that
+    skew times the rectangle's size outside the edges the kernel measures
+    to, and the skip drops such a crossing.
     """
     if planner is None:
         from .planners import GeoPFPlanner
@@ -205,8 +233,8 @@ def run_trial(
         else:
             states[:] = [state]
 
-    def instrument(x, y, z, placed):
-        dists = _distances(kernels, x, y, z, placed)
+    def instrument(x, y, z, placed, known=None):
+        dists = _distances(kernels, x, y, z, placed, known)
         if dists:
             md = min(dists)
             record.dist_sum += math.fsum(dists)
@@ -244,7 +272,7 @@ def run_trial(
         t1 = perf()
         record.step_times.append(t1 - t0)
 
-        dists, md = instrument(px, py, pz, placed)
+        dists, md = instrument(px, py, pz, placed, getattr(ctx, "dists", None))
         push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
         if md <= 0.0:
@@ -253,11 +281,8 @@ def run_trial(
                 VerdictKind.COLLISION, f"obstacle[{worst}]", step_index
             )
             break
-        wall_hit = None
-        for j, (kern, wall) in enumerate(zip(wall_kernels, walls)):
-            if kern(px, py, pz, wall)[0] <= 0.0:
-                wall_hit = j
-                break
+        wall_dists = [kern(px, py, pz, wall)[0] for kern, wall in zip(wall_kernels, walls)]
+        wall_hit = next((j for j, d in enumerate(wall_dists) if d <= 0.0), None)
         if wall_hit is not None:
             record.verdict = Verdict(
                 VerdictKind.COLLISION, f"boundary[{wall_hit}]", step_index
@@ -273,8 +298,13 @@ def run_trial(
 
         # Zero-thickness rectangles can be crossed between steps; treat a
         # pierced rectangle (obstacle or wall) as a contact at distance zero.
+        # Only rectangles within the move's reach can be pierced.
+        move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
+        reach = move + DEGENERACY_EPS
         crossed = None
         for i in rects:
+            if dists[i] > reach:
+                continue
             ox, oy, oz = placed.offsets[i]
             hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, placed.base[i])
             if hit is not None:
@@ -282,6 +312,8 @@ def run_trial(
                 break
         if crossed is None:
             for j, wall in enumerate(walls):
+                if wall_dists[j] > reach:
+                    continue
                 hit = _crossing(px, py, pz, nx, ny, nz, wall)
                 if hit is not None:
                     crossed = (f"boundary[{j}]", None, hit)
@@ -308,9 +340,7 @@ def run_trial(
             record.verdict = Verdict(VerdictKind.COLLISION, obstacle_id, step_index + 1)
             break
 
-        record.path_length += math.sqrt(
-            (nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2
-        )
+        record.path_length += move
         px, py, pz, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
 
         if stall_speed is not None:

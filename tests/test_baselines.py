@@ -1,6 +1,8 @@
 """Spherization and the PF / CF baseline force laws."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from geopf import (
     spherize,
     sphere_closest,
 )
+from geopf import planners
 from geopf.baselines import CF_VELOCITY_EPS, _dedup, sphere_cloud
 from geopf.forces import D_MIN, _attraction
 from geopf.planners import _wall_terms
@@ -203,6 +206,27 @@ def test_obstacle_count_is_the_prepared_cloud_size(kind):
     planner = build_planner(kind)
     cloud = planner.prepare(scene).cloud
     assert planner.obstacle_count(scene) == sum(len(records) for _, records in cloud)
+
+
+@pytest.mark.parametrize("kind", ["pf", "cf"])
+def test_obstacle_count_of_the_prepared_scene_builds_no_cloud(kind, monkeypatch):
+    scene, other = generate(SceneClass.COMPLEX, 1), generate(SceneClass.PLANE_EASY, 0)
+    fresh = build_planner(kind).obstacle_count(other)
+    planner = build_planner(kind)
+    cloud = planner.prepare(scene).cloud
+    calls = []
+    inner = planners.spherize
+    monkeypatch.setattr(planners, "spherize", lambda *a: calls.append(a) or inner(*a))
+    assert planner.obstacle_count(scene) == sum(len(records) for _, records in cloud)
+    assert calls == []
+    # Any other scene, an equal copy included, has its clouds built to count.
+    assert planner.obstacle_count(other) == fresh
+    assert len(calls) == len(other.obstacles)
+    # The planner keeps no reference that holds the prepared scene alive.
+    prepared = weakref.ref(scene)
+    del scene
+    gc.collect()
+    assert prepared() is None
 
 
 # -- drift as offsets -----------------------------------------------------------

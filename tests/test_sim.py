@@ -1,5 +1,6 @@
 """Integrator and trial-loop behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from geopf import (
     SimParams,
     Segment,
     Sphere,
+    Verdict,
     VerdictKind,
     build_planner,
     corridor_boundary,
@@ -29,7 +31,9 @@ from geopf import (
     translated,
     write_trajectory,
 )
-from geopf import forces, primitives, scenes
+from geopf import forces, primitives, scenes, sim
+from geopf.primitives import DEGENERACY_EPS
+from geopf.queries import _kernel_for
 from geopf.scenes import document_to_scene, scene_to_document
 from geopf.sim import _crossing
 
@@ -199,6 +203,47 @@ def test_collision_on_plane_crossing():
     assert abs(record.states[-1].position[1]) < 1e-9
 
 
+class _FallingPlanner:
+    """A constant unit pull along -y that feels no obstacle; its context has
+    no distance slots."""
+
+    def prepare(self, scene):
+        return None
+
+    def update(self, ctx, placed):
+        pass
+
+    def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
+        return 0.0, -1.0, 0.0
+
+
+@pytest.mark.parametrize("role", ["obstacle", "boundary"])
+def test_crossing_at_the_end_of_the_moves_reach_is_found(role):
+    """A rectangle 1e-11 m short of where a move ends, so nearly a whole move
+    away from its start, still ends the trial at the crossing."""
+
+    def scene(walls):
+        return Scene(
+            start=(0, 0.4, 0),
+            goal=(0, -1, 0),
+            obstacles=[Obstacle(w) for w in walls] if role == "obstacle" else [],
+            boundary=walls if role == "boundary" else [],
+            gains=Gains(),
+            sim=SimParams(max_speed=5.0, damping=0.0, dt=0.01, max_steps=60),
+            seed=0,
+        )
+
+    free = run_trial(scene([]), _FallingPlanner())
+    k = 40
+    y = free.states[k + 1].position[1] + 1e-11
+    wall = RectPlane((0.5, y, 0.5), (-0.5, y, 0.5), (-0.5, y, -0.5), (0.5, y, -0.5))
+    move = free.states[k].position[1] - free.states[k + 1].position[1]
+    assert free.states[k].position[1] - y > move - 2e-11
+    record = run_trial(scene([wall]), _FallingPlanner())
+    assert record.verdict == Verdict(VerdictKind.COLLISION, f"{role}[0]", k + 1)
+    assert record.states[-1].position[1] == pytest.approx(y, abs=1e-15)
+
+
 def test_stall_exit_times_out_early():
     # Symmetric wall without correction: the robot stalls in front of it.
     wall = RectPlane((1, 0, 1), (-1, 0, 1), (-1, 0, -1), (1, 0, -1))
@@ -305,6 +350,157 @@ def test_crossing_is_translation_invariant():
                 hits += 1
                 assert np.allclose(np.array(shifted) + o, direct, rtol=0.0, atol=1e-12)
     assert hits >= 100
+
+
+def _move_length(px, py, pz, qx, qy, qz):
+    """The move length as ``run_trial`` computes it."""
+    return math.sqrt((qx - px) ** 2 + (qy - py) ** 2 + (qz - pz) ** 2)
+
+
+def test_crossing_hits_lie_within_the_moves_reach():
+    """Every rectangle that ``_crossing`` finds pierced lies, by its kernel
+    distance from the move's start, within the move's length plus
+    ``DEGENERACY_EPS``: ``run_trial``'s crossing skip drops no crossing.
+
+    Moves of 1e-6 to 1e-3 m, on drifting rectangles, pierce the interior,
+    graze an edge or a corner, or start within 1e-9 m of the limit (straight
+    through the plane, ending just past it)."""
+    rng = np.random.default_rng(12)
+    hits = dict.fromkeys(("interior", "edge", "corner", "limit"), 0)
+    at_limit = 0
+    for _ in range(300):
+        base = random_primitive(rng, "plane")
+        kernel = _kernel_for(base)
+        v1, n = np.array(base._vs[0]), np.array(base._n)
+        e1, e2 = base.edges[0], base.edges[1]
+        u1, u2 = np.array(e1._u), np.array(e2._u)
+        o = rng.uniform(-0.5, 0.5, size=3)
+        for case in hits:
+            m = 10.0 ** rng.uniform(-6, -3)
+            s, t = rng.uniform(0, e1.length), rng.uniform(0, e2.length)
+            if case == "edge":
+                if rng.random() < 0.5:
+                    s = rng.choice((0.0, e1.length))
+                else:
+                    t = rng.choice((0.0, e2.length))
+            elif case == "corner":
+                s, t = rng.choice((0.0, e1.length)), rng.choice((0.0, e2.length))
+            target = v1 + s * u1 + t * u2 + o
+            side = rng.choice((-1.0, 1.0))
+            if case == "limit":
+                p = target + side * (m - rng.uniform(0.0, 1e-9)) * n
+                q = p - side * m * n
+            else:
+                # From nearly parallel to the plane to straight through it.
+                lateral = rng.normal(size=3)
+                lateral -= (lateral @ n) * n
+                lateral /= np.linalg.norm(lateral)
+                tilt = 10.0 ** rng.uniform(-3, 0)
+                step = -side * tilt * n + math.sqrt(1.0 - tilt * tilt) * lateral
+                p = target - rng.uniform(0.0, 1.0) * m * step
+                q = p + m * step
+            (px, py, pz), (qx, qy, qz), (ox, oy, oz) = p.tolist(), q.tolist(), o.tolist()
+            hit = _crossing(px - ox, py - oy, pz - oz, qx - ox, qy - oy, qz - oz, base)
+            if hit is None:
+                continue
+            hits[case] += 1
+            move = _move_length(px, py, pz, qx, qy, qz)
+            d = kernel(px - ox, py - oy, pz - oz, base)[0]
+            assert d <= move + DEGENERACY_EPS, (case, d - move)
+            at_limit += d > move - 1e-9
+    assert min(hits.values()) >= 100, hits
+    assert at_limit >= 100
+
+
+def test_step_loop_tests_crossings_only_within_reach(monkeypatch):
+    """``_crossing`` runs only for the rectangles and walls that the step's
+    distances put within the move's reach."""
+    scene = generate(SceneClass.PLANE_HARD, 0)
+    crossing = sim._crossing
+    reached = []
+
+    def checked(px, py, pz, qx, qy, qz, plane):
+        d = _kernel_for(plane)(px, py, pz, plane)[0]
+        reached.append(d <= _move_length(px, py, pz, qx, qy, qz) + DEGENERACY_EPS)
+        return crossing(px, py, pz, qx, qy, qz, plane)
+
+    monkeypatch.setattr(sim, "_crossing", checked)
+    record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=300))
+    assert record.verdict.step == 300  # the whole budget ran
+    assert any(isinstance(obs.primitive, RectPlane) for obs in scene.obstacles)
+    assert all(reached)
+
+
+@pytest.mark.parametrize(
+    "scene_class, seed, max_steps",
+    [
+        pytest.param("complex", 2, 1500, id="static-complex-2"),
+        pytest.param("dynamic_hard", 2, 1500, id="drift-dynamic_hard-2"),
+    ],
+)
+def test_recorded_distances_reuse_the_force_distances(scene_class, seed, max_steps, monkeypatch):
+    """The distances a trial records equal fresh kernel calls bit for bit,
+    for every obstacle on every step, and the simulator's kernel calls fall
+    by exactly the number of distances ``force`` wrote."""
+    scene = generate(SceneClass(scene_class), seed)
+    assert scene.has_dynamic == (scene_class == "dynamic_hard")
+    params = dataclasses.replace(scene.sim, max_steps=max_steps)
+    kernel_calls = [0]
+    checked = [0]
+    kernel_for, distances = sim._kernel_for, sim._distances
+
+    def counting_kernel_for(prim):
+        kern = kernel_for(prim)
+
+        def counted(*args):
+            kernel_calls[0] += 1
+            return kern(*args)
+
+        return counted
+
+    def checked_distances(kernels, x, y, z, placed, known=None):
+        dists = distances(kernels, x, y, z, placed, known)
+        fresh = [
+            _kernel_for(prim)(x - ox, y - oy, z - oz, prim)[0]
+            for prim, (ox, oy, oz) in zip(placed.base, placed.offsets)
+        ]
+        assert list(map(float.hex, dists)) == list(map(float.hex, fresh))
+        checked[0] += len(dists)
+        return dists
+
+    monkeypatch.setattr(sim, "_kernel_for", counting_kernel_for)
+    monkeypatch.setattr(sim, "_distances", checked_distances)
+
+    def run(reuse):
+        """The trial, its sim-side kernel calls and the distances force
+        wrote; without ``reuse`` the written distances are dropped."""
+        planner = GeoPFPlanner()
+        force = planner.force
+        written = [0]
+
+        def force_then_count(ctx, *args):
+            try:
+                return force(ctx, *args)
+            finally:
+                written[0] += sum(d is not None for d in ctx.dists)
+                if not reuse:
+                    ctx.dists = [None] * len(ctx.dists)
+
+        planner.force = force_then_count
+        kernel_calls[0] = checked[0] = 0
+        record = run_trial(scene, planner, params, keep_states=False)
+        assert checked[0] == record.dist_count
+        return record, kernel_calls[0], written[0]
+
+    reused, reused_calls, written = run(True)
+    fresh, fresh_calls, _ = run(False)
+    assert written > 0
+    assert fresh_calls - reused_calls == written
+    assert reused.verdict == fresh.verdict
+    assert reused.states == fresh.states
+    assert [float.hex(getattr(reused, f)) for f in ("path_length", "min_dist", "dist_sum")] == [
+        float.hex(getattr(fresh, f)) for f in ("path_length", "min_dist", "dist_sum")
+    ]
 
 
 @pytest.mark.parametrize(
