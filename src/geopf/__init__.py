@@ -7,13 +7,12 @@ benchmark harness compares it against sphere-cloud potential-field and
 circulatory-field baselines on randomized scenes.
 """
 
-from .baselines import SpherizationParams, cf_force, pf_force, spherize
+from .baselines import SpherizationParams
 from .bench import (
     PlannerSpec,
     SuiteReport,
     TrialMetrics,
     compute_metrics,
-    replay_distances,
     run_suite,
     write_csv,
     write_json,
@@ -24,15 +23,7 @@ from .errors import (
     GenerationFailure,
     SceneSchemaError,
 )
-from .forces import (
-    D_MIN,
-    ForceBreakdown,
-    Gains,
-    attractive_force,
-    cylinder_cap_correction,
-    plane_force_with_correction,
-    repulsive_force,
-)
+from .forces import D_MIN, ForceBreakdown, Gains
 from .planners import (
     GeoPFPlanner,
     SphereCFPlanner,
@@ -47,24 +38,9 @@ from .primitives import (
     RectPlane,
     Segment,
     Sphere,
-    normalize,
     translated,
-    unit_from_to,
 )
-from .queries import (
-    ClosestFeature,
-    FeatureKind,
-    closest_feature,
-    cube_closest,
-    cylinder_closest,
-    distance,
-    plane_closest,
-    plane_foot,
-    plane_inside,
-    plane_normal,
-    segment_closest,
-    sphere_closest,
-)
+from .queries import ClosestFeature, FeatureKind, closest_feature, distance
 from .scenes import (
     Obstacle,
     Scene,
@@ -120,39 +96,21 @@ __all__ = [
     "TrialMetrics",
     "Verdict",
     "VerdictKind",
-    "attractive_force",
     "build_planner",
-    "cf_force",
     "closest_feature",
     "compute_metrics",
     "corridor_boundary",
-    "cube_closest",
-    "cylinder_cap_correction",
-    "cylinder_closest",
     "distance",
     "generate",
     "integrate_step",
     "load_scene",
     "maze_scene",
-    "normalize",
-    "pf_force",
-    "plane_closest",
-    "plane_foot",
-    "plane_inside",
-    "plane_force_with_correction",
-    "plane_normal",
-    "repulsive_force",
-    "replay_distances",
     "resultant_force",
     "run_suite",
     "run_trial",
     "save_scene",
-    "segment_closest",
-    "spherize",
-    "sphere_closest",
     "trajectory_lines",
     "translated",
-    "unit_from_to",
     "write_csv",
     "write_json",
     "write_trajectory",

@@ -10,10 +10,9 @@ circulatory term perpendicular to the current velocity.
 records with scalar arithmetic.  The planners keep one block of records per
 obstacle, built once at its base position, and a drifting obstacle's block
 is queried with its offset: :func:`_near_spheres`, the one loop over a
-cloud that both force laws share, adds the offset to each centre.
-:class:`Sphere` objects exist only on the public path, :func:`spherize` and
-the :func:`pf_force` / :func:`cf_force` functions, which pass their spheres
-as one block at a zero offset.
+cloud that both force laws share, adds the offset to each centre.  A robot
+inside a sphere is pushed out radially at the clamped magnitude; one at a
+centre skips that sphere.
 """
 
 from dataclasses import dataclass
@@ -21,8 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import CollisionSignal
-from .forces import D_MIN, Gains, attractive_force
+from .forces import D_MIN
 from .primitives import (
     Cube,
     Cylinder,
@@ -30,7 +28,6 @@ from .primitives import (
     RectPlane,
     Segment,
     Sphere,
-    as_vec3,
     axis_frame,
 )
 
@@ -107,8 +104,10 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
     """The tangent spheres approximating a primitive, as ``(cx, cy, cz, r)``
     float records; a sphere is its own one-record cloud.
 
-    The planners build their flattened clouds from these records;
-    :func:`spherize` wraps them in :class:`Sphere` objects.
+    Non-sphere primitives get spheres of ``params.radius`` at pitch
+    ``2 * radius``, and every surface point lies within
+    ``radius * sqrt(2)`` of some centre.  The planners keep one list of
+    these records per obstacle.
     """
     r = params.radius
     pitch = 2.0 * r
@@ -144,32 +143,17 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
     raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
 
 
-def spherize(prim: Primitive, params: SpherizationParams) -> list:
-    """Approximate a primitive by tangent spheres at pitch ``2 * radius``.
-
-    Spheres pass through unchanged; every other primitive becomes one
-    :class:`Sphere` per record of :func:`sphere_cloud`.  Every surface point
-    of the primitive lies within ``radius * sqrt(2)`` of some returned
-    center.
-    """
-    if isinstance(prim, Sphere):
-        return [prim]
-    return [Sphere((cx, cy, cz), r) for cx, cy, cz, r in sphere_cloud(prim, params)]
-
-
-def _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
+def _near_spheres(rx, ry, rz, cloud, offsets, act):
     """``(dx, dy, dz, wn, d)`` of every sphere nearer than ``act``, in cloud
     order: the robot minus the centre, its length and the surface distance.
 
     ``cloud`` is a list of ``(i, records)`` blocks, one per obstacle, and the
     records of obstacle ``i`` are queried at ``offsets[i]``: each centre is
     ``c + o``, the arithmetic of a translated record, and at a zero offset
-    ``c + 0.0 == c``.  Where ``d <= 0``, ``"raise"`` raises and names the
-    sphere by its index in the whole cloud; ``"clamp"`` keeps the sphere,
+    ``c + 0.0 == c``.  A sphere the robot is inside (``d <= 0``) is kept,
     unless the robot is at its centre, where the repulsion has no direction.
     """
     near = []
-    n = 0
     for i, records in cloud:
         ox, oy, oz = offsets[i]
         for cx, cy, cz, r in records:
@@ -180,20 +164,16 @@ def _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
             d = wn - r
             if d >= act:
                 continue
-            if d <= 0.0 and on_penetration == "raise":
-                # An equal earlier record would have raised first.
-                raise CollisionSignal(f"sphere[{n + records.index((cx, cy, cz, r))}]", d)
             if wn <= 1e-12:
                 continue
             near.append((dx, dy, dz, wn, d))
-        n += len(records)
     return near
 
 
-def _sphere_terms(rx, ry, rz, cloud, offsets, k, act, on_penetration):
+def _sphere_terms(rx, ry, rz, cloud, offsets, k, act):
     """Radial repulsion summed over the spheres of :func:`_near_spheres`."""
     fx = fy = fz = 0.0
-    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
+    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act):
         scale = (k / max(d, D_MIN)) / wn
         fx += dx * scale
         fy += dy * scale
@@ -201,14 +181,14 @@ def _sphere_terms(rx, ry, rz, cloud, offsets, k, act, on_penetration):
     return fx, fy, fz
 
 
-def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act, on_penetration):
+def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act):
     """Circulatory repulsion summed over the spheres of :func:`_near_spheres`:
     per sphere a force along normalize(v x B) with
     B = normalize((robot - center) x v); radial fallback when degenerate."""
     fx = fy = fz = 0.0
     speed2 = vx * vx + vy * vy + vz * vz
     moving = speed2 >= CF_VELOCITY_EPS * CF_VELOCITY_EPS
-    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act, on_penetration):
+    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act):
         mag = k / max(d, D_MIN)
         if moving:
             bx = dy * vz - dz * vy
@@ -233,44 +213,3 @@ def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act, on_penetration):
         fy += dy * scale
         fz += dz * scale
     return fx, fy, fz
-
-
-def _at_rest(spheres) -> tuple:
-    """One block of the spheres' records and its zero offset."""
-    return [(0, [s.bounding_sphere for s in spheres])], [(0.0, 0.0, 0.0)]
-
-
-def pf_force(robot, goal, spheres, gains: Gains) -> np.ndarray:
-    """Potential-field force: goal attraction plus radial sphere repulsion.
-
-    Raises:
-        CollisionSignal: when the robot is inside any sphere.
-    """
-    r = as_vec3(robot)
-    g = as_vec3(goal)
-    fx, fy, fz = _sphere_terms(
-        *r.tolist(), *_at_rest(spheres), gains.k_rep, gains.activation_radius, "raise"
-    )
-    return attractive_force(r, g, gains) + np.array((fx, fy, fz))
-
-
-def cf_force(robot, velocity, goal, spheres, gains: Gains) -> np.ndarray:
-    """Circulatory-field force: attraction plus velocity-crossed repulsion.
-
-    Reduces to :func:`pf_force` when the velocity is (near) zero.
-
-    Raises:
-        CollisionSignal: when the robot is inside any sphere.
-    """
-    r = as_vec3(robot)
-    v = as_vec3(velocity)
-    g = as_vec3(goal)
-    fx, fy, fz = _cf_terms(
-        *r.tolist(),
-        *v.tolist(),
-        *_at_rest(spheres),
-        gains.k_rep,
-        gains.activation_radius,
-        "raise",
-    )
-    return attractive_force(r, g, gains) + np.array((fx, fy, fz))

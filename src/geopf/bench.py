@@ -14,9 +14,8 @@ import statistics
 
 from .errors import GenerationFailure
 from .planners import build_planner
-from .queries import _kernel_for
 from .scenes import SceneClass, generate
-from .sim import TrajectoryRecord, VerdictKind, _distances, run_trial
+from .sim import TrajectoryRecord, VerdictKind, run_trial
 
 
 @dataclass(frozen=True)
@@ -77,28 +76,11 @@ class SuiteReport:
     trial_seeds: list = field(default_factory=list)
 
 
-def _replayed(states, scene):
-    """Per-state obstacle distances at the recorded positions, measured as
-    the simulator does, with obstacles advanced to each state's step."""
-    kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
-    for s in states:
-        yield _distances(kernels, *s.position, scene.primitives_at_step(s.step))
-
-
-def replay_distances(states, scene):
-    """Recompute per-state minimum obstacle distance from recorded positions.
-
-    Returns a list aligned with ``states`` (``inf`` without obstacles).
-    """
-    return [min(dists, default=math.inf) for dists in _replayed(states, scene)]
-
-
 def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
-    """Metrics of one trajectory.
-
-    Uses the aggregates recorded during the run when present; otherwise the
-    distances and path length are replayed from the recorded states.
-    """
+    """Metrics of one trajectory, from the aggregates recorded during the
+    run: path length, and the minimum and mean of the obstacle distances
+    (infinite when no distance was recorded, as in a scene without
+    obstacles).  ``scene`` is not read: the record carries the aggregates."""
     states = record.states
     if not states:
         raise ValueError("record has no states")
@@ -109,36 +91,13 @@ def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
     else:
         ct = math.nan
 
-    if record.dist_count == 0 and scene.obstacles and len(states) > 1:
-        # Synthetic record: replay the distances from the states, summed
-        # per state as the simulator does; the average is per pair.
-        min_dist = math.inf
-        total = 0.0
-        count = 0
-        for dists in _replayed(states, scene):
-            min_dist = min(min_dist, *dists)
-            total += math.fsum(dists)
-            count += len(dists)
-        avg_dist = total / count
-    else:
-        min_dist = record.min_dist
-        avg_dist = record.dist_sum / record.dist_count if record.dist_count else math.inf
-
-    path = record.path_length
-    if path == 0.0 and len(states) > 1:
-        path = 0.0
-        prev = states[0].position
-        for s in states[1:]:
-            cur = s.position
-            path += math.dist(prev, cur)
-            prev = cur
     return TrialMetrics(
         success=success,
         steps=steps,
         ct_per_step=ct,
-        path_length=path,
-        min_dist=min_dist,
-        avg_dist=avg_dist,
+        path_length=record.path_length,
+        min_dist=record.min_dist,
+        avg_dist=record.dist_sum / record.dist_count if record.dist_count else math.inf,
     )
 
 

@@ -73,10 +73,26 @@ def _run_and_report(scene, spec, traj_path=None, stall_speed=None):
     return EXIT_OK
 
 
+def seed(text) -> int:
+    """A scene seed: an unsigned 64-bit integer."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
+def trials(text) -> int:
+    """A trial count: at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     try:
         scene = load_scene(args.scene)
-    except SceneSchemaError as exc:
+    except (SceneSchemaError, OSError, UnicodeDecodeError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     return _run_and_report(scene, _spec(args), args.traj, args.stall_exit)
@@ -91,6 +107,10 @@ def _cmd_bench(args) -> int:
         scene_class = SceneClass(args.scene_class)
     except ValueError:
         print(f"unknown scene class: {args.scene_class}", file=sys.stderr)
+        return EXIT_GENERATION
+    last = args.seed + args.trials - 1
+    if last >= 2**64:
+        print(f"seeds {args.seed}..{last} do not fit in 64 bits", file=sys.stderr)
         return EXIT_GENERATION
     report = run_suite(
         scene_class,
@@ -118,10 +138,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        scene = generate(SceneClass(args.scene_class), args.seed)
+        scene_class = SceneClass(args.scene_class)
     except ValueError:
         print(f"unknown scene class: {args.scene_class}", file=sys.stderr)
         return EXIT_GENERATION
+    try:
+        scene = generate(scene_class, args.seed)
     except GenerationFailure as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
@@ -152,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "break ties, so an n-seed maze suite reruns one scene n times)",
     )
     _add_planner_args(p_bench)
-    p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--trials", type=trials, default=100)
+    p_bench.add_argument("--seed", type=seed, default=0)
     p_bench.add_argument("--out", required=True, help="CSV report path")
     p_bench.add_argument("--json", help="also write the full per-trial JSON mirror")
     p_bench.add_argument("--stall-exit", type=float, default=None)
@@ -167,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a scene file")
     p_gen.add_argument("--class", dest="scene_class", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=seed, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -14,9 +14,8 @@ piercing point (``queries._pierce``); a rectangle tests it in its own frame
 (``queries._plane_contains``) and a cap by its distance from the cap centre.
 
 Everything here works on plain floats over the scalar kernels of
-:mod:`geopf.queries`; the public functions wrap the same code in numpy
-vectors.  The resultant of a scene is summed by the geometric planner
-(:mod:`geopf.planners`), which also provides :func:`resultant_force`.
+:mod:`geopf.queries`.  The resultant of a scene is summed by the geometric
+planner (:mod:`geopf.planners`), which also provides :func:`resultant_force`.
 """
 
 from dataclasses import dataclass
@@ -24,10 +23,8 @@ import math
 
 import numpy as np
 
-from .errors import CollisionSignal
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, as_vec3, axis_frame
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame
 from .queries import (
-    ClosestFeature,
     FeatureKind,
     _cube_kernel,
     _cylinder_kernel,
@@ -85,32 +82,6 @@ def _attraction(rx, ry, rz, gx, gy, gz, k_attr):
         return 0.0, 0.0, 0.0
     s = k_attr / n
     return s * dx, s * dy, s * dz
-
-
-def attractive_force(robot, goal, gains: Gains) -> np.ndarray:
-    """Constant-magnitude pull toward the goal: k_attr * unit(goal - robot).
-
-    Returns the zero vector when the robot sits on the goal.
-    """
-    return np.array(_attraction(*as_vec3(robot).tolist(), *as_vec3(goal).tolist(), gains.k_attr))
-
-
-def repulsive_force(feature: ClosestFeature, k: float, activation: float) -> np.ndarray:
-    """Inverse-distance repulsion along the feature direction.
-
-    Zero at or beyond the activation radius; magnitude clamped to
-    ``k / D_MIN`` near contact.
-
-    Raises:
-        CollisionSignal: when the feature distance is <= 0 (penetration is
-            expected to be handled upstream).
-    """
-    d = feature.distance
-    if d <= 0.0:
-        raise CollisionSignal(None, d)
-    if d >= activation:
-        return np.zeros(3)
-    return (k / max(d, D_MIN)) * feature.direction
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +143,11 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
     """Surface-parallel corrected direction over a cylinder cap, or None
     when the robot-goal stretch does not pierce the cap disk.
 
-    The direction is the unit radial direction from the axis to the robot,
-    which points at the rim point nearest to the robot.  On the axis it is
-    undefined, and an in-plane direction at an RNG-drawn angle (angle 0
-    without an RNG) is used instead.
+    It applies when the closest feature is the cap ``kind``.  The direction
+    is the unit radial direction from the axis to the robot, which points at
+    the rim point nearest to the robot; the repulsion keeps its magnitude
+    k/d.  On the axis the direction is undefined, and an in-plane direction
+    at an RNG-drawn angle (angle 0 without an RNG) is used instead.
     """
     center = cyl._p2 if kind is FeatureKind.CAP_TOP else cyl._p1
     axis = cyl._axis
@@ -240,48 +212,3 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
             ux, uy, uz = corr
     mag = k / max(d, D_MIN)
     return mag * ux, mag * uy, mag * uz, d
-
-
-def _term_vector(robot, goal, prim, gains: Gains, rng, k, correction) -> np.ndarray:
-    rx, ry, rz = as_vec3(robot).tolist()
-    gx, gy, gz = as_vec3(goal).tolist()
-    krep = gains.k_rep if k is None else float(k)
-    fx, fy, fz, d = obstacle_force_term(
-        rx, ry, rz, gx, gy, gz, prim, krep, gains.activation_radius, rng, correction
-    )
-    if d <= 0.0:
-        raise CollisionSignal(None, d)
-    return np.array((fx, fy, fz))
-
-
-def plane_force_with_correction(
-    robot, goal, plane: RectPlane, gains: Gains, rng=None, k=None, correction=True
-) -> np.ndarray:
-    """Repulsive force of a rectangle including the trap correction.
-
-    When the robot-goal stretch pierces the rectangle's interior, the force
-    direction is replaced by the surface-parallel direction toward the
-    nearest edge (magnitude still k/d); otherwise the ordinary orthogonal or
-    side repulsion applies.
-
-    Raises:
-        CollisionSignal: when the robot touches the rectangle.
-    """
-    return _term_vector(robot, goal, plane, gains, rng, k, correction)
-
-
-def cylinder_cap_correction(
-    robot, goal, cyl: Cylinder, gains: Gains, rng=None, k=None
-) -> np.ndarray:
-    """Repulsive force of a cylinder with the circular-cap trap correction.
-
-    Applies when the closest feature is a cap and the robot-goal stretch
-    pierces the cap disk: the force turns to the unit radial direction from
-    the axis to the robot, toward the nearest rim point (magnitude still
-    k/d).  On the axis, where that direction is undefined, an in-plane
-    direction is drawn from ``rng``.
-
-    Raises:
-        CollisionSignal: when the robot touches the cylinder.
-    """
-    return _term_vector(robot, goal, cyl, gains, rng, k, True)

@@ -240,9 +240,7 @@ class SpherePFPlanner(_SphereCloudPlanner):
 
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
-        tx, ty, tz = _sphere_terms(
-            rx, ry, rz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act, "clamp"
-        )
+        tx, ty, tz = _sphere_terms(rx, ry, rz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act)
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz
 
@@ -255,7 +253,7 @@ class SphereCFPlanner(_SphereCloudPlanner):
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _cf_terms(
-            rx, ry, rz, vx, vy, vz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act, "clamp"
+            rx, ry, rz, vx, vy, vz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act
         )
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz

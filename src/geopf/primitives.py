@@ -35,11 +35,6 @@ def as_vec3(value) -> np.ndarray:
     return v
 
 
-def _t3(value) -> tuple:
-    v = as_vec3(value)
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
 def norm3(x: float, y: float, z: float) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
@@ -72,23 +67,6 @@ def axis_frame(axis) -> tuple:
     dot = sx * ux + sy * uy + sz * uz
     b1 = unit3(sx - dot * ux, sy - dot * uy, sz - dot * uz)
     return b1, cross3(axis, b1)
-
-
-def normalize(v) -> np.ndarray:
-    """Return v / ||v||.
-
-    Raises:
-        DegenerateVector: when ||v|| is at or below 1e-12.
-    """
-    x, y, z = _t3(v)
-    return np.array(unit3(x, y, z))
-
-
-def unit_from_to(src, dst) -> np.ndarray:
-    """Unit direction pointing from ``src`` toward ``dst``."""
-    sx, sy, sz = _t3(src)
-    dx, dy, dz = _t3(dst)
-    return np.array(unit3(dx - sx, dy - sy, dz - sz))
 
 
 def _coerce(prim) -> list:

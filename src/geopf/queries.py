@@ -6,10 +6,10 @@ and a classification of the feature realizing the minimum (face interior,
 edge, vertex, curved wall, cap, ...).
 
 The math lives in private scalar kernels operating on the float records
-each primitive computes on construction; they are shared by the public API
-here, the force generators and the simulator's per-step instrumentation, so
-all consumers see identical values.  ``_kernel_for`` maps each primitive
-type to its kernel.
+each primitive computes on construction; they are shared by
+:func:`closest_feature` and :func:`distance`, the force generators and the
+simulator's per-step instrumentation, so all consumers see identical
+values.  ``_kernel_for`` maps each primitive type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
@@ -490,98 +490,31 @@ def _kernel_for(prim: Primitive):
 
 
 # ---------------------------------------------------------------------------
-# Public API.  Each function hands its kernel the robot as Python floats, as
+# Public API.  Both functions hand the kernel the robot as Python floats, as
 # the step loop does, so both run the same arithmetic on the same types.
 # ---------------------------------------------------------------------------
 
 
-def sphere_closest(robot, sph: Sphere) -> ClosestFeature:
-    """Closest feature of a sphere: always the radial surface point.
-
-    Raises:
-        DegenerateVector: when the robot coincides with the center.
-    """
-    return _wrap(_sphere_kernel(*as_vec3(robot).tolist(), sph))
-
-
-def segment_closest(robot, seg: Segment) -> ClosestFeature:
-    """Closest feature of a segment.
-
-    The scalar projection t of the robot onto the segment direction decides
-    the case: t within [0, length] gives the orthogonal foot, otherwise the
-    nearer vertex.
-
-    Raises:
-        DegenerateVector: when the robot lies on the segment itself.
-    """
-    return _wrap(_segment_kernel(*as_vec3(robot).tolist(), seg))
-
-
-def plane_normal(plane: RectPlane) -> np.ndarray:
-    """Unit normal of the rectangle, oriented by the corner winding."""
-    return plane.normal
-
-
-def plane_foot(robot, plane: RectPlane):
-    """Perpendicular foot of the robot on the supporting plane.
-
-    Returns:
-        (foot, signed_offset): the projection point and the signed distance of
-        the robot along the rectangle normal.
-    """
-    r = as_vec3(robot)
-    off = _plane_offset(*r.tolist(), plane)
-    return r - off * plane.normal, off
-
-
-def plane_inside(foot, plane: RectPlane) -> bool:
-    """Whether a point on the supporting plane lies in the closed rectangle.
-
-    The point's coordinates in the rectangle's frame (along the first two
-    edge directions, from the first corner) must lie within the edge
-    lengths; the boundary is inclusive.
-    """
-    return _plane_contains(*as_vec3(foot).tolist(), plane)
-
-
-def plane_closest(robot, plane: RectPlane) -> ClosestFeature:
-    """Closest feature of a rectangle.
-
-    When the robot's perpendicular foot passes the frame test of
-    :func:`plane_inside`, the foot is the closest point (the orthogonal
-    case); otherwise the nearest boundary edge or corner is.
-    """
-    return _wrap(_plane_kernel(*as_vec3(robot).tolist(), plane))
-
-
-def cube_closest(robot, cube: Cube) -> ClosestFeature:
-    """Closest feature of a box by one clamp in the box's own frame.
-
-    The robot's coordinates along the box's three edge axes are clamped to
-    the box.  Past one face only the result is that face (FACE, with the
-    face number), at the coordinate's excess along the outward normal; past
-    two faces it is their shared EDGE and past three their corner
-    (SIDE_VERTEX_1), with 1-based corner ids.  Inside the box the distance
-    is the negative depth to the nearest face and the direction is that
-    face's outward normal.  A robot within 1e-12 m outside the box is a
-    contact: distance 0 on a face it lies past.
-    """
-    return _wrap(_cube_kernel(*as_vec3(robot).tolist(), cube))
-
-
-def cylinder_closest(robot, cyl: Cylinder) -> ClosestFeature:
-    """Closest feature of a capped cylinder.
-
-    Beside the wall the query reduces to the surface line facing the robot;
-    radially within the wall it resolves to a cap (or, inside the volume, to
-    the nearest of wall and caps as negative depth).  Near the axis the
-    radial direction is degenerate and a pure axial result is returned.
-    """
-    return _wrap(_cylinder_kernel(*as_vec3(robot).tolist(), cyl))
-
-
 def closest_feature(robot, prim: Primitive) -> ClosestFeature:
-    """Dispatch to the closest-feature query for the primitive's type."""
+    """Closest feature of a primitive, by its type's kernel.
+
+    - Sphere: the radial surface point.
+    - Segment: the orthogonal foot when the robot's projection onto the
+      segment lies within it, otherwise the nearer vertex.
+    - Rectangle: the perpendicular foot when it passes the frame test
+      (ORTHOGONAL), otherwise the nearest boundary EDGE or corner.
+    - Box: one clamp in the box's frame, a FACE, an EDGE or a corner
+      (SIDE_VERTEX_1), with the negative depth to the nearest face inside.
+      A robot within 1e-12 m outside the box is a contact at distance 0.
+    - Cylinder: beside the wall, the surface line facing the robot;
+      radially within the wall, a cap, or inside the volume the nearest of
+      wall and caps as negative depth; near the axis, a pure axial result.
+
+    Raises:
+        DegenerateVector: when the robot lies at a sphere's centre, on a
+            segment or its end, or on a cylinder rim.
+        TypeError: when ``prim`` is not one of the primitive types.
+    """
     return _wrap(_kernel_for(prim)(*as_vec3(robot).tolist(), prim))
 
 

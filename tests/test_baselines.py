@@ -13,17 +13,16 @@ from geopf import (
     Cube,
     Cylinder,
     Gains,
+    Obstacle,
     RectPlane,
+    Scene,
     SceneClass,
     Segment,
     Sphere,
     SpherizationParams,
     build_planner,
-    cf_force,
+    closest_feature,
     generate,
-    pf_force,
-    spherize,
-    sphere_closest,
 )
 from geopf import planners
 from geopf.baselines import CF_VELOCITY_EPS, _dedup, sphere_cloud
@@ -39,39 +38,39 @@ GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 
 def test_segment_sphere_count_fine():
     seg = Segment((0, 0, 0), (0.36, 0, 0))
-    spheres = spherize(seg, SpherizationParams(radius=0.01))
+    spheres = sphere_cloud(seg, SpherizationParams(radius=0.01))
     assert len(spheres) == 19  # ceil(L / 2r) + 1
 
 
 def test_segment_sphere_count_coarse():
     seg = Segment((0, 0, 0), (0.36, 0, 0))
-    spheres = spherize(seg, SpherizationParams(radius=0.05))
+    spheres = sphere_cloud(seg, SpherizationParams(radius=0.05))
     assert len(spheres) == 5
 
 
 def test_plane_grid_count():
     plane = RectPlane((0, 0, 0), (0.2, 0, 0), (0.2, 0.2, 0), (0, 0.2, 0))
-    spheres = spherize(plane, SpherizationParams(radius=0.01))
+    spheres = sphere_cloud(plane, SpherizationParams(radius=0.01))
     assert len(spheres) == 121  # 11 x 11
 
 
 def test_plane_count_quadruples_when_radius_halves():
     plane = RectPlane((0, 0, 0), (0.2, 0, 0), (0.2, 0.2, 0), (0, 0.2, 0))
-    n1 = len(spherize(plane, SpherizationParams(radius=0.01)))
-    n2 = len(spherize(plane, SpherizationParams(radius=0.005)))
+    n1 = len(sphere_cloud(plane, SpherizationParams(radius=0.01)))
+    n2 = len(sphere_cloud(plane, SpherizationParams(radius=0.005)))
     assert abs(n2 / n1 - 4.0) <= 0.4  # 4 +- 10%
 
 
 def test_sphere_passthrough():
     s = Sphere((1, 2, 3), 0.2)
-    assert spherize(s, SpherizationParams()) == [s]
+    assert sphere_cloud(s, SpherizationParams()) == [(1.0, 2.0, 3.0, 0.2)]
 
 
 def test_cube_faces_dedup_shared_edges():
     cube = Cube((0, 0, 0), (0.1, 0, 0), (0.1, 0.1, 0), (0, 0.1, 0),
                 (0, 0, 0.1), (0.1, 0, 0.1), (0.1, 0.1, 0.1), (0, 0.1, 0.1))
-    spheres = spherize(cube, SpherizationParams(radius=0.01))
-    pts = {tuple(np.round(s.center, 9)) for s in spheres}
+    spheres = sphere_cloud(cube, SpherizationParams(radius=0.01))
+    pts = {tuple(np.round(s[:3], 9)) for s in spheres}
     assert len(pts) == len(spheres)  # no duplicates survive
     # 6 faces of 6x6 minus shared edges/corners: full 6x6x6 grid minus the
     # 4x4x4 interior.
@@ -82,7 +81,7 @@ def test_spherization_coverage(rng):
     params = SpherizationParams(radius=0.02)
     for kind in ("segment", "plane", "cube", "cylinder"):
         prim = random_primitive(rng, kind)
-        centers = np.array([s.center for s in spherize(prim, params)])
+        centers = np.array([s[:3] for s in sphere_cloud(prim, params)])
         surface = sample_surface(prim, 0.005)
         idx = rng.choice(len(surface), size=min(2500, len(surface)), replace=False)
         for p in surface[idx]:
@@ -95,10 +94,10 @@ def test_sphere_counts_scale_with_size():
     seg1 = Segment((0, 0, 0), (0.2, 0, 0))
     seg2 = Segment((0, 0, 0), (0.4, 0, 0))
     p = SpherizationParams(radius=0.005)
-    assert len(spherize(seg2, p)) == pytest.approx(2 * len(spherize(seg1, p)), rel=0.1)
+    assert len(sphere_cloud(seg2, p)) == pytest.approx(2 * len(sphere_cloud(seg1, p)), rel=0.1)
     r1 = RectPlane((0, 0, 0), (0.2, 0, 0), (0.2, 0.2, 0), (0, 0.2, 0))
     r2 = RectPlane((0, 0, 0), (0.4, 0, 0), (0.4, 0.4, 0), (0, 0.4, 0))
-    assert len(spherize(r2, p)) == pytest.approx(4 * len(spherize(r1, p)), rel=0.1)
+    assert len(sphere_cloud(r2, p)) == pytest.approx(4 * len(sphere_cloud(r1, p)), rel=0.1)
 
 
 def _numpy_cloud(prim, params):
@@ -175,18 +174,23 @@ def _hand_built_primitives():
 
 
 def test_sphere_cloud_matches_reference_and_spherize_bit_for_bit():
+    # ``planners.spherize``, the name ``prepare`` builds each obstacle's
+    # block with, must give these same records.
     default, fine = SpherizationParams(), SpherizationParams(radius=0.0037)
     cases = [(prim, p) for prim in _hand_built_primitives() for p in (default, fine)]
     for scene_class in SceneClass:
         for seed in range(4):
-            cases.extend((obs.primitive, default) for obs in generate(scene_class, seed).obstacles)
+            scene = generate(scene_class, seed)
+            cases.extend((obs.primitive, default) for obs in scene.obstacles)
+            blocks = dict(build_planner("pf").prepare(scene).cloud)
+            for i, obs in enumerate(scene.obstacles):
+                assert blocks[i] == sphere_cloud(obs.primitive, default)
     for prim, params in cases:
         records = sphere_cloud(prim, params)
         assert [tuple(map(float.hex, rec)) for rec in records] == [
             tuple(map(float.hex, rec)) for rec in _numpy_cloud(prim, params)
         ], prim
-        spheres = spherize(prim, params)
-        assert [(*s._c, s.radius) for s in spheres] == records
+        assert planners.spherize(prim, params) == records
         assert all(type(x) is float for rec in records for x in rec)
 
 
@@ -346,29 +350,60 @@ def test_update_keeps_the_cloud_and_takes_the_offsets():
     assert all(ctx.offsets[i] != (0.0, 0.0, 0.0) for i in drifting)
 
 
-def test_pf_penetration_names_the_sphere_by_its_cloud_index():
-    spheres = [Sphere((1.0, 0, 0), 0.01), Sphere((0.005, 0, 0), 0.01), Sphere((0, 0, 0), 0.02)]
-    with pytest.raises(CollisionSignal) as exc:
-        pf_force((0, 0, 0), (0, -1, 0), spheres, GAINS)
-    assert exc.value.obstacle_id == "sphere[1]"
+# -- PF and CF on scenes of spheres ---------------------------------------------
 
 
-# -- PF -----------------------------------------------------------------------
+def _cloud_force(kind, goal, spheres, gains=GAINS):
+    """The PF or CF planner's force, as a function of the robot and its
+    velocity, on a wall-free scene of ``spheres`` that repel with
+    ``gains.k_rep``.  A sphere is its own one-record cloud."""
+    planner = build_planner(kind, ksp=gains.k_rep)
+    scene = Scene(
+        start=(0, 0, 0),
+        goal=goal,
+        obstacles=[Obstacle(s) for s in spheres],
+        boundary=[],
+        gains=gains,
+    )
+    ctx = planner.prepare(scene)
+
+    def force(robot, velocity=(0, 0, 0)):
+        r = np.asarray(robot, dtype=float).tolist()
+        v = np.asarray(velocity, dtype=float).tolist()
+        return np.array(planner.force(ctx, *r, *v, None))
+
+    return force
+
+
+@pytest.mark.parametrize("kind", ["pf", "cf"])
+def test_a_sphere_around_the_robot_pushes_radially_at_the_clamp(kind):
+    # Inside a sphere (d < 0) the repulsion runs from the centre to the
+    # robot at k / D_MIN; a sphere whose centre is within 1e-12 m of the
+    # robot gives no direction and is skipped.
+    goal = (0, -1, 0)
+    around = Sphere((0.005, 0, 0), 0.01)  # d = -0.005, radial direction -x
+    f = _cloud_force(kind, goal, [around])((0, 0, 0))
+    push = f - np.array((0.0, -1.0, 0.0))
+    assert np.linalg.norm(push) == pytest.approx(GAINS.k_rep / D_MIN, rel=1e-12)
+    assert push[0] < 0.0 and push[1] == 0.0 and push[2] == 0.0
+    for centred in (Sphere((0, 0, 0), 0.02), Sphere((1e-13, 0, 0), 0.02)):
+        assert (_cloud_force(kind, goal, [centred])((0, 0, 0)) == (0.0, -1.0, 0.0)).all()
+        assert (_cloud_force(kind, goal, [centred, around])((0, 0, 0)) == f).all()
 
 
 def test_pf_single_sphere_matches_geometric_repulsion():
     s = Sphere((0, 0, 0), 0.1)
     robot = (0, 0.3, 0)
     goal = (0, -1, 0)
-    f = pf_force(robot, goal, [s], GAINS)
-    cf = sphere_closest(robot, s)
+    f = _cloud_force("pf", goal, [s])(robot)
+    cf = closest_feature(robot, s)
     expected = np.array([0.0, -1.0, 0.0]) + (GAINS.k_rep / cf.distance) * cf.direction
     assert np.allclose(f, expected)
 
 
 def test_pf_symmetric_pair_cancels_laterally():
     spheres = [Sphere((0.2, 0, 0), 0.05), Sphere((-0.2, 0, 0), 0.05)]
-    f = pf_force((0, 0.5, 0), (0, -1, 0), spheres, GAINS)
+    f = _cloud_force("pf", (0, -1, 0), spheres)((0, 0.5, 0))
     assert abs(f[0]) < 1e-12
     assert abs(f[2]) < 1e-12
 
@@ -384,10 +419,10 @@ def test_pf_trap_equilibrium_on_axis():
         for x in np.arange(-0.3, 0.3001, 0.02)
         for z in np.arange(-0.3, 0.3001, 0.02)
     ]
-    goal = (0, -1, 0)
+    pf = _cloud_force("pf", (0, -1, 0), spheres, gains)
 
     def axial(y):
-        return float(pf_force((0, y, 0), goal, spheres, gains)[1])
+        return float(pf((0, y, 0))[1])
 
     lo, hi = 0.05, 0.9
     assert axial(lo) > 0 and axial(hi) < 0
@@ -398,13 +433,8 @@ def test_pf_trap_equilibrium_on_axis():
         else:
             hi = mid
     y_star = 0.5 * (lo + hi)
-    f = pf_force((0, y_star, 0), goal, spheres, gains)
+    f = pf((0, y_star, 0))
     assert np.linalg.norm(f) < 1e-6  # axial balance; lateral zero by symmetry
-
-
-def test_pf_penetration_raises():
-    with pytest.raises(CollisionSignal):
-        pf_force((0, 0, 0), (0, -1, 0), [Sphere((0.005, 0, 0), 0.01)], GAINS)
 
 
 # -- CF -----------------------------------------------------------------------
@@ -417,7 +447,7 @@ def test_cf_deflects_sideways():
     robot = (0, 0, 0)
     v = (1.0, 0, 0)
     goal = (100, 0, 0)  # attraction along +x only
-    f = cf_force(robot, v, goal, [s], GAINS)
+    f = _cloud_force("cf", goal, [s])(robot, v)
     tangential = f - np.array([1.0, 0, 0])
     assert tangential[1] < 0
     assert abs(float(tangential @ np.array(v))) < 1e-9
@@ -427,9 +457,9 @@ def test_cf_zero_velocity_reduces_to_pf():
     spheres = [Sphere((0.1, 0.2, 0.0), 0.05), Sphere((-0.2, 0.3, 0.1), 0.08)]
     robot = (0, 0, 0)
     goal = (0, -1, 0)
-    f_cf = cf_force(robot, (0, 0, 0), goal, spheres, GAINS)
-    f_pf = pf_force(robot, goal, spheres, GAINS)
-    assert np.array_equal(f_cf, f_pf)
+    f_cf = _cloud_force("cf", goal, spheres)(robot, (0, 0, 0))
+    f_pf = _cloud_force("pf", goal, spheres)(robot)
+    assert (f_cf == f_pf).all()
 
 
 def test_cf_tangential_does_no_work(rng):
@@ -441,8 +471,8 @@ def test_cf_tangential_does_no_work(rng):
         d = np.linalg.norm(robot - spheres[0].center) - spheres[0].radius
         if d <= 1e-3 or np.linalg.norm(v) < 1e-5:
             continue
-        f = cf_force(robot, v, goal, spheres, GAINS)
-        f_pf_attr = cf_force(robot, v, goal, [], GAINS)  # attraction only
+        f = _cloud_force("cf", goal, spheres)(robot, v)
+        f_pf_attr = _cloud_force("cf", goal, [])(robot, v)  # attraction only
         tang = f - f_pf_attr
         if np.linalg.norm(tang) == 0.0:
             continue  # sphere beyond activation
@@ -452,7 +482,7 @@ def test_cf_tangential_does_no_work(rng):
 def test_cf_degenerate_cross_falls_back_to_radial():
     # Velocity parallel to the robot-center line: radial repulsion.
     s = Sphere((0, 0.5, 0), 0.1)
-    f = cf_force((0, 0, 0), (0, -1.0, 0), (0, -2, 0), [s], GAINS)
+    f = _cloud_force("cf", (0, -2, 0), [s])((0, 0, 0), (0, -1.0, 0))
     # attraction (0,-1,0) + radial k/d * (0,-1,0)
     assert abs(f[0]) < 1e-12 and abs(f[2]) < 1e-12
     assert f[1] < -1.0

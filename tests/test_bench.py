@@ -1,4 +1,5 @@
-"""Benchmark harness: metric replay, suite aggregation and report files."""
+"""Benchmark harness: recorded metrics against a replay, suite aggregation
+and report files."""
 
 import dataclasses
 import json
@@ -11,8 +12,8 @@ from geopf import (
     SceneClass,
     SimParams,
     compute_metrics,
+    distance,
     generate,
-    replay_distances,
     run_suite,
     run_trial,
     write_csv,
@@ -21,16 +22,41 @@ from geopf import (
 from geopf.bench import CSV_HEADER
 
 
+def _replayed(record, scene):
+    """Per-state obstacle distances at the recorded positions: one fresh
+    ``distance`` call per obstacle of the state's ``primitives_at_step``
+    view, on its base primitive at the position minus its offset, as the
+    simulator measures."""
+    for s in record.states:
+        x, y, z = s.position
+        placed = scene.primitives_at_step(s.step)
+        yield [
+            distance((x - ox, y - oy, z - oz), prim)
+            for prim, (ox, oy, oz) in zip(placed.base, placed.offsets)
+        ]
+
+
+def _replayed_aggregates(record, scene):
+    """Minimum, mean and count of the replayed distances, summed per state
+    as the simulator does; the mean is per (state, obstacle) pair."""
+    replayed = list(_replayed(record, scene))
+    total = 0.0
+    for dists in replayed:
+        total += math.fsum(dists)
+    count = sum(len(dists) for dists in replayed)
+    return min(min(dists) for dists in replayed), total / count, count
+
+
 def test_replayed_aggregates_match_the_recorded_ones():
     scene = generate(SceneClass.COMPLEX, 1)
     record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=300))
     assert record.dist_count > 0
     recorded = compute_metrics(record, scene)
-    synthetic = dataclasses.replace(record, min_dist=math.inf, dist_sum=0.0, dist_count=0)
-    replayed = compute_metrics(synthetic, scene)
-    assert replayed.min_dist == pytest.approx(record.min_dist, abs=1e-9)
-    assert replayed.avg_dist == pytest.approx(recorded.avg_dist, abs=1e-9)
-    assert replayed.path_length == recorded.path_length
+    min_dist, avg_dist, count = _replayed_aggregates(record, scene)
+    assert count == record.dist_count
+    assert min_dist == pytest.approx(record.min_dist, abs=1e-9)
+    assert avg_dist == pytest.approx(recorded.avg_dist, abs=1e-9)
+    assert recorded.path_length == record.path_length
 
 
 def test_replayed_aggregates_of_drifting_obstacles_are_the_recorded_ones():
@@ -41,20 +67,22 @@ def test_replayed_aggregates_of_drifting_obstacles_are_the_recorded_ones():
     record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=150))
     assert record.dist_count > 0
     recorded = compute_metrics(record, scene)
-    synthetic = dataclasses.replace(record, min_dist=math.inf, dist_sum=0.0, dist_count=0)
-    replayed = compute_metrics(synthetic, scene)
-    assert replayed.min_dist == recorded.min_dist
-    assert replayed.avg_dist == recorded.avg_dist
-    assert replay_distances(record.states, scene) == [s.min_dist for s in record.states]
+    min_dist, avg_dist, count = _replayed_aggregates(record, scene)
+    assert count == record.dist_count
+    assert min_dist == recorded.min_dist
+    assert avg_dist == recorded.avg_dist
+    assert [min(dists) for dists in _replayed(record, scene)] == [
+        s.min_dist for s in record.states
+    ]
 
 
 def test_replay_recomputes_path_length():
     scene = generate(SceneClass.LINE_EASY, 0)
     record = run_trial(scene, params=SimParams(max_steps=200))
-    synthetic = dataclasses.replace(record, path_length=0.0)
-    assert compute_metrics(synthetic, scene).path_length == pytest.approx(
-        record.path_length, rel=1e-12
-    )
+    positions = [s.position for s in record.states]
+    path = math.fsum(math.dist(p, q) for p, q in zip(positions, positions[1:]))
+    assert compute_metrics(record, scene).path_length == record.path_length
+    assert path == pytest.approx(record.path_length, rel=1e-12)
 
 
 def _without_step_times(report):

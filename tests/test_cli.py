@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from geopf.cli import EXIT_GENERATION, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -36,6 +38,37 @@ def test_unknown_class(tmp_path, capsys):
     assert not out.exists()
     assert "unknown scene class" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--class", "line_easy", "--seed", "-1"], "--seed"),
+        (["bench", "--class", "line_easy", "--seed", "-1"], "--seed"),
+        (["bench", "--class", "line_easy", "--trials", "0"], "--trials"),
+    ],
+    ids=["gen_negative_seed", "bench_negative_seed", "bench_zero_trials"],
+)
+def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "unknown scene class" not in err
+    assert not out.exists()
+
+
+def test_bench_seeds_past_64_bits(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--class", "line_easy", "--seed", str(2**64 - 1), "--trials", "2"]
+    assert main([*argv, "--out", str(out)]) == EXIT_GENERATION
+    assert "do not fit in 64 bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_scene_file(tmp_path, capsys):
+    assert main(["run", "--scene", str(tmp_path / "missing.json")]) == EXIT_SCHEMA
+    assert "scene error" in capsys.readouterr().err
 
 
 def test_negative_seed_in_scene_file(tmp_path, capsys):

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from geopf import (
-    ClosestFeature,
     CollisionSignal,
     Cylinder,
     D_MIN,
-    FeatureKind,
     Gains,
     GeoPFPlanner,
     Obstacle,
@@ -18,13 +16,11 @@ from geopf import (
     Scene,
     SceneClass,
     Sphere,
-    attractive_force,
-    cylinder_cap_correction,
+    closest_feature,
     generate,
-    plane_force_with_correction,
-    repulsive_force,
     resultant_force,
 )
+from geopf.forces import obstacle_force_term
 from geopf.seeding import trial_rng
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
@@ -44,61 +40,73 @@ def scene_of(obstacles, boundary=(), gains=GAINS, seed=0):
     )
 
 
+def term(robot, goal, prim, gains=GAINS, rng=None, correction=True):
+    """``obstacle_force_term`` of one primitive as a vector, with gain
+    ``gains.k_rep``."""
+    fx, fy, fz, _ = obstacle_force_term(
+        *np.asarray(robot, dtype=float).tolist(),
+        *np.asarray(goal, dtype=float).tolist(),
+        prim,
+        gains.k_rep,
+        gains.activation_radius,
+        rng,
+        correction,
+    )
+    return np.array((fx, fy, fz))
+
+
 # -- attraction --------------------------------------------------------------
 
 
 def test_attractive_force_example():
-    f = attractive_force((0, 1, 0), (0, -1, 0), GAINS)
+    f = resultant_force((0, 1, 0), (0, -1, 0), scene_of([])).attractive
     assert np.allclose(f, (0, -1, 0))
 
 
 def test_attractive_force_at_goal():
-    assert np.allclose(attractive_force((1, 2, 3), (1, 2, 3), GAINS), (0, 0, 0))
+    f = resultant_force((1, 2, 3), (1, 2, 3), scene_of([])).attractive
+    assert np.allclose(f, (0, 0, 0))
 
 
 def test_attractive_force_scaling():
     g = Gains(k_attr=0.1, k_rep=0.1, activation_radius=1.0)
-    f = attractive_force((1, 0, 0), (0, 0, 0), g)
+    f = resultant_force((1, 0, 0), (0, 0, 0), scene_of([], gains=g)).attractive
     assert np.allclose(f, (-0.1, 0, 0))
 
 
 # -- repulsion ---------------------------------------------------------------
 
 
-def _feature(d, direction=(1, 0, 0)):
-    direction = np.asarray(direction, dtype=float)
-    return ClosestFeature(
-        distance=d,
-        direction=direction,
-        foot=np.zeros(3),
-        feature=FeatureKind.ORTHOGONAL,
-    )
+def _repulsion(d):
+    """The wall's repulsion at (0, d, 0), where its closest feature lies at
+    distance d along +y."""
+    return term((0, d, 0), (0, 2, 0), WALL, correction=False)
 
 
 def test_repulsive_inverse_distance():
-    f = repulsive_force(_feature(0.5), k=0.1, activation=1.0)
-    assert np.allclose(f, (0.2, 0, 0))
+    assert np.allclose(_repulsion(0.5), (0, 0.2, 0))
 
 
 def test_repulsive_zero_beyond_activation():
-    assert np.allclose(repulsive_force(_feature(2.0), 0.1, 1.0), (0, 0, 0))
+    assert np.allclose(_repulsion(2.0), (0, 0, 0))
 
 
 def test_repulsive_clamped_near_contact():
-    f = repulsive_force(_feature(1e-6), 0.1, 1.0)
+    f = _repulsion(1e-6)
     assert np.linalg.norm(f) == pytest.approx(0.1 / D_MIN)  # magnitude 1000
 
 
 def test_repulsive_penetration_signals():
+    # Inside a volume the term is zero and the planner reports the contact.
+    ball = Sphere((0, 0, 0), 0.5)
+    inside = obstacle_force_term(0.0, 0.1, 0.0, 0.0, 2.0, 0.0, ball, 0.1, 1.0, None, True)
+    assert inside == (0.0, 0.0, 0.0, -0.4)
     with pytest.raises(CollisionSignal):
-        repulsive_force(_feature(-0.01), 0.1, 1.0)
+        resultant_force((0, 0.1, 0), (0, 2, 0), scene_of([ball]))
 
 
 def test_repulsive_monotone_in_distance():
-    mags = [
-        float(np.linalg.norm(repulsive_force(_feature(d), 0.1, 1.0)))
-        for d in np.linspace(2 * D_MIN, 0.99, 50)
-    ]
+    mags = [float(np.linalg.norm(_repulsion(d))) for d in np.linspace(2 * D_MIN, 0.99, 50)]
     assert all(a >= b for a, b in zip(mags, mags[1:]))
 
 
@@ -114,7 +122,7 @@ def test_plane_correction_redirects_toward_nearest_edge():
     # edge, with the ordinary k/d magnitude (d = 1).
     robot = (0.5, 1.0, 0.0)
     goal = (0.5, -1.0, 0.0)
-    f = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
     assert np.allclose(f, (0.1, 0, 0), atol=1e-12)
 
 
@@ -123,7 +131,7 @@ def test_plane_correction_sign_flips_past_midline():
     # to the far edge, so the sign rule flips it.
     robot = (-0.5, 1.0, 0.0)
     goal = (-0.5, -1.0, 0.0)
-    f = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
     assert np.allclose(f, (-0.1, 0, 0), atol=1e-12)
 
 
@@ -132,17 +140,15 @@ def test_plane_correction_inert_when_line_misses():
     # plane outside the rectangle: ordinary (side) repulsion applies.
     robot = (0.5, 1.0, 1.8)
     goal = (0.5, -1.0, 1.8)
-    f = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
-    from geopf import plane_closest
-
-    cf = plane_closest(robot, WALL)
+    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    cf = closest_feature(robot, WALL)
     expected = (0.1 / cf.distance) * np.asarray(cf.direction)
     assert np.allclose(f, expected)
 
 
 def test_plane_correction_inert_when_goal_on_same_side():
     # No crossing: both endpoints above the wall.
-    f = plane_force_with_correction((0.5, 1.0, 0), (0.5, 2.0, 0), WALL, CORR_GAINS)
+    f = term((0.5, 1.0, 0), (0.5, 2.0, 0), WALL, CORR_GAINS)
     assert np.allclose(f, (0, 0.1, 0))
 
 
@@ -151,7 +157,7 @@ def test_plane_correction_orthogonal_to_normal():
     for _ in range(50):
         robot = np.array([rng.uniform(-0.9, 0.9), rng.uniform(0.05, 0.9), rng.uniform(-0.9, 0.9)])
         goal = np.array([rng.uniform(-0.9, 0.9), -rng.uniform(0.05, 0.9), rng.uniform(-0.9, 0.9)])
-        f = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=rng)
+        f = term(robot, goal, WALL, CORR_GAINS, rng=rng)
         # Either corrected (parallel to the wall) or plain repulsion; the
         # corrected case must be orthogonal to the normal within 1e-9.
         n = WALL.normal
@@ -165,8 +171,8 @@ def test_plane_correction_symmetric_tiebreak_deterministic():
     # and the same seed picks the same edge.
     robot = (0.0, 0.5, 0.0)
     goal = (0.0, -1.0, 0.0)
-    f1 = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
-    f2 = plane_force_with_correction(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
+    f1 = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
+    f2 = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
     assert np.array_equal(f1, f2)
     assert np.linalg.norm(f1) == pytest.approx(0.1 / 0.5)
     assert abs(float(f1 @ WALL.normal)) < 1e-9
@@ -181,7 +187,7 @@ CYL = Cylinder((0, 0, 0), (0, 0, 2), 0.5)
 def test_cap_correction_lateral_when_goal_below():
     # Above the top cap with the goal underneath: intersection at the cap
     # center (inside), so the force turns lateral toward the rim.
-    f = cylinder_cap_correction((0, 0, 3), (0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0, 0, 3), (0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
     assert np.linalg.norm(f) == pytest.approx(0.1 / 1.0)
     assert abs(f[2]) < 1e-9  # perpendicular to the axis
 
@@ -197,21 +203,21 @@ def test_cap_correction_turns_radially_toward_the_rim(x, y, z, goal_z):
     # (d = 1).  No RNG is drawn.
     rng = trial_rng(3)
     state = rng.bit_generator.state
-    f = cylinder_cap_correction((x, y, z), (x, y, goal_z), CYL, CORR_GAINS, rng=rng)
+    f = term((x, y, z), (x, y, goal_z), CYL, CORR_GAINS, rng=rng)
     radial = np.array((x, y, 0.0)) / math.hypot(x, y)
     assert np.allclose(f, 0.1 * radial, rtol=0.0, atol=1e-15)
     assert rng.bit_generator.state == state
 
 
 def test_cap_correction_inert_when_goal_above():
-    f = cylinder_cap_correction((0, 0, 3), (0, 0, 5), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0, 0, 3), (0, 0, 5), CYL, CORR_GAINS, rng=trial_rng(3))
     assert np.allclose(f, (0, 0, 0.1))
 
 
 def test_cap_correction_inert_when_intersection_outside_disc():
     # Goal below but far to the side: the line crosses the cap plane well
     # outside the disc, so plain axial repulsion applies.
-    f = cylinder_cap_correction((0.2, 0, 3), (4.0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0.2, 0, 3), (4.0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
     assert np.allclose(f, (0, 0, 0.1))
 
 
@@ -264,8 +270,6 @@ def test_resultant_collision_signal_carries_id():
 def test_resultant_direction_away_from_foot():
     # Repulsion points from the closest point toward the robot except in
     # correction branches.
-    from geopf import closest_feature
-
     rng = trial_rng(5)
     prims = [Sphere((0.1, 0.2, -0.1), 0.1), Sphere((-0.2, -0.3, 0.2), 0.12)]
     scene = scene_of(prims)

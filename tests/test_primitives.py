@@ -16,32 +16,34 @@ from geopf import (
     Scene,
     Segment,
     Sphere,
-    normalize,
     translated,
-    unit_from_to,
 )
 from geopf import queries
+from geopf.primitives import unit3
 from geopf.scenes import _decode_primitive, _encode_primitive, _Reader, scene_to_document
 
 
 def test_normalize_axis():
-    assert np.allclose(normalize((2, 0, 0)), (1, 0, 0))
+    assert np.allclose(unit3(2.0, 0.0, 0.0), (1, 0, 0))
 
 
 def test_normalize_diagonal():
-    v = normalize((1, 1, 0))
+    v = unit3(1.0, 1.0, 0.0)
     assert np.allclose(v, (0.7071067811865476, 0.7071067811865476, 0.0))
 
 
 def test_normalize_zero_rejected():
     with pytest.raises(DegenerateVector):
-        normalize((0, 0, 0))
+        unit3(0.0, 0.0, 0.0)
     with pytest.raises(DegenerateVector):
-        normalize((1e-13, 0, 0))
+        unit3(1e-13, 0.0, 0.0)
 
 
 def test_unit_from_to():
-    assert np.allclose(unit_from_to((0, 0, 0), (0, 3, 0)), (0, 1, 0))
+    # The unit direction from one point to another, as the primitives derive
+    # their axes: the difference, then ``unit3``.
+    src, dst = (0.0, 0.0, 0.0), (0.0, 3.0, 0.0)
+    assert np.allclose(unit3(*(b - a for a, b in zip(src, dst))), (0, 1, 0))
 
 
 def test_sphere_rejects_negative_radius():

@@ -22,15 +22,7 @@ from geopf import (
     Segment,
     Sphere,
     closest_feature,
-    cube_closest,
-    cylinder_closest,
     distance,
-    plane_closest,
-    plane_foot,
-    plane_inside,
-    plane_normal,
-    segment_closest,
-    sphere_closest,
     translated,
 )
 from geopf import queries
@@ -48,26 +40,26 @@ CYL_Z = Cylinder((0, 0, 0), (0, 0, 2), 0.5)
 
 
 def test_sphere_outside():
-    cf = sphere_closest((2, 0, 0), Sphere((0, 0, 0), 1.0))
+    cf = closest_feature((2, 0, 0), Sphere((0, 0, 0), 1.0))
     assert cf.distance == pytest.approx(1.0)
     assert np.allclose(cf.direction, (1, 0, 0))
     assert cf.feature is FeatureKind.ORTHOGONAL
 
 
 def test_sphere_penetration():
-    cf = sphere_closest((0, 0, 0.5), Sphere((0, 0, 0), 1.0))
+    cf = closest_feature((0, 0, 0.5), Sphere((0, 0, 0), 1.0))
     assert cf.distance == pytest.approx(-0.5)
 
 
 def test_point_obstacle():
-    cf = sphere_closest((1, 1, 1), Sphere((1, 1, 0), 0.0))
+    cf = closest_feature((1, 1, 1), Sphere((1, 1, 0), 0.0))
     assert cf.distance == pytest.approx(1.0)
     assert np.allclose(cf.direction, (0, 0, 1))
 
 
 def test_sphere_center_degenerate():
     with pytest.raises(DegenerateVector):
-        sphere_closest((0, 0, 0), Sphere((0, 0, 0), 1.0))
+        closest_feature((0, 0, 0), Sphere((0, 0, 0), 1.0))
 
 
 def test_points_on_ends_and_rims_raise_degenerate_or_are_finite():
@@ -93,7 +85,7 @@ def test_points_on_ends_and_rims_raise_degenerate_or_are_finite():
 
 
 def test_segment_orthogonal():
-    cf = segment_closest((0, 2, 0), SEG_X)
+    cf = closest_feature((0, 2, 0), SEG_X)
     assert cf.distance == pytest.approx(2.0)
     assert np.allclose(cf.direction, (0, 1, 0))
     assert np.allclose(cf.foot, (0, 0, 0))
@@ -101,7 +93,7 @@ def test_segment_orthogonal():
 
 
 def test_segment_side_vertex():
-    cf = segment_closest((3, 4, 0), SEG_X)
+    cf = closest_feature((3, 4, 0), SEG_X)
     assert cf.distance == pytest.approx(math.sqrt(20))
     assert np.allclose(cf.direction, np.array([2, 4, 0]) / math.sqrt(20))
     assert cf.feature is FeatureKind.SIDE_VERTEX_2
@@ -111,7 +103,7 @@ def test_segment_side_vertex():
 def test_segment_dense_sampling_oracle():
     # Frozen from a 10^6-point sampling oracle (pitch 2e-6 over the segment):
     # robot (0.3, 0.7, -0.2) against the unit x segment.
-    cf = segment_closest((0.3, 0.7, -0.2), SEG_X)
+    cf = closest_feature((0.3, 0.7, -0.2), SEG_X)
     oracle = SampledOracle(SEG_X, 2e-6)
     expected = float(oracle.distance([(0.3, 0.7, -0.2)])[0])
     assert expected == pytest.approx(0.7280109889280518, abs=1e-9)
@@ -120,9 +112,9 @@ def test_segment_dense_sampling_oracle():
 
 def test_segment_on_line_degenerate():
     with pytest.raises(DegenerateVector):
-        segment_closest((0.25, 0, 0), SEG_X)
+        closest_feature((0.25, 0, 0), SEG_X)
     # Collinear but beyond the vertices: well-defined side case.
-    cf = segment_closest((2, 0, 0), SEG_X)
+    cf = closest_feature((2, 0, 0), SEG_X)
     assert cf.distance == pytest.approx(1.0)
     assert cf.feature is FeatureKind.SIDE_VERTEX_2
 
@@ -135,7 +127,7 @@ def test_segment_classification_by_projection(rng):
         p = rng.uniform(-1, 1, size=3)
         t = float((p - seg.p1) @ u)
         try:
-            cf = segment_closest(p, seg)
+            cf = closest_feature(p, seg)
         except DegenerateVector:
             continue
         if 0.0 <= t <= length:
@@ -150,19 +142,33 @@ def test_segment_classification_by_projection(rng):
 
 
 def test_plane_normal_axis_square():
-    n = plane_normal(UNIT_SQUARE)
+    n = UNIT_SQUARE.normal
     assert np.allclose(np.abs(n), (0, 0, 1))
+
+
+def _plane_foot(robot, plane):
+    """The robot's perpendicular foot on the rectangle's supporting plane,
+    f = p - ((p - v1) . n) n, and the signed offset (p - v1) . n, taken
+    from the kernels' ``_plane_offset``."""
+    p = np.asarray(robot, dtype=float)
+    off = queries._plane_offset(*p.tolist(), plane)
+    return p - off * plane.normal, off
+
+
+def _plane_inside(foot, plane):
+    """The rectangle's frame test, ``_plane_contains``, on a numpy point."""
+    return queries._plane_contains(*np.asarray(foot, dtype=float).tolist(), plane)
 
 
 def test_plane_foot_axis_case():
     square = RectPlane((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
-    foot, off = plane_foot((0.5, 0.5, 2.0), square)
+    foot, off = _plane_foot((0.5, 0.5, 2.0), square)
     assert np.allclose(foot, (0.5, 0.5, 0.0))
     assert abs(off) == pytest.approx(2.0)
 
 
 def test_plane_foot_on_plane_identity():
-    foot, off = plane_foot((0.3, -0.4, 0.0), UNIT_SQUARE)
+    foot, off = _plane_foot((0.3, -0.4, 0.0), UNIT_SQUARE)
     assert off == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(foot, (0.3, -0.4, 0.0))
 
@@ -171,7 +177,7 @@ def test_plane_foot_residual(rng):
     for _ in range(100):
         p = random_primitive(rng, "plane")
         robot = rng.uniform(-1, 1, size=3)
-        foot, off = plane_foot(robot, p)
+        foot, off = _plane_foot(robot, p)
         assert abs(float((foot - p.v1) @ p.normal)) < 1e-9
 
 
@@ -232,14 +238,14 @@ def _four_indicator_plane_kernel(rx, ry, rz, plane):
 
 
 def test_plane_inside_examples():
-    assert plane_inside((0, 0, 0), UNIT_SQUARE)
-    assert not plane_inside((3, 0, 0), UNIT_SQUARE)
+    assert _plane_inside((0, 0, 0), UNIT_SQUARE)
+    assert not _plane_inside((3, 0, 0), UNIT_SQUARE)
 
 
 def test_plane_inside_boundary_inclusive():
-    assert plane_inside((1, 1, 0), UNIT_SQUARE)  # corner
-    assert plane_inside((1, 0, 0), UNIT_SQUARE)  # edge midpoint
-    assert not plane_inside((1, 2, 0), UNIT_SQUARE)  # on the edge line, outside
+    assert _plane_inside((1, 1, 0), UNIT_SQUARE)  # corner
+    assert _plane_inside((1, 0, 0), UNIT_SQUARE)  # edge midpoint
+    assert not _plane_inside((1, 2, 0), UNIT_SQUARE)  # on the edge line, outside
 
 
 def test_plane_inside_matches_box_oracle(rng):
@@ -255,21 +261,21 @@ def test_plane_inside_matches_box_oracle(rng):
             dv = min(abs(v), abs(v - 1.0)) * float(np.linalg.norm(e2))
             if min(du, dv) <= 1e-9:
                 continue
-            inside = plane_inside(foot, p)
+            inside = _plane_inside(foot, p)
             assert inside == rect_inside_frame(foot, p)
             assert inside == _four_indicator_inside(*foot.tolist(), p)
 
 
 def test_plane_closest_orthogonal():
     square = RectPlane((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
-    cf = plane_closest((0.5, 0.5, 2.0), square)
+    cf = closest_feature((0.5, 0.5, 2.0), square)
     assert cf.distance == pytest.approx(2.0)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.feature is FeatureKind.ORTHOGONAL
 
 
 def test_plane_closest_edge_case():
-    cf = plane_closest((3, 0, 1), UNIT_SQUARE)
+    cf = closest_feature((3, 0, 1), UNIT_SQUARE)
     assert cf.distance == pytest.approx(math.sqrt(5))
     assert np.allclose(cf.foot, (1, 0, 0))
     assert np.allclose(cf.direction, np.array([2, 0, 1]) / math.sqrt(5))
@@ -277,7 +283,7 @@ def test_plane_closest_edge_case():
 
 
 def test_plane_on_plane_interior_defaults_to_normal():
-    cf = plane_closest((0.2, 0.3, 0.0), UNIT_SQUARE)
+    cf = closest_feature((0.2, 0.3, 0.0), UNIT_SQUARE)
     assert cf.distance == 0.0
     assert np.allclose(cf.direction, UNIT_SQUARE.normal)
 
@@ -311,21 +317,21 @@ def test_plane_in_plane_near_edges_never_raises():
 
 
 def test_cube_face_case():
-    cf = cube_closest((0.5, 0.5, 2.0), UNIT_CUBE)
+    cf = closest_feature((0.5, 0.5, 2.0), UNIT_CUBE)
     assert cf.distance == pytest.approx(1.0)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.feature is FeatureKind.FACE
 
 
 def test_cube_edge_case():
-    cf = cube_closest((2, 2, 0.5), UNIT_CUBE)
+    cf = closest_feature((2, 2, 0.5), UNIT_CUBE)
     assert cf.distance == pytest.approx(math.sqrt(2))
     assert np.allclose(cf.foot, (1, 1, 0.5))
     assert np.allclose(cf.direction, np.array([1, 1, 0]) / math.sqrt(2))
 
 
 def test_cube_penetration():
-    cf = cube_closest((0.5, 0.5, 0.9), UNIT_CUBE)
+    cf = closest_feature((0.5, 0.5, 0.9), UNIT_CUBE)
     assert cf.distance == pytest.approx(-0.1)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.feature is FeatureKind.FACE
@@ -537,7 +543,7 @@ def test_cube_kernel_calls_no_rectangle_or_segment_kernel(monkeypatch, outside):
     ],
 )
 def test_cube_contact_is_zero_distance_on_a_face(point):
-    cf = cube_closest(point, UNIT_CUBE)
+    cf = closest_feature(point, UNIT_CUBE)
     assert cf.distance == 0.0
     assert cf.feature is FeatureKind.FACE
     assert float(cf.direction @ (np.array(point) - 0.5)) > 0.0  # out of the box
@@ -547,21 +553,21 @@ def test_cube_contact_is_zero_distance_on_a_face(point):
 
 
 def test_cylinder_wall():
-    cf = cylinder_closest((2, 0, 1), CYL_Z)
+    cf = closest_feature((2, 0, 1), CYL_Z)
     assert cf.distance == pytest.approx(1.5)
     assert np.allclose(cf.direction, (1, 0, 0))
     assert cf.feature is FeatureKind.CURVED_SURFACE
 
 
 def test_cylinder_cap_on_axis():
-    cf = cylinder_closest((0, 0, 3), CYL_Z)
+    cf = closest_feature((0, 0, 3), CYL_Z)
     assert cf.distance == pytest.approx(1.0)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.feature is FeatureKind.CAP_TOP
 
 
 def test_cylinder_cap_off_axis():
-    cf = cylinder_closest((0.2, 0.1, 2.5), CYL_Z)
+    cf = closest_feature((0.2, 0.1, 2.5), CYL_Z)
     assert cf.distance == pytest.approx(0.5)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.feature is FeatureKind.CAP_TOP
@@ -569,7 +575,7 @@ def test_cylinder_cap_off_axis():
 
 
 def test_cylinder_rim():
-    cf = cylinder_closest((1.5, 0, 3), CYL_Z)
+    cf = closest_feature((1.5, 0, 3), CYL_Z)
     expected = math.sqrt(1.0 * 1.0 + 1.0)  # to rim point (0.5, 0, 2)
     assert cf.distance == pytest.approx(expected)
     assert cf.feature is FeatureKind.SIDE_VERTEX_2
@@ -577,7 +583,7 @@ def test_cylinder_rim():
 
 
 def test_cylinder_penetration():
-    cf = cylinder_closest((0.45, 0, 1.0), CYL_Z)
+    cf = closest_feature((0.45, 0, 1.0), CYL_Z)
     assert cf.distance == pytest.approx(-0.05)
     assert np.allclose(cf.direction, (1, 0, 0))
 
@@ -585,7 +591,7 @@ def test_cylinder_penetration():
 def test_cylinder_near_axis_uses_axial_force():
     # Slightly off-axis above the cap: within the axis cone, the direction
     # stays purely axial.
-    cf = cylinder_closest((1e-4, 0, 3.0), CYL_Z)
+    cf = closest_feature((1e-4, 0, 3.0), CYL_Z)
     assert np.allclose(cf.direction, (0, 0, 1))
     assert cf.distance == pytest.approx(1.0, abs=1e-6)
 
@@ -749,15 +755,6 @@ def test_kernels_are_translation_invariant(kind):
 
 # -- public functions on Python floats --------------------------------------------
 
-_CLOSEST = {
-    "sphere": sphere_closest,
-    "segment": segment_closest,
-    "plane": plane_closest,
-    "cube": cube_closest,
-    "cylinder": cylinder_closest,
-}
-
-
 @pytest.mark.parametrize("kind", PRIMITIVE_KINDS)
 def test_public_queries_return_python_floats_matching_the_kernel(kind):
     """A numpy robot gives the kernel's own result on the robot's floats,
@@ -769,11 +766,11 @@ def test_public_queries_return_python_floats_matching_the_kernel(kind):
         raw = _kernel_for(prim)(*robot.tolist(), prim)
         dist = distance(robot, prim)
         assert type(dist) is float and dist.hex() == raw[0].hex()
-        for cf in (closest_feature(robot, prim), _CLOSEST[kind](robot, prim)):
-            assert type(cf.distance) is float
-            floats = (cf.distance, *cf.direction.tolist(), *cf.foot.tolist())
-            assert list(map(float.hex, floats)) == list(map(float.hex, raw[:7]))
-            assert (cf.feature, cf.index) == raw[7:]
+        cf = closest_feature(robot, prim)
+        assert type(cf.distance) is float
+        floats = (cf.distance, *cf.direction.tolist(), *cf.foot.tolist())
+        assert list(map(float.hex, floats)) == list(map(float.hex, raw[:7]))
+        assert (cf.feature, cf.index) == raw[7:]
 
 
 def test_plane_foot_and_inside_return_python_scalars():
@@ -781,10 +778,10 @@ def test_plane_foot_and_inside_return_python_scalars():
     for _ in range(50):
         plane = random_primitive(rng, "plane")
         robot = rng.uniform(-0.6, 0.6, size=3)
-        foot, off = plane_foot(robot, plane)
+        foot, off = _plane_foot(robot, plane)
         assert type(off) is float
         assert off.hex() == queries._plane_offset(*robot.tolist(), plane).hex()
-        inside = plane_inside(foot, plane)
+        inside = _plane_inside(foot, plane)
         assert type(inside) is bool
         assert inside is queries._plane_contains(*foot.tolist(), plane)
-    assert type(plane_inside((0, 0, 0), UNIT_SQUARE)) is bool
+    assert type(_plane_inside((0, 0, 0), UNIT_SQUARE)) is bool
