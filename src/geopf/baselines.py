@@ -43,10 +43,10 @@ class SpherizationParams:
     k_rep: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("spherization radius must be > 0")
-        if self.k_rep <= 0:
-            raise ValueError("spherization k_rep must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"spherization radius must be finite and > 0, got {self.radius}")
+        if not 0 < self.k_rep < math.inf:
+            raise ValueError(f"spherization k_rep must be finite and > 0, got {self.k_rep}")
 
 
 def _steps(a, b, pitch) -> list:

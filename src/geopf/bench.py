@@ -7,6 +7,7 @@ are excluded from the statistics but always reported.
 """
 
 from dataclasses import asdict, dataclass, field
+import functools
 import json
 import math
 import os
@@ -114,15 +115,13 @@ def _mean_std(values):
     return (statistics.fmean(vals), statistics.pstdev(vals))
 
 
-def _run_one(args):
-    (scene_class_value, seed, spec_kind, rsp, ksp, correction, stall_speed, keep_states) = args
-    spec = PlannerSpec(spec_kind, rsp, ksp, correction)
+def _run_one(scene_class: SceneClass, seed: int, spec: PlannerSpec, stall_speed: float | None):
     try:
-        scene = generate(SceneClass(scene_class_value), seed)
+        scene = generate(scene_class, seed)
     except GenerationFailure:
         return (seed, None, None, 0)
     planner = spec.build()
-    record = run_trial(scene, planner, keep_states=keep_states, stall_speed=stall_speed)
+    record = run_trial(scene, planner, keep_states=False, stall_speed=stall_speed)
     metrics = compute_metrics(record, scene)
     n_obs = planner.obstacle_count(scene)
     return (seed, metrics, record.verdict.kind.value, n_obs)
@@ -143,7 +142,6 @@ def run_suite(
     seed0: int = 0,
     *,
     stall_speed: float | None = None,
-    keep_states: bool = False,
     collect_trials: bool = False,
     workers: int | None = None,
 ) -> SuiteReport:
@@ -157,29 +155,19 @@ def run_suite(
         raise ValueError("n_trials must be >= 1")
     workers = default_workers() if workers is None else max(1, int(workers))
 
-    jobs = [
-        (
-            scene_class.value,
-            seed0 + i,
-            spec.kind,
-            spec.rsp,
-            spec.ksp,
-            spec.correction,
-            stall_speed,
-            keep_states,
-        )
-        for i in range(n_trials)
-    ]
+    run_one = functools.partial(_run_one, scene_class, spec=spec, stall_speed=stall_speed)
+    seed_range = range(seed0, seed0 + n_trials)
     if workers == 1:
-        results = [_run_one(job) for job in jobs]
+        results = [run_one(seed) for seed in seed_range]
     else:
         # Imported here: the process-pool stack (multiprocessing, sockets,
         # subprocess) adds about 2 MB to every process that imports geopf,
         # and the default is one worker.
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = max(1, n_trials // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=max(1, n_trials // (8 * workers))))
+            results = list(pool.map(run_one, seed_range, chunksize=chunksize))
 
     metrics = []
     seeds = []

@@ -28,8 +28,8 @@ def _add_planner_args(parser):
     parser.add_argument(
         "--planner", choices=("geopf", "pf", "cf"), default="geopf", help="planner to run"
     )
-    parser.add_argument("--rsp", type=float, default=0.01, help="baseline sphere radius")
-    parser.add_argument("--ksp", type=float, default=1.0, help="baseline sphere gain")
+    parser.add_argument("--rsp", type=positive, default=0.01, help="baseline sphere radius")
+    parser.add_argument("--ksp", type=positive, default=1.0, help="baseline sphere gain")
     parser.add_argument(
         "--no-correction",
         action="store_true",
@@ -86,6 +86,14 @@ def trials(text) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
+    return value
+
+
+def positive(text) -> float:
+    """A positive finite float."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 

@@ -26,6 +26,13 @@ coordinates were clamped names the feature: none, the robot is inside and
 the nearest face gives the negative depth; one, a FACE at the coordinate's
 excess; two, an EDGE; three, a corner.  Reference: Ericson, *Real-Time
 Collision Detection*, 2004, section 5.1.4.
+
+A capped cylinder first decides the feature from the robot's axial
+coordinate t and its distance from the axis: near the axis, the nearer cap
+(a pure axial result); past a cap and beside the wall, that end's rim;
+between the caps beside the wall, or inside and nearest the wall, the curved
+wall; otherwise a cap.  Each feature then has one result, shared by the
+robot outside and the robot inside, where the distance is the negative depth.
 """
 
 from dataclasses import dataclass
@@ -331,141 +338,40 @@ def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
         # ||w/||w|| -+ axis||^2 = 2 - 2|t|/||w||
         near_axis = 2.0 - 2.0 * abs(t) / wn < _CYL_AXIS_TOL_SQ
 
+    # Pick the feature.  A top cap sets its signed distance d here: inside
+    # the volume at t == L it is -(L - t) = -0.0, elsewhere t - L = +0.0.
     if near_axis:
         # Pure axial force toward the nearer cap; negative beyond neither cap
         # means the robot sits inside on the axis.
-        if t >= L / 2.0:
-            d = t - L
-            return (
-                d,
-                ux,
-                uy,
-                uz,
-                rx - d * ux,
-                ry - d * uy,
-                rz - d * uz,
-                FeatureKind.CAP_TOP,
-                (),
-            )
-        d = -t
-        return (
-            d,
-            -ux,
-            -uy,
-            -uz,
-            rx + d * ux,
-            ry + d * uy,
-            rz + d * uz,
-            FeatureKind.CAP_BOTTOM,
-            (),
-        )
-
-    if dperp >= R:
-        # Beside the wall: query the surface line obtained by shifting the
-        # axis to the wall along the radial direction.
+        top, d = t >= L / 2.0, t - L
+    elif t < 0.0 or t > L:
+        if dperp >= R:
+            # Past a cap and beside the wall: the rim point facing the robot.
+            if t < 0.0:
+                (ex, ey, ez), kind = cyl._p1, FeatureKind.SIDE_VERTEX_1
+            else:
+                (ex, ey, ez), kind = cyl._p2, FeatureKind.SIDE_VERTEX_2
+            nqx, nqy, nqz = qx / dperp, qy / dperp, qz / dperp
+            sx, sy, sz = ex + R * nqx, ey + R * nqy, ez + R * nqz
+            dx, dy, dz = rx - sx, ry - sy, rz - sz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d <= DEGENERACY_EPS:
+                raise DegenerateVector("robot lies on a cylinder rim")
+            return (d, dx / d, dy / d, dz / d, sx, sy, sz, kind, ())
+        top, d = t > L, t - L
+    elif dperp >= R or (R - dperp <= L - t and R - dperp <= t):
+        # The curved wall: beside it, or the nearest feature from inside,
+        # where the depth -(R - dperp) is the same float as dperp - R.
         nqx, nqy, nqz = qx / dperp, qy / dperp, qz / dperp
-        if t < 0.0:
-            s1x, s1y, s1z = p1x + R * nqx, p1y + R * nqy, p1z + R * nqz
-            dx, dy, dz = rx - s1x, ry - s1y, rz - s1z
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d <= DEGENERACY_EPS:
-                raise DegenerateVector("robot lies on a cylinder rim")
-            return (
-                d,
-                dx / d,
-                dy / d,
-                dz / d,
-                s1x,
-                s1y,
-                s1z,
-                FeatureKind.SIDE_VERTEX_1,
-                (),
-            )
-        if t > L:
-            p2x, p2y, p2z = cyl._p2
-            s2x, s2y, s2z = p2x + R * nqx, p2y + R * nqy, p2z + R * nqz
-            dx, dy, dz = rx - s2x, ry - s2y, rz - s2z
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d <= DEGENERACY_EPS:
-                raise DegenerateVector("robot lies on a cylinder rim")
-            return (
-                d,
-                dx / d,
-                dy / d,
-                dz / d,
-                s2x,
-                s2y,
-                s2z,
-                FeatureKind.SIDE_VERTEX_2,
-                (),
-            )
-        fx = p1x + t * ux + R * nqx
-        fy = p1y + t * uy + R * nqy
-        fz = p1z + t * uz + R * nqz
+        fx, fy, fz = p1x + t * ux + R * nqx, p1y + t * uy + R * nqy, p1z + t * uz + R * nqz
         return (dperp - R, nqx, nqy, nqz, fx, fy, fz, FeatureKind.CURVED_SURFACE, ())
-
-    # Radially within the wall: over a cap, or inside the volume.
-    if t > L:
-        d = t - L
-        return (
-            d,
-            ux,
-            uy,
-            uz,
-            rx - d * ux,
-            ry - d * uy,
-            rz - d * uz,
-            FeatureKind.CAP_TOP,
-            (),
-        )
-    if t < 0.0:
-        d = -t
-        return (
-            d,
-            -ux,
-            -uy,
-            -uz,
-            rx + d * ux,
-            ry + d * uy,
-            rz + d * uz,
-            FeatureKind.CAP_BOTTOM,
-            (),
-        )
-    # Inside: negative depth to the nearest of wall, top cap, bottom cap.
-    depth_wall = R - dperp
-    depth_top = L - t
-    depth_bottom = t
-    if depth_wall <= depth_top and depth_wall <= depth_bottom:
-        nqx, nqy, nqz = qx / dperp, qy / dperp, qz / dperp
-        fx = p1x + t * ux + R * nqx
-        fy = p1y + t * uy + R * nqy
-        fz = p1z + t * uz + R * nqz
-        return (-depth_wall, nqx, nqy, nqz, fx, fy, fz, FeatureKind.CURVED_SURFACE, ())
-    if depth_top <= depth_bottom:
-        d = -depth_top
-        return (
-            d,
-            ux,
-            uy,
-            uz,
-            rx - d * ux,
-            ry - d * uy,
-            rz - d * uz,
-            FeatureKind.CAP_TOP,
-            (),
-        )
-    d = -depth_bottom
-    return (
-        d,
-        -ux,
-        -uy,
-        -uz,
-        rx + d * ux,
-        ry + d * uy,
-        rz + d * uz,
-        FeatureKind.CAP_BOTTOM,
-        (),
-    )
+    else:
+        # Inside, nearer a cap than the wall: the negative depth to that cap.
+        top, d = L - t <= t, -(L - t)
+    if top:
+        return (d, ux, uy, uz, rx - d * ux, ry - d * uy, rz - d * uz, FeatureKind.CAP_TOP, ())
+    d = -t
+    return (d, -ux, -uy, -uz, rx + d * ux, ry + d * uy, rz + d * uz, FeatureKind.CAP_BOTTOM, ())
 
 
 _KERNELS = {

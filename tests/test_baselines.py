@@ -36,6 +36,13 @@ GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 # -- spherization -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["radius", "k_rep"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_spherization_params_reject_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SpherizationParams(**{field: value})
+
+
 def test_segment_sphere_count_fine():
     seg = Segment((0, 0, 0), (0.36, 0, 0))
     spheres = sphere_cloud(seg, SpherizationParams(radius=0.01))

@@ -45,8 +45,18 @@ def test_unknown_class(tmp_path, capsys):
         (["gen", "--class", "line_easy", "--seed", "-1"], "--seed"),
         (["bench", "--class", "line_easy", "--seed", "-1"], "--seed"),
         (["bench", "--class", "line_easy", "--trials", "0"], "--trials"),
+        (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "0"], "--rsp"),
+        (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "nan"], "--rsp"),
+        (["bench", "--class", "line_easy", "--planner", "pf", "--ksp", "-1"], "--ksp"),
     ],
-    ids=["gen_negative_seed", "bench_negative_seed", "bench_zero_trials"],
+    ids=[
+        "gen_negative_seed",
+        "bench_negative_seed",
+        "bench_zero_trials",
+        "bench_zero_rsp",
+        "bench_nan_rsp",
+        "bench_negative_ksp",
+    ],
 )
 def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

@@ -596,6 +596,42 @@ def test_cylinder_near_axis_uses_axial_force():
     assert cf.distance == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "point, d, kind",
+    [
+        ((0, 0, 2), 0.0, FeatureKind.CAP_TOP),
+        ((0, 0, 0.5), -0.5, FeatureKind.CAP_BOTTOM),
+        ((1.5, 0, -1), math.sqrt(2.0), FeatureKind.SIDE_VERTEX_1),
+        ((1.5, 0, 3), math.sqrt(2.0), FeatureKind.SIDE_VERTEX_2),
+        ((0.5, 0, 1), 0.0, FeatureKind.CURVED_SURFACE),
+        ((0.2, 0.1, 2.5), 0.5, FeatureKind.CAP_TOP),
+        ((0.2, 0.1, -0.5), 0.5, FeatureKind.CAP_BOTTOM),
+        ((0.45, 0, 1), 0.45 - 0.5, FeatureKind.CURVED_SURFACE),
+        ((0.3, 0, 2), -0.0, FeatureKind.CAP_TOP),
+        ((0.1, 0, 0.1), -0.1, FeatureKind.CAP_BOTTOM),
+    ],
+    ids=[
+        "axis_top_at_cap",
+        "axis_bottom_half",
+        "rim_a1",
+        "rim_a2",
+        "wall_contact",
+        "over_top",
+        "under_bottom",
+        "inside_nearest_wall",
+        "inside_nearest_top_at_cap",
+        "inside_nearest_bottom",
+    ],
+)
+def test_cylinder_feature_and_signed_distance(point, d, kind):
+    # One point per feature branch, outside and inside.  At t == L the top
+    # cap's distance is +0.0 on the axis and -0.0 inside off the axis.
+    cf = closest_feature(point, CYL_Z)
+    assert cf.feature is kind
+    assert cf.distance == d
+    assert math.copysign(1.0, cf.distance) == math.copysign(1.0, d)
+
+
 # -- cross-cutting properties ---------------------------------------------
 
 

@@ -27,9 +27,21 @@ verdict leaves unchanged.
   scenes at the default ``SpherizationParams``, scene by scene and obstacle
   by obstacle, as the records ``cx|cy|cz|r`` of ``baselines.sphere_cloud``
   with the four floats as ``float.hex``, concatenated without a separator.
+- ``kernels``: the query kernel of every obstacle of the same 400 scenes
+  (``queries._KERNELS``), called on Python floats at probe points, obstacle
+  by obstacle: 64 seeded points uniform in the cube of half-side 1.5 r
+  around the bounding sphere (centre, r), drawn from one
+  ``numpy.random.default_rng(0)`` stream, and for a cylinder also the points
+  at t in {0, L/2, L} along the axis from a1 and rho in {0, R/2, R} from it
+  (along the first ``axis_frame`` vector), then the rim-facing points at
+  (t, rho) = (-R, 2R) and (L + R, 2R).  Each result is the record of the
+  seven floats as ``float.hex``, the feature kind and the index, joined by
+  ``|``, or the ``DegenerateVector`` message when the kernel raises;
+  records are concatenated without a separator.
 
 Run from the repository root (about two and a half minutes on one core,
-most of it in ``drift``; ``cloud-drift`` takes about 30 s)::
+most of it in ``drift``; ``cloud-drift`` takes about 30 s, ``kernels``
+about 5 s)::
 
     PYTHONPATH=src python tools/fingerprint.py
 """
@@ -38,9 +50,21 @@ import dataclasses
 import hashlib
 import json
 
-from geopf import SceneClass, SpherizationParams, generate, maze_scene, run_trial
+import numpy as np
+
+from geopf import (
+    Cylinder,
+    DegenerateVector,
+    SceneClass,
+    SpherizationParams,
+    generate,
+    maze_scene,
+    run_trial,
+)
 from geopf.baselines import sphere_cloud
 from geopf.bench import PlannerSpec
+from geopf.primitives import axis_frame
+from geopf.queries import _KERNELS
 from geopf.scenes import scene_to_document
 
 
@@ -114,6 +138,36 @@ def cloud_hash() -> str:
     return h.hexdigest()
 
 
+def _probe_points(prim, rng) -> list:
+    cx, cy, cz, r = prim.bounding_sphere
+    points = (rng.uniform(-1.5 * r, 1.5 * r, (64, 3)) + (cx, cy, cz)).tolist()
+    if isinstance(prim, Cylinder):
+        (ax, ay, az), (ux, uy, uz) = prim._p1, prim._axis
+        (bx, by, bz), _ = axis_frame(prim._axis)
+        L, R = prim.length, prim.radius
+        grid = [(t, rho) for t in (0.0, L / 2.0, L) for rho in (0.0, R / 2.0, R)]
+        for t, rho in grid + [(-R, 2.0 * R), (L + R, 2.0 * R)]:
+            points.append((ax + t * ux + rho * bx, ay + t * uy + rho * by, az + t * uz + rho * bz))
+    return points
+
+
+def kernel_hash() -> str:
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for scene in generated_scenes():
+        for obs in scene.obstacles:
+            prim = obs.primitive
+            kernel = _KERNELS[type(prim)]
+            for x, y, z in _probe_points(prim, rng):
+                try:
+                    res = kernel(x, y, z, prim)
+                    record = "|".join([*map(float.hex, res[:7]), res[7].value, str(res[8])])
+                except DegenerateVector as exc:
+                    record = str(exc)
+                h.update(record.encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     for name, trials in (
         ("trajectory", capped_trials()),
@@ -125,3 +179,4 @@ if __name__ == "__main__":
         print(f"{name:<11} {bits}  verdicts {verdicts}")
     print(f"{'scenes':<11} {scene_hash()}")
     print(f"{'clouds':<11} {cloud_hash()}")
+    print(f"{'kernels':<11} {kernel_hash()}")
