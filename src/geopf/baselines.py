@@ -15,7 +15,7 @@ inside a sphere is pushed out radially at the clamped magnitude; one at a
 centre skips that sphere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -29,6 +29,7 @@ from .primitives import (
     Segment,
     Sphere,
     axis_frame,
+    positive,
 )
 
 # Velocity below this is treated as standstill by the circulatory field.
@@ -43,10 +44,8 @@ class SpherizationParams:
     k_rep: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"spherization radius must be finite and > 0, got {self.radius}")
-        if not 0 < self.k_rep < math.inf:
-            raise ValueError(f"spherization k_rep must be finite and > 0, got {self.k_rep}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, positive(getattr(self, f.name), f.name))
 
 
 def _steps(a, b, pitch) -> list:
@@ -143,9 +142,10 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
     raise TypeError(f"unsupported primitive type: {type(prim).__name__}")
 
 
-def _near_spheres(rx, ry, rz, cloud, offsets, act):
-    """``(dx, dy, dz, wn, d)`` of every sphere nearer than ``act``, in cloud
-    order: the robot minus the centre, its length and the surface distance.
+def _near_spheres(rx, ry, rz, cloud, offsets, k, act):
+    """``(dx, dy, dz, wn, mag)`` of every sphere nearer than ``act``, in
+    cloud order: the robot minus the centre, its length and the repulsion
+    magnitude ``k / max(d, D_MIN)`` at the surface distance ``d``.
 
     ``cloud`` is a list of ``(i, records)`` blocks, one per obstacle, and the
     records of obstacle ``i`` are queried at ``offsets[i]``: each centre is
@@ -166,15 +166,15 @@ def _near_spheres(rx, ry, rz, cloud, offsets, act):
                 continue
             if wn <= 1e-12:
                 continue
-            near.append((dx, dy, dz, wn, d))
+            near.append((dx, dy, dz, wn, k / max(d, D_MIN)))
     return near
 
 
 def _sphere_terms(rx, ry, rz, cloud, offsets, k, act):
     """Radial repulsion summed over the spheres of :func:`_near_spheres`."""
     fx = fy = fz = 0.0
-    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act):
-        scale = (k / max(d, D_MIN)) / wn
+    for dx, dy, dz, wn, mag in _near_spheres(rx, ry, rz, cloud, offsets, k, act):
+        scale = mag / wn
         fx += dx * scale
         fy += dy * scale
         fz += dz * scale
@@ -188,8 +188,7 @@ def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act):
     fx = fy = fz = 0.0
     speed2 = vx * vx + vy * vy + vz * vz
     moving = speed2 >= CF_VELOCITY_EPS * CF_VELOCITY_EPS
-    for dx, dy, dz, wn, d in _near_spheres(rx, ry, rz, cloud, offsets, act):
-        mag = k / max(d, D_MIN)
+    for dx, dy, dz, wn, mag in _near_spheres(rx, ry, rz, cloud, offsets, k, act):
         if moving:
             bx = dy * vz - dz * vy
             by = dz * vx - dx * vz

@@ -16,7 +16,8 @@ import sys
 
 from .bench import PlannerSpec, compute_metrics, run_suite, write_csv, write_json
 from .errors import GenerationFailure, SceneSchemaError
-from .scenes import SceneClass, generate, load_scene, maze_scene, save_scene
+from .primitives import positive
+from .scenes import SceneClass, _check_seed, generate, load_scene, maze_scene, save_scene
 from .sim import run_trial, write_trajectory
 
 EXIT_OK = 0
@@ -24,7 +25,7 @@ EXIT_SCHEMA = 2
 EXIT_GENERATION = 3
 
 
-def _add_planner_args(parser):
+def _add_trial_args(parser):
     parser.add_argument(
         "--planner", choices=("geopf", "pf", "cf"), default="geopf", help="planner to run"
     )
@@ -34,6 +35,9 @@ def _add_planner_args(parser):
         "--no-correction",
         action="store_true",
         help="disable the geometric planner's trap correction",
+    )
+    parser.add_argument(
+        "--stall-exit", type=positive, default=None, help="early-timeout stall speed (m/s)"
     )
 
 
@@ -75,10 +79,7 @@ def _run_and_report(scene, spec, traj_path=None, stall_speed=None):
 
 def seed(text) -> int:
     """A scene seed: an unsigned 64-bit integer."""
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
-    return value
+    return _check_seed(int(text))
 
 
 def trials(text) -> int:
@@ -86,14 +87,6 @@ def trials(text) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
-    return value
-
-
-def positive(text) -> float:
-    """A positive finite float."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -166,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one trial on a scene file")
     p_run.add_argument("--scene", required=True, help="scene file path")
-    _add_planner_args(p_run)
+    _add_trial_args(p_run)
     p_run.add_argument("--traj", help="write the trajectory export here")
-    p_run.add_argument(
-        "--stall-exit", type=float, default=None, help="early-timeout stall speed (m/s)"
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a seeded benchmark suite")
@@ -181,18 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="scene class name (maze is one fixed geometry: its seeds only "
         "break ties, so an n-seed maze suite reruns one scene n times)",
     )
-    _add_planner_args(p_bench)
+    _add_trial_args(p_bench)
     p_bench.add_argument("--trials", type=trials, default=100)
     p_bench.add_argument("--seed", type=seed, default=0)
     p_bench.add_argument("--out", required=True, help="CSV report path")
     p_bench.add_argument("--json", help="also write the full per-trial JSON mirror")
-    p_bench.add_argument("--stall-exit", type=float, default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_maze = sub.add_parser("maze", help="run a planner on the fixed maze scene")
-    _add_planner_args(p_maze)
+    _add_trial_args(p_maze)
     p_maze.add_argument("--traj", help="write the trajectory export here")
-    p_maze.add_argument("--stall-exit", type=float, default=None)
     p_maze.set_defaults(func=_cmd_maze)
 
     p_gen = sub.add_parser("gen", help="generate a scene file")

@@ -18,12 +18,12 @@ Everything here works on plain floats over the scalar kernels of
 planner (:mod:`geopf.planners`), which also provides :func:`resultant_force`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
 
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame, positive
 from .queries import (
     FeatureKind,
     _cube_kernel,
@@ -52,11 +52,8 @@ class Gains:
     activation_radius: float = 0.3
 
     def __post_init__(self):
-        for name in ("k_attr", "k_rep", "activation_radius"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, positive(getattr(self, f.name), f.name))
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,33 @@ COPLANAR_TOL = 1e-9
 ORTHO_TOL = 1e-9
 
 
-def as_vec3(value) -> np.ndarray:
-    """Coerce an (x, y, z) array-like to a float64 numpy vector."""
+def positive(value, name: str = "value", zero_ok: bool = False) -> float:
+    """``value`` as a float, checked to be finite and above zero (or at zero
+    with ``zero_ok``): the one rule for every length, gain and time.
+
+    Raises:
+        ValueError: naming ``name`` when the value breaks the rule.
+    """
+    v = float(value)
+    if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v}")
+    return v
+
+
+def as_vec3(value, name: str = "value") -> np.ndarray:
+    """Coerce an (x, y, z) array-like to a finite float64 numpy vector.
+
+    Raises:
+        ValueError: naming ``name`` when the shape is not (3,) or a
+            coordinate is nan or infinite.
+    """
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+        raise ValueError(f"{name} must be a finite 3-vector, got shape {v.shape}")
+    # math.isfinite on the Python floats costs far less than np.isfinite.
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"{name} must be a finite 3-vector, got {[x, y, z]}")
     return v
 
 
@@ -76,7 +98,7 @@ def _coerce(prim) -> list:
     values = []
     for f in fields(prim):
         value = getattr(prim, f.name)
-        value = float(value) if f.type is float else as_vec3(value)
+        value = float(value) if f.type is float else as_vec3(value, f.name)
         object.__setattr__(prim, f.name, value)
         values.append(value if f.type is float else tuple(value.tolist()))
     return values
@@ -121,8 +143,7 @@ class Sphere:
 
     def __post_init__(self):
         c, radius = _coerce(self)
-        if radius < 0:
-            raise ValueError(f"sphere radius must be >= 0, got {radius}")
+        positive(radius, "radius", zero_ok=True)
         _derive(self, _c=c, bounding_sphere=(*c, radius))
 
 
@@ -269,8 +290,7 @@ class Cylinder:
 
     def __post_init__(self):
         p1, p2, radius = _coerce(self)
-        if radius <= 0:
-            raise ValueError(f"cylinder radius must be > 0, got {radius}")
+        positive(radius, "radius")
         length, axis = _span(p1, p2, "cylinder axis endpoints must be distinct")
         center = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (p1[2] + p2[2]) / 2)
         r = math.sqrt((length / 2) ** 2 + radius**2)

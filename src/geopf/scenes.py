@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .primitives import (
     Segment,
     as_vec3,
     cross3,
+    positive,
     primitive_fields,
     translated,
 )
@@ -79,11 +80,9 @@ class Obstacle:
 
     def __post_init__(self):
         if self.gain is not None:
-            object.__setattr__(self, "gain", float(self.gain))
-            if self.gain <= 0:
-                raise ValueError("obstacle gain override must be > 0")
+            object.__setattr__(self, "gain", positive(self.gain, "gain"))
         if self.drift is not None:
-            object.__setattr__(self, "drift", as_vec3(self.drift))
+            object.__setattr__(self, "drift", as_vec3(self.drift, "drift"))
 
 
 def _fold(x0: float, v: float, t: float, lo: float, hi: float) -> float:
@@ -157,12 +156,12 @@ class Scene:
     drift_bounds: tuple | None = None
 
     def __post_init__(self):
-        self.start = as_vec3(self.start)
-        self.goal = as_vec3(self.goal)
+        self.start = as_vec3(self.start, "start")
+        self.goal = as_vec3(self.goal, "goal")
         self.seed = _check_seed(int(self.seed))
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds
-            self.drift_bounds = (as_vec3(lo), as_vec3(hi))
+            self.drift_bounds = (as_vec3(lo, "drift_bounds"), as_vec3(hi, "drift_bounds"))
         elif any(obs.drift is not None for obs in self.obstacles):
             raise ValueError("drifting obstacles need drift_bounds")
         base = [obs.primitive for obs in self.obstacles]
@@ -179,15 +178,6 @@ class Scene:
                     *centre, r = obs.primitive.bounding_sphere
                     bounds = ((lo + r).tolist(), (hi - r).tolist())
                     self._drifts[i] = (centre, obs.drift.tolist(), *bounds)
-
-    @property
-    def has_dynamic(self) -> bool:
-        return bool(self._drifts)
-
-    def obstacle_offset(self, index: int, t: float) -> tuple:
-        """Rigid translation of obstacle ``index`` at obstacle time ``t``."""
-        drift = self._drifts.get(index)
-        return ZERO_OFFSET if drift is None else _drift_offset(drift, t)
 
     def primitives_at_step(self, step: int) -> PlacedObstacles:
         """The obstacles at the step's obstacle time, as a
@@ -207,22 +197,18 @@ class Scene:
         return PlacedObstacles(self._at_rest.base, offsets)
 
 
-def corridor_boundary(y_min: float, y_max: float, half_xz: float = WALL_XZ) -> list:
+def corridor_boundary(y_min: float, y_max: float) -> list:
     """Six rectangle walls enclosing the corridor box."""
-    x0, x1 = -half_xz, half_xz
-    z0, z1 = -half_xz, half_xz
+    x0, x1 = -WALL_XZ, WALL_XZ
+    z0, z1 = -WALL_XZ, WALL_XZ
     y0, y1 = y_min, y_max
-
-    def plane(a, b, c, d):
-        return RectPlane(np.array(a), np.array(b), np.array(c), np.array(d))
-
     return [
-        plane((x0, y0, z0), (x0, y0, z1), (x0, y1, z1), (x0, y1, z0)),  # x = -half
-        plane((x1, y0, z0), (x1, y0, z1), (x1, y1, z1), (x1, y1, z0)),  # x = +half
-        plane((x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0)),  # z = -half
-        plane((x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1)),  # z = +half
-        plane((x0, y0, z0), (x1, y0, z0), (x1, y0, z1), (x0, y0, z1)),  # y = y_min
-        plane((x0, y1, z0), (x1, y1, z0), (x1, y1, z1), (x0, y1, z1)),  # y = y_max
+        RectPlane((x0, y0, z0), (x0, y0, z1), (x0, y1, z1), (x0, y1, z0)),  # x = -WALL_XZ
+        RectPlane((x1, y0, z0), (x1, y0, z1), (x1, y1, z1), (x1, y1, z0)),  # x = +WALL_XZ
+        RectPlane((x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0)),  # z = -WALL_XZ
+        RectPlane((x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1)),  # z = +WALL_XZ
+        RectPlane((x0, y0, z0), (x1, y0, z0), (x1, y0, z1), (x0, y0, z1)),  # y = y_min
+        RectPlane((x0, y1, z0), (x1, y1, z0), (x1, y1, z1), (x0, y1, z1)),  # y = y_max
     ]
 
 
@@ -416,23 +402,19 @@ def maze_scene(seed: int = 0) -> Scene:
     The geometry does not depend on ``seed``; the seed is stored on the
     scene and only seeds the trial's tie-breaks.
     """
-
-    def plane(a, b, c, d):
-        return RectPlane(np.array(a), np.array(b), np.array(c), np.array(d))
-
     x_in, x_out = 0.15, WALL_XZ
     z_half = 0.15
     y_half = 0.25
     walls = [
         # Frontal wall at y = 0 left of the duct opening.
-        plane((-0.5, 0, -0.5), (x_in, 0, -0.5), (x_in, 0, 0.5), (-0.5, 0, 0.5)),
+        RectPlane((-0.5, 0, -0.5), (x_in, 0, -0.5), (x_in, 0, 0.5), (-0.5, 0, 0.5)),
         # Frontal wall pieces above and below the opening.
-        plane((x_in, 0, z_half), (x_out, 0, z_half), (x_out, 0, 0.5), (x_in, 0, 0.5)),
-        plane((x_in, 0, -0.5), (x_out, 0, -0.5), (x_out, 0, -z_half), (x_in, 0, -z_half)),
+        RectPlane((x_in, 0, z_half), (x_out, 0, z_half), (x_out, 0, 0.5), (x_in, 0, 0.5)),
+        RectPlane((x_in, 0, -0.5), (x_out, 0, -0.5), (x_out, 0, -z_half), (x_in, 0, -z_half)),
         # Duct walls along y.
-        plane((x_in, -y_half, z_half), (x_out, -y_half, z_half), (x_out, y_half, z_half), (x_in, y_half, z_half)),
-        plane((x_in, -y_half, -z_half), (x_out, -y_half, -z_half), (x_out, y_half, -z_half), (x_in, y_half, -z_half)),
-        plane((x_in, -y_half, -z_half), (x_in, -y_half, z_half), (x_in, y_half, z_half), (x_in, y_half, -z_half)),
+        RectPlane((x_in, -y_half, z_half), (x_out, -y_half, z_half), (x_out, y_half, z_half), (x_in, y_half, z_half)),
+        RectPlane((x_in, -y_half, -z_half), (x_out, -y_half, -z_half), (x_out, y_half, -z_half), (x_in, y_half, -z_half)),
+        RectPlane((x_in, -y_half, -z_half), (x_in, -y_half, z_half), (x_in, y_half, z_half), (x_in, y_half, -z_half)),
     ]
     return Scene(
         start=np.array(START),
@@ -513,6 +495,20 @@ def save_scene(scene: Scene, path):
         fh.write("\n")
 
 
+def _is_number(x) -> bool:
+    """A JSON number that is a finite float; ``true`` and ``false`` are not
+    numbers.  The bound also rejects nan and integers too large for a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _vec3(value, path) -> np.ndarray:
+    """A scene file's ``[x, y, z]`` as a float64 vector; ``path`` names the
+    field in the error."""
+    if not isinstance(value, list) or len(value) != 3 or not all(map(_is_number, value)):
+        raise SceneSchemaError("expected [x, y, z] numbers", path)
+    return np.array([float(x) for x in value])
+
+
 class _Reader:
     """Strict traversal of a scene document with field-path diagnostics."""
 
@@ -534,7 +530,7 @@ class _Reader:
             return None
         value = self.doc[key]
         if kind == "number":
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+            if not _is_number(value):
                 raise SceneSchemaError("expected a finite number", self._label(key))
             return float(value)
         if kind == "int":
@@ -546,16 +542,7 @@ class _Reader:
                 raise SceneSchemaError("expected a string", self._label(key))
             return value
         if kind == "vec3":
-            if (
-                not isinstance(value, list)
-                or len(value) != 3
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-                    for x in value
-                )
-            ):
-                raise SceneSchemaError("expected [x, y, z] numbers", self._label(key))
-            return np.array([float(x) for x in value])
+            return _vec3(value, self._label(key))
         if kind == "list":
             if not isinstance(value, list):
                 raise SceneSchemaError("expected a list", self._label(key))
@@ -576,16 +563,7 @@ class _Reader:
 def _decode_corners(raw, path, count):
     if not isinstance(raw, list) or len(raw) != count:
         raise SceneSchemaError(f"expected {count} corners", path)
-    out = []
-    for i, v in enumerate(raw):
-        if (
-            not isinstance(v, list)
-            or len(v) != 3
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in v)
-        ):
-            raise SceneSchemaError("expected [x, y, z] numbers", f"{path}[{i}]")
-        out.append(np.array([float(x) for x in v]))
-    return out
+    return [_vec3(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
 def _decode_primitive(reader: _Reader) -> Primitive:
@@ -658,7 +636,7 @@ def document_to_scene(doc) -> Scene:
         drift_raw = reader.get("drift", "raw", required=False)
         drift = None
         if drift_raw is not None:
-            drift = _decode_corners([drift_raw], reader._label("drift"), 1)[0]
+            drift = _vec3(drift_raw, reader._label("drift"))
             if drift_bounds is None:
                 raise SceneSchemaError("drift needs drift_bounds", reader._label("drift"))
             if not _inside_box(prim, *drift_bounds):

@@ -32,11 +32,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 import math
+import operator
 import time
 from typing import NamedTuple
 
 from .errors import CollisionSignal
-from .primitives import DEGENERACY_EPS, RectPlane
+from .primitives import DEGENERACY_EPS, RectPlane, positive
 from .queries import _kernel_for, _pierce, _plane_contains
 from .seeding import trial_rng
 
@@ -56,16 +57,16 @@ class SimParams:
     max_steps: int = 20000
 
     def __post_init__(self):
-        if self.mass <= 0 or self.dt <= 0:
-            raise ValueError("mass and dt must be > 0")
-        if self.damping < 0:
-            raise ValueError("damping must be >= 0")
-        if self.max_speed <= 0:
-            raise ValueError("max_speed must be > 0")
-        if self.goal_radius <= 0:
-            raise ValueError("goal_radius must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        for name in ("mass", "dt", "max_speed", "goal_radius"):
+            object.__setattr__(self, name, positive(getattr(self, name), name))
+        object.__setattr__(self, "damping", positive(self.damping, "damping", zero_ok=True))
+        try:
+            max_steps = operator.index(self.max_steps)
+        except TypeError:
+            max_steps = 0
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        object.__setattr__(self, "max_steps", max_steps)
 
 
 class VerdictKind(Enum):

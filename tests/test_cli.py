@@ -48,6 +48,12 @@ def test_unknown_class(tmp_path, capsys):
         (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "0"], "--rsp"),
         (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "nan"], "--rsp"),
         (["bench", "--class", "line_easy", "--planner", "pf", "--ksp", "-1"], "--ksp"),
+        (["bench", "--class", "line_easy", "--stall-exit", "-1"], "--stall-exit"),
+        (["bench", "--class", "line_easy", "--stall-exit", "nan"], "--stall-exit"),
+        (["bench", "--class", "line_easy", "--stall-exit", "inf"], "--stall-exit"),
+        (["bench", "--class", "line_easy", "--stall-exit", "0"], "--stall-exit"),
+        (["maze", "--stall-exit", "-1"], "--stall-exit"),
+        (["run", "--scene", "scene.json", "--stall-exit", "nan"], "--stall-exit"),
     ],
     ids=[
         "gen_negative_seed",
@@ -56,6 +62,12 @@ def test_unknown_class(tmp_path, capsys):
         "bench_zero_rsp",
         "bench_nan_rsp",
         "bench_negative_ksp",
+        "bench_negative_stall_exit",
+        "bench_nan_stall_exit",
+        "bench_inf_stall_exit",
+        "bench_zero_stall_exit",
+        "maze_negative_stall_exit",
+        "run_nan_stall_exit",
     ],
 )
 def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -1,6 +1,7 @@
 """Primitive type validation, derived geometry and the per-type tables."""
 
 from dataclasses import dataclass, fields
+import math
 import typing
 
 import numpy as np
@@ -10,11 +11,13 @@ from geopf import (
     Cube,
     Cylinder,
     DegenerateVector,
+    Gains,
     Obstacle,
     Primitive,
     RectPlane,
     Scene,
     Segment,
+    SimParams,
     Sphere,
     translated,
 )
@@ -120,6 +123,68 @@ def test_cylinder_validation():
         Cylinder((0, 0, 0), (0, 0, 1), 0.0)
     with pytest.raises(ValueError):
         Cylinder((0, 0, 0), (0, 0, 0), 0.5)
+
+
+# Each value from outside passes one rule where it enters: a length, gain or
+# time is a finite number above zero (``primitives.positive``), a point is a
+# finite 3-vector (``primitives.as_vec3``), and a step cap is an integer.
+_SQUARE = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
+_BOX = _SQUARE + tuple((x, y, 1) for x, y, _ in _SQUARE)
+_VALID = {
+    Gains: {},
+    SimParams: {},
+    Obstacle: {"primitive": Segment((0, 0, 0), (1, 0, 0))},
+    Sphere: {"center": (0, 0, 0), "radius": 0.1},
+    Segment: {"p1": (0, 0, 0), "p2": (1, 0, 0)},
+    RectPlane: dict(zip(("v1", "v2", "v3", "v4"), _SQUARE)),
+    Cube: {f"v{i + 1}": v for i, v in enumerate(_BOX)},
+    Cylinder: {"a1": (0, 0, 0), "a2": (1, 0, 0), "radius": 0.1},
+    Scene: {"start": (0, 1, 0), "goal": (0, -1, 0), "obstacles": [], "boundary": []},
+}
+_NUMBERS = (math.nan, math.inf, -1.0)
+_VECTORS = ((math.nan, 0, 0), (0, math.inf, 0), (0, 0))
+_BAD_INPUTS = [
+    *((Gains, f, v) for f in ("k_attr", "k_rep", "activation_radius") for v in _NUMBERS),
+    *((SimParams, f, v) for f in ("mass", "dt", "damping", "max_speed", "goal_radius") for v in _NUMBERS),
+    (SimParams, "max_steps", 0),
+    (SimParams, "max_steps", 1.5),
+    *((Obstacle, "gain", v) for v in _NUMBERS),
+    *((Sphere, "radius", v) for v in _NUMBERS),
+    *((Cylinder, "radius", v) for v in (math.nan, math.inf, 0.0)),
+    *(
+        (cls, f, v)
+        for cls, f in (
+            (Obstacle, "drift"),
+            (Sphere, "center"),
+            (Segment, "p1"),
+            (RectPlane, "v1"),
+            (Cube, "v1"),
+            (Cylinder, "a1"),
+            (Scene, "start"),
+            (Scene, "goal"),
+        )
+        for v in _VECTORS
+    ),
+    *((Scene, "drift_bounds", (v, (1, 1, 1))) for v in _VECTORS),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    _BAD_INPUTS,
+    ids=[f"{cls.__name__}.{field}={value}" for cls, field, value in _BAD_INPUTS],
+)
+def test_bad_input_is_a_value_error_naming_its_field(cls, field, value):
+    rule = rf"^{field} must be (finite|a finite 3-vector|an integer)"
+    with pytest.raises(ValueError, match=rule):
+        cls(**{**_VALID[cls], field: value})
+
+
+def test_zero_damping_and_a_point_sphere_stay_valid():
+    assert SimParams(damping=0).damping == 0.0
+    assert Sphere((0, 0, 0), 0).radius == 0.0
+    for cls, kwargs in _VALID.items():
+        cls(**kwargs)
 
 
 def test_translated_shifts_rigidly(rng):

@@ -24,7 +24,7 @@ from geopf import (
     save_scene,
     translated,
 )
-from geopf.scenes import MIN_CLEARANCE, document_to_scene, scene_to_document
+from geopf.scenes import MIN_CLEARANCE, _drift_offset, document_to_scene, scene_to_document
 
 
 def doc_bytes(scene):
@@ -117,7 +117,7 @@ def test_dynamic_containment_over_horizon():
             for i, obs in enumerate(scene.obstacles):
                 if obs.drift is None:
                     continue
-                off = scene.obstacle_offset(i, float(t))
+                off = _drift_offset(scene._drifts[i], float(t))
                 cx, cy, cz, r = obs.primitive.bounding_sphere
                 c = np.array([cx, cy, cz]) + np.array(off)
                 assert np.all(c - r >= lo - 1e-9)
@@ -127,11 +127,11 @@ def test_dynamic_containment_over_horizon():
 def test_drift_is_continuous_and_starts_at_base():
     scene = generate(SceneClass.DYNAMIC_EASY, 11)
     i = next(i for i, o in enumerate(scene.obstacles) if o.drift is not None)
-    assert scene.obstacle_offset(i, 0.0) == (0.0, 0.0, 0.0)
+    assert _drift_offset(scene._drifts[i], 0.0) == (0.0, 0.0, 0.0)
     speed = float(np.linalg.norm(scene.obstacles[i].drift))
     prev = np.zeros(3)
     for t in np.linspace(0.0, 60.0, 600):
-        off = np.array(scene.obstacle_offset(i, float(t)))
+        off = np.array(_drift_offset(scene._drifts[i], float(t)))
         assert np.linalg.norm(off - prev) <= speed * 0.1003 + 1e-9
         prev = off
 
@@ -151,8 +151,10 @@ def test_placed_obstacles_match_translated_primitives():
         assert len(placed) == len(scene.obstacles)
         for i, obs in enumerate(scene.obstacles):
             assert placed.base[i] is obs.primitive
-            assert placed.offsets[i] == scene.obstacle_offset(i, (s + 1) * dt)
-            expected = translated(obs.primitive, scene.obstacle_offset(i, (s + 1) * dt))
+            drift = scene._drifts.get(i)
+            offset = (0.0, 0.0, 0.0) if drift is None else _drift_offset(drift, (s + 1) * dt)
+            assert placed.offsets[i] == offset
+            expected = translated(obs.primitive, offset)
             got = placed[i]
             assert type(got) is type(expected)
             for f in dataclasses.fields(expected):
@@ -312,8 +314,11 @@ def test_invalid_primitive_geometry_rejected(tmp_path):
         (("gains", "k_rep"), "high", "gains.k_rep"),
         (("sim", "max_steps"), 1.5, "sim.max_steps"),
         (("seed",), -1, "seed"),
+        (("obstacles", 0, "drift"), [0, "x", 0], "obstacles[0].drift"),
+        (("start",), [10**400, 1, 0], "start"),
+        (("gains", "k_rep"), 10**400, "gains.k_rep"),
     ],
-    ids=["obstacle_point", "gain", "sim_param", "negative_seed"],
+    ids=["obstacle_point", "gain", "sim_param", "negative_seed", "drift", "huge_start", "huge_gain"],
 )
 def test_bad_field_is_reported_at_its_own_path(path, value, field):
     doc = scene_to_document(generate(SceneClass.LINE_EASY, 0))
@@ -356,7 +361,8 @@ def test_drift_outside_its_bounds_is_rejected():
     # Wider than its bounds: the fold range is empty, so it would never move.
     with pytest.raises(ValueError, match="drift_bounds"):
         _drifting_scene(Segment((-0.15, 0, 0), (0.15, 0, 0)), 0.1)
-    assert _drifting_scene(Segment((-0.05, 0, 0), (0.05, 0, 0)), 0.1).has_dynamic
+    moving = _drifting_scene(Segment((-0.05, 0, 0), (0.05, 0, 0)), 0.1)
+    assert moving.primitives_at_step(0).offsets[0] != (0.0, 0.0, 0.0)
 
 
 def test_drift_outside_its_bounds_is_a_schema_error_at_the_drift():

@@ -443,7 +443,7 @@ def test_recorded_distances_reuse_the_force_distances(scene_class, seed, max_ste
     for every obstacle on every step, and the simulator's kernel calls fall
     by exactly the number of distances ``force`` wrote."""
     scene = generate(SceneClass(scene_class), seed)
-    assert scene.has_dynamic == (scene_class == "dynamic_hard")
+    assert any(obs.drift is not None for obs in scene.obstacles) == (scene_class == "dynamic_hard")
     params = dataclasses.replace(scene.sim, max_steps=max_steps)
     kernel_calls = [0]
     checked = [0]
@@ -518,7 +518,7 @@ def test_step_loop_builds_no_primitives(kind, scene_class, seed, max_steps, monk
     document, so no query ran on its primitives before the scene's own
     set-up."""
     scene = document_to_scene(scene_to_document(generate(SceneClass(scene_class), seed)))
-    assert scene.has_dynamic == (scene_class == "dynamic_hard")
+    assert any(obs.drift is not None for obs in scene.obstacles) == (scene_class == "dynamic_hard")
     planner = build_planner(kind)
     counting = [False]
     built = []

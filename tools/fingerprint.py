@@ -39,6 +39,13 @@ verdict leaves unchanged.
   ``|``, or the ``DegenerateVector`` message when the kernel raises;
   records are concatenated without a separator.
 
+``tools/fingerprints.txt`` holds the expected lines.  When it exists, each
+printed line ends in ``same`` or ``CHANGED`` against the line of the same
+name there, and the exit status is 1 if any line changed.  Its header names
+the Python and numpy versions it was recorded under: ``clouds`` depends on
+the platform's ``math.cos``.  A change that moves a hash on purpose records
+the new line there and says why.
+
 Run from the repository root (about two and a half minutes on one core,
 most of it in ``drift``; ``cloud-drift`` takes about 30 s, ``kernels``
 about 5 s)::
@@ -49,6 +56,9 @@ about 5 s)::
 import dataclasses
 import hashlib
 import json
+import pathlib
+import platform
+import sys
 
 import numpy as np
 
@@ -168,7 +178,7 @@ def kernel_hash() -> str:
     return h.hexdigest()
 
 
-if __name__ == "__main__":
+def fingerprint_lines():
     for name, trials in (
         ("trajectory", capped_trials()),
         ("full-length", full_length_trials()),
@@ -176,7 +186,33 @@ if __name__ == "__main__":
         ("cloud-drift", cloud_drift_trials()),
     ):
         bits, verdicts = _hashes(trials)
-        print(f"{name:<11} {bits}  verdicts {verdicts}")
-    print(f"{'scenes':<11} {scene_hash()}")
-    print(f"{'clouds':<11} {cloud_hash()}")
-    print(f"{'kernels':<11} {kernel_hash()}")
+        yield f"{name:<11} {bits}  verdicts {verdicts}"
+    yield f"{'scenes':<11} {scene_hash()}"
+    yield f"{'clouds':<11} {cloud_hash()}"
+    yield f"{'kernels':<11} {kernel_hash()}"
+
+
+EXPECTED = pathlib.Path(__file__).with_name("fingerprints.txt")
+
+
+def main() -> int:
+    expected = {}
+    if EXPECTED.exists():
+        text = EXPECTED.read_text()
+        versions = f"Python {platform.python_version()} and numpy {np.__version__}"
+        if versions not in text:
+            print(f"# {EXPECTED.name} was not recorded under {versions}")
+        lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+        expected = {line.split()[0]: line for line in lines}
+    changed = 0
+    for line in fingerprint_lines():
+        if expected:
+            same = expected.get(line.split()[0]) == line
+            changed += not same
+            line += "  same" if same else "  CHANGED"
+        print(line, flush=True)
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
