@@ -203,6 +203,34 @@ def test_collision_on_plane_crossing():
     assert abs(record.states[-1].position[1]) < 1e-9
 
 
+# Starts already in contact, found by distance: (start, spheres, verdict id,
+# final min_dist).  Wall x = +0.5 is corridor_boundary's boundary[1].
+CONTACT_STARTS = {
+    # Inside both; obstacle[1] is the deeper.
+    "two_spheres": ((0, 0, 0), [Sphere((0.1, 0, 0), 0.2), Sphere((0, 0.01, 0), 0.3)],
+                    "obstacle[1]", -0.29),
+    "wall": ((0.5, 0, 0), [Sphere((0, 0.5, 0), 0.1)], "boundary[1]", math.sqrt(0.5) - 0.1),
+    # On the wall and inside the sphere: the obstacle comes first.
+    "sphere_and_wall": ((0.5, 0, 0), [Sphere((0.5, 0.05, 0), 0.1)], "obstacle[0]", -0.05),
+}
+
+
+@pytest.mark.parametrize("kind", ["geopf", "pf", "cf"])
+@pytest.mark.parametrize("case", sorted(CONTACT_STARTS))
+def test_contact_by_distance_names_the_nearest_body(case, kind):
+    start, spheres, obstacle_id, min_dist = CONTACT_STARTS[case]
+    scene = Scene(
+        start=start,
+        goal=(0, -1, 0),
+        obstacles=[Obstacle(s) for s in spheres],
+        boundary=corridor_boundary(-1.2, 1.2),
+        seed=0,
+    )
+    record = run_trial(scene, build_planner(kind))
+    assert record.verdict == Verdict(VerdictKind.COLLISION, obstacle_id, 0)
+    assert record.states[-1].min_dist == pytest.approx(min_dist, abs=1e-12)
+
+
 class _FallingPlanner:
     """A constant unit pull along -y that feels no obstacle; its context has
     no distance slots."""
