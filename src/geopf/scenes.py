@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 import json
+import operator
 import sys
 
 import numpy as np
@@ -135,10 +136,15 @@ class PlacedObstacles(Sequence):
         return translated(self.base[index], offset)
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
+def _check_seed(seed) -> int:
+    """The seed as an int: an integer in [0, 2**64), numpy's included."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
 
 
 @dataclass
@@ -158,7 +164,10 @@ class Scene:
     def __post_init__(self):
         self.start = as_vec3(self.start, "start")
         self.goal = as_vec3(self.goal, "goal")
-        self.seed = _check_seed(int(self.seed))
+        self.seed = _check_seed(self.seed)
+        for j, wall in enumerate(self.boundary):
+            if not isinstance(wall, RectPlane):
+                raise ValueError(f"boundary[{j}] must be a RectPlane, got {type(wall).__name__}")
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds
             self.drift_bounds = (as_vec3(lo, "drift_bounds"), as_vec3(hi, "drift_bounds"))

@@ -166,6 +166,7 @@ _BAD_INPUTS = [
         for v in _VECTORS
     ),
     *((Scene, "drift_bounds", (v, (1, 1, 1))) for v in _VECTORS),
+    *((Scene, "seed", v) for v in (1.5, "3", -1, 2**64)),
 ]
 
 
@@ -185,6 +186,11 @@ def test_zero_damping_and_a_point_sphere_stay_valid():
     assert Sphere((0, 0, 0), 0).radius == 0.0
     for cls, kwargs in _VALID.items():
         cls(**kwargs)
+
+
+def test_a_numpy_integer_seed_is_taken_as_an_int():
+    seed = Scene(**{**_VALID[Scene], "seed": np.int64(3)}).seed
+    assert seed == 3 and type(seed) is int
 
 
 def test_translated_shifts_rigidly(rng):

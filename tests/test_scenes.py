@@ -17,6 +17,8 @@ from geopf import (
     SceneClass,
     SceneSchemaError,
     Segment,
+    Sphere,
+    corridor_boundary,
     distance,
     generate,
     load_scene,
@@ -373,3 +375,10 @@ def test_drift_outside_its_bounds_is_a_schema_error_at_the_drift():
     with pytest.raises(SceneSchemaError, match="drift_bounds") as exc:
         document_to_scene(doc)
     assert exc.value.field == f"obstacles[{i}].drift"
+
+
+def test_a_wall_that_is_not_a_rectangle_is_rejected():
+    walls = corridor_boundary(-1.2, 1.2)
+    walls[1] = Sphere((0.5, 0, 0), 0.1)
+    with pytest.raises(ValueError, match=r"^boundary\[1\] must be a RectPlane, got Sphere$"):
+        Scene(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[], boundary=walls)
