@@ -18,7 +18,6 @@ from .bench import (
     write_json,
 )
 from .errors import (
-    CollisionSignal,
     DegenerateVector,
     GenerationFailure,
     SceneSchemaError,
@@ -66,7 +65,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollisionSignal",
     "ClosestFeature",
     "Cube",
     "Cylinder",

@@ -5,19 +5,6 @@ class DegenerateVector(ValueError):
     """A vector that must have nonzero length is (numerically) zero."""
 
 
-class CollisionSignal(Exception):
-    """Raised during force evaluation when the robot touches or penetrates an obstacle.
-
-    Carries the identifier of the offending obstacle (e.g. ``"obstacle[3]"``
-    or ``"boundary[1]"``) and the measured distance.
-    """
-
-    def __init__(self, obstacle_id, distance):
-        super().__init__(f"collision with {obstacle_id} at distance {distance:.6g} m")
-        self.obstacle_id = obstacle_id
-        self.distance = distance
-
-
 class GenerationFailure(RuntimeError):
     """Scene generation could not satisfy the placement constraints."""
 

@@ -191,11 +191,13 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
     """Scalar repulsion of one primitive, obstacle or boundary wall.
 
     Returns (fx, fy, fz, distance).  The force is zero at or beyond the
-    activation radius and at a non-positive distance (the caller reacts to
-    contact).  Otherwise it has magnitude ``k / max(d, D_MIN)`` along the
-    closest feature's direction, or, with ``correction`` on and the
-    robot-goal stretch piercing the primitive's trap (a rectangle, a box
-    face or a cap disk), along the surface-parallel corrected direction.
+    activation radius and at a non-positive distance, a contact, which the
+    simulator decides from the same distance.  Otherwise it has magnitude
+    ``k / max(d, D_MIN)`` along the closest feature's direction, or, with
+    ``correction`` on and the robot-goal stretch piercing the primitive's
+    trap (a rectangle, a box face or a cap disk), along the surface-parallel
+    corrected direction.  The kernel's ``DegenerateVector`` is the one
+    exception it raises.
     """
     kernel = _kernel_for(prim)
     kern = kernel(rx, ry, rz, prim)

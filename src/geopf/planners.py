@@ -18,6 +18,11 @@ empties (all None) before each step.  GeoPF's ``force`` writes into slot i
 the distance its obstacle term measured for obstacle i, so the simulator's
 distance instrumentation takes it instead of querying the obstacle again.
 Culled obstacles keep None; the sphere-cloud planners write nothing.
+
+No planner decides contact.  A touched or penetrated obstacle or wall adds
+a zero term (``obstacle_force_term``), ``force`` returns the sum as usual,
+and the simulator reads contact off its own distances.  The one exception
+``force`` raises is ``DegenerateVector``.
 """
 
 import weakref
@@ -28,7 +33,6 @@ from . import forces
 from .baselines import SpherizationParams, _cf_terms, _sphere_terms
 # Imported as ``spherize``: the benchmark's tracer patches that name to time set-up.
 from .baselines import sphere_cloud as spherize
-from .errors import CollisionSignal
 from .forces import ForceBreakdown, _attraction, obstacle_force_term
 from .primitives import RectPlane, as_vec3
 from .queries import _plane_offset
@@ -66,21 +70,19 @@ def _scene_ctx(scene):
 
 
 def _wall_terms(ctx, rx, ry, rz, rng, correction):
-    """Boundary-wall repulsion; raises CollisionSignal on wall contact."""
+    """Boundary-wall repulsion; a touched wall adds a zero term."""
     gx, gy, gz = ctx.goal
     wx = wy = wz = 0.0
     act = ctx.act
-    for j, wall in enumerate(ctx.walls):
+    for wall in ctx.walls:
         off = _plane_offset(rx, ry, rz, wall)
         if off >= act or off <= -act:
             continue
         # Called through its home module: this module's name is the
         # obstacle loop's, which the benchmark's tracer counts per obstacle.
-        fx, fy, fz, d = forces.obstacle_force_term(
+        fx, fy, fz, _ = forces.obstacle_force_term(
             rx, ry, rz, gx, gy, gz, wall, ctx.k_rep, act, rng, correction
         )
-        if d <= 0.0:
-            raise CollisionSignal(f"boundary[{j}]", d)
         wx += fx
         wy += fy
         wz += fz
@@ -132,10 +134,10 @@ class GeoPFPlanner(_Planner):
         When ``terms`` is a list, it receives ``(label, fx, fy, fz)`` for the
         attraction, for each obstacle within its activation radius, and for
         the summed boundary walls, in summation order.  Each obstacle term's
-        distance goes into ``ctx.dists``.
+        distance goes into ``ctx.dists``.  A touched obstacle or wall adds a
+        zero term; the simulator decides contact.
 
         Raises:
-            CollisionSignal: on contact with an obstacle or a wall.
             DegenerateVector: when the robot lies on a segment, its end, a
                 cylinder rim or a point sphere's centre, where the repulsion
                 has no direction.
@@ -164,8 +166,6 @@ class GeoPFPlanner(_Planner):
                 sx, sy, sz, gx - ox, gy - oy, gz - oz, prim, k, act, rng, correction
             )
             dists[i] = d
-            if d <= 0.0:
-                raise CollisionSignal(f"obstacle[{i}]", d)
             fx += tx
             fy += ty
             fz += tz
@@ -183,11 +183,11 @@ def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreak
     Runs :meth:`GeoPFPlanner.force`, so the resultant is bit-for-bit the one
     the simulator integrates.  Obstacles are evaluated in scene order,
     boundary walls last; the breakdown lists one term per obstacle within
-    its activation radius.
+    its activation radius, a zero term for a touched or penetrated one.
 
     Raises:
-        CollisionSignal: when any obstacle or wall is touched or penetrated,
-            carrying its identifier.
+        DegenerateVector: when the robot lies on a segment, its end, a
+            cylinder rim or a point sphere's centre.
     """
     planner = GeoPFPlanner(correction)
     ctx = planner.prepare(scene)

@@ -12,6 +12,11 @@ or the step budget runs out.  Per-step wall time covers force evaluation and
 integration only; distance instrumentation, recording and collision checks
 run outside the timed region.
 
+Contact is decided here alone, from the signed distance: a body at a
+distance of at most zero is touched (see ``run_trial``).  A planner adds a
+zero term for a touched body, and the contact state records the force it
+returned.
+
 Each step starts from ``scene.primitives_at_step``: the scene's base
 primitives plus one rigid offset per obstacle.  Distance is invariant under
 translation, so every query runs the base primitive's kernel at the point
@@ -36,7 +41,6 @@ import operator
 import time
 from typing import NamedTuple
 
-from .errors import CollisionSignal
 from .primitives import DEGENERACY_EPS, RectPlane, positive
 from .queries import _kernel_for, _pierce, _plane_contains
 from .seeding import trial_rng
@@ -193,6 +197,18 @@ def run_trial(
         TrajectoryRecord with one state per step and the termination verdict.
         Deterministic for fixed (scene, planner, params) except step_times.
 
+    Raises:
+        DegenerateVector: when the robot lies on a segment, its end, a
+            cylinder rim or a point sphere's centre.
+
+    After each force call one ``min`` runs over the step's obstacle
+    distances followed by its wall distances; at or below zero the trial
+    ends at that body, labelled ``obstacle[i]`` or ``boundary[j]``, the
+    first in that order on a tie.  Walls are rectangles, whose distance is
+    never negative, so this is the deepest obstacle touched, or else the
+    first wall touched.  Then one loop looks for a crossing, over the
+    obstacle rectangles and then the walls.
+
     The distances recorded after a force call reuse the ones the planner
     left in ``ctx.dists``, when its context has that field, and query only
     the other obstacles; the goal step and a crossing point are measured
@@ -218,10 +234,15 @@ def run_trial(
     gx, gy, gz = (float(v) for v in scene.goal)
     goal_r2 = params.goal_radius * params.goal_radius
 
-    kernels = [_kernel_for(obs.primitive) for obs in scene.obstacles]
-    rects = [i for i, obs in enumerate(scene.obstacles) if isinstance(obs.primitive, RectPlane)]
+    prims = [obs.primitive for obs in scene.obstacles]
     walls = list(scene.boundary)
-    wall_kernels = [_kernel_for(w) for w in walls]
+    n = len(prims)
+    kernels = [_kernel_for(prim) for prim in prims]
+    wall_kernels = [_kernel_for(wall) for wall in walls]
+    # The bodies are the obstacles, then the walls: their labels, and the
+    # rectangles among them, which a move can pierce, by body index.
+    labels = [f"obstacle[{i}]" for i in range(n)] + [f"boundary[{j}]" for j in range(len(walls))]
+    rects = [(k, body) for k, body in enumerate(prims + walls) if isinstance(body, RectPlane)]
 
     record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
     states = record.states
@@ -259,38 +280,25 @@ def run_trial(
             record.verdict = Verdict(VerdictKind.REACHED_GOAL, step=step_index)
             break
 
-        signal = None
         t0 = perf()
-        try:
-            fx, fy, fz = planner.force(ctx, px, py, pz, vx, vy, vz, rng)
-            (nx, ny, nz), (nvx, nvy, nvz) = integrate_step(
-                (px, py, pz), (vx, vy, vz), (fx, fy, fz), params
-            )
-        except CollisionSignal as cs:
-            signal = cs
-            fx = fy = fz = 0.0
-            nx, ny, nz, nvx, nvy, nvz = px, py, pz, vx, vy, vz
+        fx, fy, fz = planner.force(ctx, px, py, pz, vx, vy, vz, rng)
+        (nx, ny, nz), (nvx, nvy, nvz) = integrate_step(
+            (px, py, pz), (vx, vy, vz), (fx, fy, fz), params
+        )
         t1 = perf()
         record.step_times.append(t1 - t0)
 
         dists, md = instrument(px, py, pz, placed, getattr(ctx, "dists", None))
         push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
-        if md <= 0.0:
-            worst = min(range(len(dists)), key=lambda i: dists[i])
+        # Contact: the nearest body at a distance of at most zero, the first
+        # in body order on a tie.
+        bodies = dists + [kern(px, py, pz, wall)[0] for kern, wall in zip(wall_kernels, walls)]
+        nearest = min(bodies, default=math.inf)
+        if nearest <= 0.0:
             record.verdict = Verdict(
-                VerdictKind.COLLISION, f"obstacle[{worst}]", step_index
+                VerdictKind.COLLISION, labels[bodies.index(nearest)], step_index
             )
-            break
-        wall_dists = [kern(px, py, pz, wall)[0] for kern, wall in zip(wall_kernels, walls)]
-        wall_hit = next((j for j, d in enumerate(wall_dists) if d <= 0.0), None)
-        if wall_hit is not None:
-            record.verdict = Verdict(
-                VerdictKind.COLLISION, f"boundary[{wall_hit}]", step_index
-            )
-            break
-        if signal is not None:
-            record.verdict = Verdict(VerdictKind.COLLISION, signal.obstacle_id, step_index)
             break
 
         if step_index >= params.max_steps:
@@ -303,27 +311,19 @@ def run_trial(
         move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
         reach = move + DEGENERACY_EPS
         crossed = None
-        for i in rects:
-            if dists[i] > reach:
+        for k, rect in rects:
+            if bodies[k] > reach:
                 continue
-            ox, oy, oz = placed.offsets[i]
-            hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, placed.base[i])
+            ox, oy, oz = placed.offsets[k] if k < n else (0.0, 0.0, 0.0)
+            hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, rect)
             if hit is not None:
-                crossed = (f"obstacle[{i}]", i, (hit[0] + ox, hit[1] + oy, hit[2] + oz))
+                crossed = k
+                cx, cy, cz = hit[0] + ox, hit[1] + oy, hit[2] + oz
                 break
-        if crossed is None:
-            for j, wall in enumerate(walls):
-                if wall_dists[j] > reach:
-                    continue
-                hit = _crossing(px, py, pz, nx, ny, nz, wall)
-                if hit is not None:
-                    crossed = (f"boundary[{j}]", None, hit)
-                    break
         if crossed is not None:
-            obstacle_id, obs_idx, (cx, cy, cz) = crossed
             next_placed = scene.primitives_at_step(step_index + 1)
             dists, md = instrument(cx, cy, cz, next_placed)
-            if obs_idx is not None:
+            if crossed < n:
                 md = 0.0
                 record.min_dist = min(record.min_dist, 0.0)
             push(
@@ -338,7 +338,7 @@ def run_trial(
             record.path_length += math.sqrt(
                 (cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2
             )
-            record.verdict = Verdict(VerdictKind.COLLISION, obstacle_id, step_index + 1)
+            record.verdict = Verdict(VerdictKind.COLLISION, labels[crossed], step_index + 1)
             break
 
         record.path_length += move

@@ -9,7 +9,6 @@ import pytest
 from conftest import random_primitive, sample_surface
 
 from geopf import (
-    CollisionSignal,
     Cube,
     Cylinder,
     Gains,
@@ -325,10 +324,7 @@ def test_cloud_forces_under_drift_match_the_rebuilt_flat_list_bit_for_bit(veloci
             fx, fy, fz = _attraction(rx, ry, rz, *map(float, scene.goal), scene.gains.k_attr)
             for planner, ctx in ctxs:
                 planner.update(ctx, placed)
-                try:
-                    wall = _wall_terms(ctx, rx, ry, rz, None, False)
-                except CollisionSignal:
-                    continue
+                wall = _wall_terms(ctx, rx, ry, rz, None, False)
                 if planner is pf:
                     terms = _flat_pf(rx, ry, rz, flat, params.k_rep, ctx.act)
                 else:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from geopf import (
-    CollisionSignal,
     Cylinder,
     D_MIN,
     Gains,
@@ -96,13 +95,17 @@ def test_repulsive_clamped_near_contact():
     assert np.linalg.norm(f) == pytest.approx(0.1 / D_MIN)  # magnitude 1000
 
 
-def test_repulsive_penetration_signals():
-    # Inside a volume the term is zero and the planner reports the contact.
+def test_repulsive_penetration_is_a_zero_term():
+    # Inside a volume the term is zero, and the breakdown lists it: the
+    # planner leaves the contact to the simulator.
     ball = Sphere((0, 0, 0), 0.5)
     inside = obstacle_force_term(0.0, 0.1, 0.0, 0.0, 2.0, 0.0, ball, 0.1, 1.0, None, True)
     assert inside == (0.0, 0.0, 0.0, -0.4)
-    with pytest.raises(CollisionSignal):
-        resultant_force((0, 0.1, 0), (0, 2, 0), scene_of([ball]))
+    bd = resultant_force((0, 0.1, 0), (0, 2, 0), scene_of([ball]))
+    assert [(label, term.tolist()) for label, term in bd.per_obstacle] == [
+        ("obstacle[0]", [0.0, 0.0, 0.0])
+    ]
+    assert np.array_equal(bd.resultant, bd.attractive)
 
 
 def test_repulsive_monotone_in_distance():
@@ -260,13 +263,6 @@ def test_resultant_superposition_bitexact():
     assert len(bd.per_obstacle) == 2
 
 
-def test_resultant_collision_signal_carries_id():
-    scene = scene_of([Sphere((0, 0, 0), 0.2), Sphere((0, 0.5, 0), 0.2)])
-    with pytest.raises(CollisionSignal) as exc:
-        resultant_force((0, 0.45, 0), (0, -1, 0), scene)
-    assert exc.value.obstacle_id == "obstacle[1]"
-
-
 def test_resultant_direction_away_from_foot():
     # Repulsion points from the closest point toward the robot except in
     # correction branches.
@@ -275,10 +271,7 @@ def test_resultant_direction_away_from_foot():
     scene = scene_of(prims)
     for _ in range(50):
         robot = rng.uniform(-0.6, 0.6, size=3)
-        try:
-            bd = resultant_force(robot, (0, -1, 0), scene, rng=rng)
-        except CollisionSignal:
-            continue
+        bd = resultant_force(robot, (0, -1, 0), scene, rng=rng)
         for oid, term in bd.per_obstacle:
             idx = int(oid.split("[")[1].rstrip("]"))
             cf = closest_feature(robot, prims[idx])
@@ -304,14 +297,8 @@ def test_resultant_correction_trigger_lateral_kick():
 @pytest.mark.parametrize("scene_class", ["complex", "plane_hard", "line_hard", "dynamic_hard"])
 def test_resultant_is_the_planner_force_bit_for_bit(scene_class):
     # The breakdown must report the force the simulator integrates, at
-    # positions spread around the obstacles of seeded scenes.
-    def outcome(fn):
-        try:
-            return [v.hex() for v in fn()]
-        except CollisionSignal as exc:
-            return exc.obstacle_id
-
-    compared = 0
+    # positions spread around the obstacles of seeded scenes, a few of them
+    # in contact.
     for seed in range(3):
         scene = generate(SceneClass(scene_class), seed)
         act = scene.gains.activation_radius
@@ -323,12 +310,8 @@ def test_resultant_is_the_planner_force_bit_for_bit(scene_class):
             for correction in (True, False):
                 planner = GeoPFPlanner(correction)
                 ctx = planner.prepare(scene)
-                got = outcome(
-                    lambda: resultant_force(
-                        robot, scene.goal, scene, rng=trial_rng(n), correction=correction
-                    ).resultant
-                )
-                want = outcome(lambda: planner.force(ctx, *robot.tolist(), 0, 0, 0, trial_rng(n)))
-                assert got == want
-                compared += not isinstance(want, str)
-    assert compared >= 450
+                got = resultant_force(
+                    robot, scene.goal, scene, rng=trial_rng(n), correction=correction
+                ).resultant
+                want = planner.force(ctx, *robot.tolist(), 0, 0, 0, trial_rng(n))
+                assert list(map(float.hex, got)) == list(map(float.hex, want))

@@ -4,7 +4,6 @@ import geopf
 
 PUBLIC = [
     "ClosestFeature",
-    "CollisionSignal",
     "Cube",
     "Cylinder",
     "D_MIN",

@@ -35,6 +35,7 @@ from geopf import forces, primitives, scenes, sim
 from geopf.primitives import DEGENERACY_EPS
 from geopf.queries import _kernel_for
 from geopf.scenes import document_to_scene, scene_to_document
+from geopf.seeding import trial_rng
 from geopf.sim import _crossing
 
 
@@ -228,7 +229,13 @@ def test_contact_by_distance_names_the_nearest_body(case, kind):
     )
     record = run_trial(scene, build_planner(kind))
     assert record.verdict == Verdict(VerdictKind.COLLISION, obstacle_id, 0)
-    assert record.states[-1].min_dist == pytest.approx(min_dist, abs=1e-12)
+    final = record.states[-1]
+    assert final.min_dist == pytest.approx(min_dist, abs=1e-12)
+    # The contact state records the force the planner returned.
+    planner = build_planner(kind)
+    ctx = planner.prepare(scene)
+    planner.update(ctx, scene.primitives_at_step(0))
+    assert final.force == planner.force(ctx, *map(float, start), 0.0, 0.0, 0.0, trial_rng(0))
 
 
 class _FallingPlanner:
