@@ -27,7 +27,6 @@ from .planners import (
     GeoPFPlanner,
     SphereCFPlanner,
     SpherePFPlanner,
-    build_planner,
     resultant_force,
 )
 from .primitives import (
@@ -94,7 +93,6 @@ __all__ = [
     "TrialMetrics",
     "Verdict",
     "VerdictKind",
-    "build_planner",
     "closest_feature",
     "compute_metrics",
     "corridor_boundary",

@@ -8,11 +8,11 @@ circulatory term perpendicular to the current velocity.
 
 :func:`sphere_cloud` builds a primitive's cloud as ``(cx, cy, cz, r)`` float
 records with scalar arithmetic.  The planners keep one block of records per
-obstacle, built once at its base position, and a drifting obstacle's block
-is queried with its offset: :func:`_near_spheres`, the one loop over a
-cloud that both force laws share, adds the offset to each centre.  A robot
-inside a sphere is pushed out radially at the clamped magnitude; one at a
-centre skips that sphere.
+obstacle, in scene order, built once at its base position, and each block
+is queried at the robot minus its obstacle's offset, as GeoPF queries a
+primitive: :func:`_near_spheres` is the one loop over a cloud that both
+force laws share.  A robot inside a sphere is pushed out radially at the
+clamped magnitude; one at a centre skips that sphere.
 """
 
 from dataclasses import dataclass, fields
@@ -22,6 +22,7 @@ import numpy as np
 
 from .forces import D_MIN
 from .primitives import (
+    DEGENERACY_EPS,
     Cube,
     Cylinder,
     Primitive,
@@ -147,24 +148,24 @@ def _near_spheres(rx, ry, rz, cloud, offsets, k, act):
     cloud order: the robot minus the centre, its length and the repulsion
     magnitude ``k / max(d, D_MIN)`` at the surface distance ``d``.
 
-    ``cloud`` is a list of ``(i, records)`` blocks, one per obstacle, and the
-    records of obstacle ``i`` are queried at ``offsets[i]``: each centre is
-    ``c + o``, the arithmetic of a translated record, and at a zero offset
-    ``c + 0.0 == c``.  A sphere the robot is inside (``d <= 0``) is kept,
-    unless the robot is at its centre, where the repulsion has no direction.
+    ``cloud`` holds one block of base records per obstacle, in scene order,
+    zipped with ``offsets``: each block is queried at the robot minus its
+    obstacle's offset, shifted once per block.  A sphere the robot is inside
+    (``d <= 0``) is kept, unless the robot is at its centre, where the
+    repulsion has no direction.
     """
     near = []
-    for i, records in cloud:
-        ox, oy, oz = offsets[i]
+    for records, (ox, oy, oz) in zip(cloud, offsets):
+        sx, sy, sz = rx - ox, ry - oy, rz - oz
         for cx, cy, cz, r in records:
-            dx = rx - (cx + ox)
-            dy = ry - (cy + oy)
-            dz = rz - (cz + oz)
+            dx = sx - cx
+            dy = sy - cy
+            dz = sz - cz
             wn = math.sqrt(dx * dx + dy * dy + dz * dz)
             d = wn - r
             if d >= act:
                 continue
-            if wn <= 1e-12:
+            if wn <= DEGENERACY_EPS:
                 continue
             near.append((dx, dy, dz, wn, k / max(d, D_MIN)))
     return near
@@ -194,13 +195,13 @@ def _cf_terms(rx, ry, rz, vx, vy, vz, cloud, offsets, k, act):
             by = dz * vx - dx * vz
             bz = dx * vy - dy * vx
             bn = math.sqrt(bx * bx + by * by + bz * bz)
-            if bn > 1e-12:
+            if bn > DEGENERACY_EPS:
                 bx, by, bz = bx / bn, by / bn, bz / bn
                 tx = vy * bz - vz * by
                 ty = vz * bx - vx * bz
                 tz = vx * by - vy * bx
                 tn = math.sqrt(tx * tx + ty * ty + tz * tz)
-                if tn > 1e-12:
+                if tn > DEGENERACY_EPS:
                     scale = mag / tn
                     fx += tx * scale
                     fy += ty * scale

@@ -14,7 +14,8 @@ import os
 import statistics
 
 from .errors import GenerationFailure
-from .planners import build_planner
+from .baselines import SpherizationParams
+from .planners import GeoPFPlanner, SphereCFPlanner, SpherePFPlanner
 from .scenes import SceneClass, generate
 from .sim import TrajectoryRecord, VerdictKind, run_trial
 
@@ -49,7 +50,15 @@ class PlannerSpec:
     correction: bool = True
 
     def build(self):
-        return build_planner(self.kind, self.rsp, self.ksp, self.correction)
+        """A fresh planner of this kind."""
+        if self.kind == "geopf":
+            return GeoPFPlanner(correction=self.correction)
+        params = SpherizationParams(radius=self.rsp, k_rep=self.ksp)
+        if self.kind == "pf":
+            return SpherePFPlanner(params)
+        if self.kind == "cf":
+            return SphereCFPlanner(params)
+        raise ValueError(f"unknown planner kind: {self.kind!r} (expected geopf, pf or cf)")
 
     @property
     def label(self) -> str:
@@ -119,12 +128,12 @@ def _run_one(scene_class: SceneClass, seed: int, spec: PlannerSpec, stall_speed:
     try:
         scene = generate(scene_class, seed)
     except GenerationFailure:
-        return (seed, None, None, 0)
+        return (seed, None, 0)
     planner = spec.build()
     record = run_trial(scene, planner, keep_states=False, stall_speed=stall_speed)
     metrics = compute_metrics(record, scene)
     n_obs = planner.obstacle_count(scene)
-    return (seed, metrics, record.verdict.kind.value, n_obs)
+    return (seed, metrics, n_obs)
 
 
 def default_workers() -> int:
@@ -174,7 +183,7 @@ def run_suite(
     n_obs = []
     excluded = 0
     successes = 0
-    for seed, m, verdict, count in results:
+    for seed, m, count in results:
         if m is None:
             excluded += 1
             continue

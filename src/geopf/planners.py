@@ -9,9 +9,9 @@ resultant is summed left to right as attraction, then the obstacle terms,
 then the boundary walls.  The geometric planner queries each base primitive
 at the robot minus its obstacle's offset, and its ``force`` is the one loop
 that sums a GeoPF resultant; :func:`resultant_force` runs it and keeps the
-terms.  The baseline planners hold one block of sphere records per obstacle
-and query each block with its obstacle's offset.  All planners feel the
-same boundary-wall repulsion.
+terms.  The baseline planners hold one block of sphere records per obstacle,
+in scene order, and query each block the same way, at the robot minus its
+obstacle's offset.  All planners feel the same boundary-wall repulsion.
 
 Every context also holds ``dists``, one slot per obstacle, which ``update``
 empties (all None) before each step.  GeoPF's ``force`` writes into slot i
@@ -103,8 +103,6 @@ class _Planner:
 
 class GeoPFPlanner(_Planner):
     """Closed-form geometric planner: one closest-feature query per primitive."""
-
-    name = "geopf"
 
     def __init__(self, correction: bool = True):
         self.correction = correction
@@ -215,13 +213,11 @@ class _SphereCloudPlanner(_Planner):
         self._prepared = (None, 0)
 
     def prepare(self, scene):
-        """One block of sphere records per obstacle, at its base position:
-        static obstacles first, then drifting ones, each in index order."""
+        """One block of sphere records per obstacle, at its base position,
+        in scene order."""
         ctx = _scene_ctx(scene)
-        obstacles = scene.obstacles
-        order = sorted(range(len(obstacles)), key=lambda i: obstacles[i].drift is not None)
-        ctx.cloud = [(i, spherize(obstacles[i].primitive, self.params)) for i in order]
-        self._prepared = (weakref.ref(scene), sum(len(records) for _, records in ctx.cloud))
+        ctx.cloud = [spherize(obs.primitive, self.params) for obs in scene.obstacles]
+        self._prepared = (weakref.ref(scene), sum(map(len, ctx.cloud)))
         return ctx
 
     def obstacle_count(self, scene) -> int:
@@ -236,8 +232,6 @@ class _SphereCloudPlanner(_Planner):
 class SpherePFPlanner(_SphereCloudPlanner):
     """Standard potential field over the spherized obstacles."""
 
-    name = "pf"
-
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _sphere_terms(rx, ry, rz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act)
@@ -248,8 +242,6 @@ class SpherePFPlanner(_SphereCloudPlanner):
 class SphereCFPlanner(_SphereCloudPlanner):
     """Circulatory field over the spherized obstacles."""
 
-    name = "cf"
-
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _cf_terms(
@@ -257,18 +249,3 @@ class SphereCFPlanner(_SphereCloudPlanner):
         )
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz
-
-
-PLANNER_KINDS = ("geopf", "pf", "cf")
-
-
-def build_planner(kind: str, rsp: float = 0.01, ksp: float = 1.0, correction: bool = True):
-    """Construct a planner from its harness identifier."""
-    if kind == "geopf":
-        return GeoPFPlanner(correction=correction)
-    params = SpherizationParams(radius=rsp, k_rep=ksp)
-    if kind == "pf":
-        return SpherePFPlanner(params)
-    if kind == "cf":
-        return SphereCFPlanner(params)
-    raise ValueError(f"unknown planner kind: {kind!r} (expected one of {PLANNER_KINDS})")

@@ -13,13 +13,13 @@ from geopf import (
     Cylinder,
     Gains,
     Obstacle,
+    PlannerSpec,
     RectPlane,
     Scene,
     SceneClass,
     Segment,
     Sphere,
     SpherizationParams,
-    build_planner,
     closest_feature,
     generate,
 )
@@ -188,9 +188,8 @@ def test_sphere_cloud_matches_reference_and_spherize_bit_for_bit():
         for seed in range(4):
             scene = generate(scene_class, seed)
             cases.extend((obs.primitive, default) for obs in scene.obstacles)
-            blocks = dict(build_planner("pf").prepare(scene).cloud)
-            for i, obs in enumerate(scene.obstacles):
-                assert blocks[i] == sphere_cloud(obs.primitive, default)
+            blocks = PlannerSpec("pf").build().prepare(scene).cloud
+            assert blocks == [sphere_cloud(obs.primitive, default) for obs in scene.obstacles]
     for prim, params in cases:
         records = sphere_cloud(prim, params)
         assert [tuple(map(float.hex, rec)) for rec in records] == [
@@ -213,21 +212,21 @@ def test_box_and_cylinder_dedup_rounds_as_numpy():
 def test_obstacle_count_is_the_prepared_cloud_size(kind):
     scene = generate(SceneClass.COMPLEX, 1)
     assert all(obs.drift is None for obs in scene.obstacles)
-    planner = build_planner(kind)
+    planner = PlannerSpec(kind).build()
     cloud = planner.prepare(scene).cloud
-    assert planner.obstacle_count(scene) == sum(len(records) for _, records in cloud)
+    assert planner.obstacle_count(scene) == sum(map(len, cloud))
 
 
 @pytest.mark.parametrize("kind", ["pf", "cf"])
 def test_obstacle_count_of_the_prepared_scene_builds_no_cloud(kind, monkeypatch):
     scene, other = generate(SceneClass.COMPLEX, 1), generate(SceneClass.PLANE_EASY, 0)
-    fresh = build_planner(kind).obstacle_count(other)
-    planner = build_planner(kind)
+    fresh = PlannerSpec(kind).build().obstacle_count(other)
+    planner = PlannerSpec(kind).build()
     cloud = planner.prepare(scene).cloud
     calls = []
     inner = planners.spherize
     monkeypatch.setattr(planners, "spherize", lambda *a: calls.append(a) or inner(*a))
-    assert planner.obstacle_count(scene) == sum(len(records) for _, records in cloud)
+    assert planner.obstacle_count(scene) == sum(map(len, cloud))
     assert calls == []
     # Any other scene, an equal copy included, has its clouds built to count.
     assert planner.obstacle_count(other) == fresh
@@ -242,37 +241,35 @@ def test_obstacle_count_of_the_prepared_scene_builds_no_cloud(kind, monkeypatch)
 # -- drift as offsets -----------------------------------------------------------
 
 
-def _rebuilt_flat(scene, params, placed) -> list:
-    """The cloud as one flat float list, rebuilt for the step: static
-    obstacles' records, then each drifting obstacle's records translated by
-    its offset (the sphere-cloud planners' former per-step rebuild)."""
-    flat = []
-    for obs in scene.obstacles:
-        if obs.drift is None:
-            for record in sphere_cloud(obs.primitive, params):
-                flat.extend(record)
-    for i, obs in enumerate(scene.obstacles):
-        if obs.drift is not None:
-            ox, oy, oz = placed.offsets[i]
-            for cx, cy, cz, r in sphere_cloud(obs.primitive, params):
-                flat.extend((cx + ox, cy + oy, cz + oz, r))
-    return flat
+def _shifted_near(rx, ry, rz, scene, params, placed, act):
+    """``(dx, dy, dz, wn, d)`` of every sphere nearer than ``act``: each
+    obstacle's base cloud, in scene order, measured from the robot minus
+    the obstacle's offset."""
+    for obs, (ox, oy, oz) in zip(scene.obstacles, placed.offsets):
+        sx, sy, sz = rx - ox, ry - oy, rz - oz
+        for cx, cy, cz, r in sphere_cloud(obs.primitive, params):
+            dx, dy, dz = sx - cx, sy - cy, sz - cz
+            wn = math.sqrt(dx * dx + dy * dy + dz * dz)
+            d = wn - r
+            if d < act and wn > 1e-12:
+                yield dx, dy, dz, wn, d
 
 
-def _flat_near(rx, ry, rz, flat, act):
-    """The former loop head over a flat list, clamp mode."""
-    for j in range(0, len(flat), 4):
-        cx, cy, cz, r = flat[j], flat[j + 1], flat[j + 2], flat[j + 3]
-        dx, dy, dz = rx - cx, ry - cy, rz - cz
-        wn = math.sqrt(dx * dx + dy * dy + dz * dz)
-        d = wn - r
-        if d < act and wn > 1e-12:
-            yield dx, dy, dz, wn, d
+def _translated_near(rx, ry, rz, scene, params, placed, act):
+    """The same spheres with each centre translated by its obstacle's offset
+    (``c + o``, the cloud rebuilt for the step), measured from the robot."""
+    for obs, (ox, oy, oz) in zip(scene.obstacles, placed.offsets):
+        for cx, cy, cz, r in sphere_cloud(obs.primitive, params):
+            dx, dy, dz = rx - (cx + ox), ry - (cy + oy), rz - (cz + oz)
+            wn = math.sqrt(dx * dx + dy * dy + dz * dz)
+            d = wn - r
+            if d < act and wn > 1e-12:
+                yield dx, dy, dz, wn, d
 
 
-def _flat_pf(rx, ry, rz, flat, k, act):
+def _reference_pf(near, k):
     fx = fy = fz = 0.0
-    for dx, dy, dz, wn, d in _flat_near(rx, ry, rz, flat, act):
+    for dx, dy, dz, wn, d in near:
         scale = (k / max(d, D_MIN)) / wn
         fx += dx * scale
         fy += dy * scale
@@ -280,10 +277,10 @@ def _flat_pf(rx, ry, rz, flat, k, act):
     return fx, fy, fz
 
 
-def _flat_cf(rx, ry, rz, vx, vy, vz, flat, k, act):
+def _reference_cf(near, vx, vy, vz, k):
     fx = fy = fz = 0.0
     moving = vx * vx + vy * vy + vz * vz >= CF_VELOCITY_EPS * CF_VELOCITY_EPS
-    for dx, dy, dz, wn, d in _flat_near(rx, ry, rz, flat, act):
+    for dx, dy, dz, wn, d in near:
         mag = k / max(d, D_MIN)
         bx, by, bz = dy * vz - dz * vy, dz * vx - dx * vz, dx * vy - dy * vx
         bn = math.sqrt(bx * bx + by * by + bz * bz)
@@ -308,47 +305,65 @@ def _robots_near_drifting_spheres(scene, params, placed):
             yield cx + ox + 0.031, cy + oy - 0.022, cz + oz + 0.017
 
 
+# Relative bound between a cloud force and the same force with every centre
+# translated: ``(r - o) - c`` and ``r - (c + o)`` differ by a rounding or two
+# per coordinate, about 1e-16 m, against sphere distances of centimetres.
+TRANSLATED_REL_TOL = 1e-12
+
+
 @pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)])
-def test_cloud_forces_under_drift_match_the_rebuilt_flat_list_bit_for_bit(velocity):
+def test_cloud_forces_under_drift_query_each_block_at_the_robot_minus_its_offset(velocity):
+    # Bit for bit: the base cloud in scene order at the robot minus each
+    # obstacle's offset.  Within TRANSLATED_REL_TOL: the cloud translated by
+    # the offsets, which moves the same spheres to the same places.
     scene = generate(SceneClass.DYNAMIC_HARD, 2)
     assert any(obs.drift is not None for obs in scene.obstacles)
-    pf, cf = build_planner("pf"), build_planner("cf")
+    pf, cf = PlannerSpec("pf").build(), PlannerSpec("cf").build()
     params = pf.params
+    k = params.k_rep
     vx, vy, vz = velocity
     ctxs = [(pf, pf.prepare(scene)), (cf, cf.prepare(scene))]
     active = 0
+    worst = 0.0
     for step in (0, 1, 250, 999, 4321):
         placed = scene.primitives_at_step(step)
-        flat = _rebuilt_flat(scene, params, placed)
         for rx, ry, rz in _robots_near_drifting_spheres(scene, params, placed):
             fx, fy, fz = _attraction(rx, ry, rz, *map(float, scene.goal), scene.gains.k_attr)
             for planner, ctx in ctxs:
                 planner.update(ctx, placed)
                 wall = _wall_terms(ctx, rx, ry, rz, None, False)
+                near = [
+                    list(f(rx, ry, rz, scene, params, placed, ctx.act))
+                    for f in (_shifted_near, _translated_near)
+                ]
                 if planner is pf:
-                    terms = _flat_pf(rx, ry, rz, flat, params.k_rep, ctx.act)
+                    terms, moved = (_reference_pf(n, k) for n in near)
                 else:
-                    terms = _flat_cf(rx, ry, rz, vx, vy, vz, flat, params.k_rep, ctx.act)
+                    terms, moved = (_reference_cf(n, vx, vy, vz, k) for n in near)
                 expected = tuple(a + t + w for a, t, w in zip((fx, fy, fz), terms, wall))
                 got = planner.force(ctx, rx, ry, rz, vx, vy, vz, None)
                 assert list(map(float.hex, got)) == list(map(float.hex, expected))
                 active += terms != (0.0, 0.0, 0.0)
+                scale = math.hypot(*terms)
+                worst = max(worst, math.dist(terms, moved) / scale if scale else 0.0)
     assert active >= 40
+    assert worst <= TRANSLATED_REL_TOL, f"largest relative difference {worst:.3g}"
 
 
 def test_update_keeps_the_cloud_and_takes_the_offsets():
     scene = generate(SceneClass.DYNAMIC_HARD, 2)
-    planner = build_planner("pf")
+    drifting = [i for i, obs in enumerate(scene.obstacles) if obs.drift is not None]
+    assert drifting and len(drifting) < len(scene.obstacles)
+    planner = PlannerSpec("pf").build()
     ctx = planner.prepare(scene)
     cloud = ctx.cloud
-    snapshot = [(i, list(records)) for i, records in cloud]
-    drifting = [i for i, obs in enumerate(scene.obstacles) if obs.drift is not None]
-    static = [i for i, obs in enumerate(scene.obstacles) if obs.drift is None]
-    assert [i for i, _ in cloud] == static + drifting
+    snapshot = [list(records) for records in cloud]
+    # One block per obstacle, in scene order, static and drifting alike.
+    assert snapshot == [sphere_cloud(obs.primitive, planner.params) for obs in scene.obstacles]
     placed = scene.primitives_at_step(500)
     planner.update(ctx, placed)
     assert ctx.cloud is cloud
-    assert [(i, list(records)) for i, records in ctx.cloud] == snapshot
+    assert [list(records) for records in ctx.cloud] == snapshot
     assert ctx.offsets is placed.offsets
     assert all(ctx.offsets[i] != (0.0, 0.0, 0.0) for i in drifting)
 
@@ -360,7 +375,7 @@ def _cloud_force(kind, goal, spheres, gains=GAINS):
     """The PF or CF planner's force, as a function of the robot and its
     velocity, on a wall-free scene of ``spheres`` that repel with
     ``gains.k_rep``.  A sphere is its own one-record cloud."""
-    planner = build_planner(kind, ksp=gains.k_rep)
+    planner = PlannerSpec(kind, ksp=gains.k_rep).build()
     scene = Scene(
         start=(0, 0, 0),
         goal=goal,

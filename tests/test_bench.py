@@ -8,9 +8,13 @@ import math
 import pytest
 
 from geopf import (
+    GeoPFPlanner,
     PlannerSpec,
     SceneClass,
     SimParams,
+    SphereCFPlanner,
+    SpherePFPlanner,
+    SpherizationParams,
     compute_metrics,
     distance,
     generate,
@@ -92,6 +96,21 @@ def _without_step_times(report):
     for trial in doc["trial_metrics"]:
         trial.pop("ct_per_step")
     return doc
+
+
+@pytest.mark.parametrize("kind", ["rrt", "GeoPF", ""])
+def test_planner_spec_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match="unknown planner kind"):
+        PlannerSpec(kind).build()
+
+
+def test_planner_spec_builds_each_kind_with_its_parameters():
+    assert type(PlannerSpec("geopf").build()) is GeoPFPlanner
+    assert PlannerSpec("geopf", correction=False).build().correction is False
+    for kind, cls in (("pf", SpherePFPlanner), ("cf", SphereCFPlanner)):
+        planner = PlannerSpec(kind, rsp=0.02, ksp=0.5).build()
+        assert type(planner) is cls
+        assert planner.params == SpherizationParams(radius=0.02, k_rep=0.5)
 
 
 def test_worker_pool_gives_the_serial_report():

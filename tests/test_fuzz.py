@@ -9,11 +9,11 @@ import numpy as np
 from geopf import (
     DegenerateVector,
     Obstacle,
+    PlannerSpec,
     Scene,
     SimParams,
     Sphere,
     Verdict,
-    build_planner,
     compute_metrics,
     corridor_boundary,
     run_trial,
@@ -71,7 +71,7 @@ def _fingerprint(record):
 
 def _outcome(scene, kind, correction):
     try:
-        record = run_trial(scene, build_planner(kind, rsp=0.02, correction=correction))
+        record = run_trial(scene, PlannerSpec(kind, rsp=0.02, correction=correction).build())
     except DegenerateVector as exc:
         return ("degenerate", str(exc))
     assert isinstance(record.verdict, Verdict)

@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from geopf import SceneClass, build_planner, generate, maze_scene, run_trial
+from geopf import PlannerSpec, SceneClass, generate, maze_scene, run_trial
 
 CAPS = {"maze_scene": 2500, "dynamic_easy": 150, "dynamic_hard": 150, "pf": 300, "cf": 300}
 
@@ -72,7 +72,7 @@ def test_golden_verdict(row):
         scene = generate(SceneClass(scene_class), int(seed))
         cap = CAPS.get(scene_class, CAPS.get(kind, 1000))
     params = dataclasses.replace(scene.sim, max_steps=cap)
-    record = run_trial(scene, build_planner(kind), params, keep_states=False)
+    record = run_trial(scene, PlannerSpec(kind).build(), params, keep_states=False)
     verdict = record.verdict
     assert (verdict.kind.value, verdict.obstacle_id, verdict.step) == (
         verdict_kind,

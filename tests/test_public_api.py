@@ -32,7 +32,6 @@ PUBLIC = [
     "TrialMetrics",
     "Verdict",
     "VerdictKind",
-    "build_planner",
     "closest_feature",
     "compute_metrics",
     "corridor_boundary",

@@ -14,6 +14,7 @@ from geopf import (
     Gains,
     GeoPFPlanner,
     Obstacle,
+    PlannerSpec,
     RectPlane,
     Scene,
     SceneClass,
@@ -22,7 +23,6 @@ from geopf import (
     Sphere,
     Verdict,
     VerdictKind,
-    build_planner,
     corridor_boundary,
     generate,
     integrate_step,
@@ -227,12 +227,12 @@ def test_contact_by_distance_names_the_nearest_body(case, kind):
         boundary=corridor_boundary(-1.2, 1.2),
         seed=0,
     )
-    record = run_trial(scene, build_planner(kind))
+    record = run_trial(scene, PlannerSpec(kind).build())
     assert record.verdict == Verdict(VerdictKind.COLLISION, obstacle_id, 0)
     final = record.states[-1]
     assert final.min_dist == pytest.approx(min_dist, abs=1e-12)
     # The contact state records the force the planner returned.
-    planner = build_planner(kind)
+    planner = PlannerSpec(kind).build()
     ctx = planner.prepare(scene)
     planner.update(ctx, scene.primitives_at_step(0))
     assert final.force == planner.force(ctx, *map(float, start), 0.0, 0.0, 0.0, trial_rng(0))
@@ -321,7 +321,7 @@ def test_degenerate_start_raises_degenerate_vector(case, kind):
         seed=0,
     )
     with pytest.raises(DegenerateVector):
-        run_trial(scene, build_planner(kind))
+        run_trial(scene, PlannerSpec(kind).build())
 
 
 def test_keep_states_false_keeps_aggregates():
@@ -554,7 +554,7 @@ def test_step_loop_builds_no_primitives(kind, scene_class, seed, max_steps, monk
     set-up."""
     scene = document_to_scene(scene_to_document(generate(SceneClass(scene_class), seed)))
     assert any(obs.drift is not None for obs in scene.obstacles) == (scene_class == "dynamic_hard")
-    planner = build_planner(kind)
+    planner = PlannerSpec(kind).build()
     counting = [False]
     built = []
     cap_corrections = []

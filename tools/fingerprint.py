@@ -41,7 +41,9 @@ verdict leaves unchanged.
 
 ``tools/fingerprints.txt`` holds the expected lines.  When it exists, each
 printed line ends in ``same`` or ``CHANGED`` against the line of the same
-name there, and the exit status is 1 if any line changed.  Its header names
+name there, and the exit status is 1 if any line changed.  A trial set's
+``CHANGED`` says what moved: ``(verdicts)`` when its verdict hash moved,
+``(bits)`` when only its bit hash did.  Its header names
 the Python and numpy versions it was recorded under: ``clouds`` depends on
 the platform's ``math.cos``.  A change that moves a hash on purpose records
 the new line there and says why.
@@ -195,6 +197,17 @@ def fingerprint_lines():
 EXPECTED = pathlib.Path(__file__).with_name("fingerprints.txt")
 
 
+def _status(line: str, expected: str | None) -> str:
+    """``same``, or ``CHANGED`` and, for a trial set recorded with its
+    verdict hash, whether the verdicts or only the bits moved."""
+    if line == expected:
+        return "same"
+    fields, old = line.split(), (expected or "").split()
+    if "verdicts" in fields and "verdicts" in old:
+        return "CHANGED (verdicts)" if fields[-1] != old[-1] else "CHANGED (bits)"
+    return "CHANGED"
+
+
 def main() -> int:
     expected = {}
     if EXPECTED.exists():
@@ -207,9 +220,9 @@ def main() -> int:
     changed = 0
     for line in fingerprint_lines():
         if expected:
-            same = expected.get(line.split()[0]) == line
-            changed += not same
-            line += "  same" if same else "  CHANGED"
+            status = _status(line, expected.get(line.split()[0]))
+            changed += status != "same"
+            line += f"  {status}"
         print(line, flush=True)
     return 1 if changed else 0
 
