@@ -1,17 +1,18 @@
 """Planner adapters used by the simulator and the benchmark harness.
 
-Each planner prepares a per-scene context from the obstacles at their base
-position.  Before every step its one shared ``update`` takes the step's
-rigid offsets, one per obstacle, from the scene's ``primitives_at_step``
-view, and builds nothing.  ``force`` then produces the resultant as plain
-floats (this call is the timed region of a simulation step).  Every
-resultant is summed left to right as attraction, then the obstacle terms,
-then the boundary walls.  The geometric planner queries each base primitive
-at the robot minus its obstacle's offset, and its ``force`` is the one loop
-that sums a GeoPF resultant; :func:`resultant_force` runs it and keeps the
-terms.  The baseline planners hold one block of sphere records per obstacle,
-in scene order, and query each block the same way, at the robot minus its
-obstacle's offset.  All planners feel the same boundary-wall repulsion.
+Each planner prepares a per-scene context from the obstacles' rows of
+``scene.bodies``.  Before every step its one shared ``update`` takes the
+step's rigid offsets, one per obstacle, from the scene's
+``primitives_at_step`` view, and builds nothing.  ``force`` then produces the
+resultant as plain floats (this call is the timed region of a simulation
+step).  Every resultant is summed left to right as attraction, then the
+obstacle terms, then the boundary walls.  The geometric planner queries each
+row's primitive at the robot minus its obstacle's offset, and its ``force``
+is the one loop that sums a GeoPF resultant; :func:`resultant_force` runs it
+and keeps the terms.  The baseline planners hold one block of sphere records
+per obstacle, in scene order, and query each block the same way, at the robot
+minus its obstacle's offset.  All planners feel the same boundary-wall
+repulsion.
 
 Every context also holds ``dists``, one slot per obstacle, which ``update``
 empties (all None) before each step.  GeoPF's ``force`` writes into slot i
@@ -34,7 +35,7 @@ from .baselines import SpherizationParams, _cf_terms, _sphere_terms
 # Imported as ``spherize``: the benchmark's tracer patches that name to time set-up.
 from .baselines import sphere_cloud as spherize
 from .forces import ForceBreakdown, _attraction, obstacle_force_term
-from .primitives import RectPlane, as_vec3
+from .primitives import as_vec3
 from .queries import _plane_offset
 from .scenes import ZERO_OFFSET
 
@@ -56,14 +57,15 @@ class _Ctx:
 
 
 def _scene_ctx(scene):
-    """Context fields every planner shares: goal, gains, walls, one zero
-    offset and one empty distance slot per obstacle."""
+    """Context fields every planner shares: goal, gains, walls, obstacle
+    rows, one zero offset and one empty distance slot per obstacle."""
     ctx = _Ctx()
     ctx.goal = tuple(float(v) for v in scene.goal)
     ctx.k_attr = scene.gains.k_attr
     ctx.k_rep = scene.gains.k_rep
     ctx.act = scene.gains.activation_radius
     ctx.walls = list(scene.boundary)
+    ctx.obstacles = scene.bodies[: len(scene.obstacles)]
     ctx.offsets = [ZERO_OFFSET] * len(scene.obstacles)
     ctx.dists = [None] * len(scene.obstacles)
     return ctx
@@ -108,20 +110,7 @@ class GeoPFPlanner(_Planner):
         self.correction = correction
 
     def prepare(self, scene):
-        ctx = _scene_ctx(scene)
-        # Per obstacle: its base primitive, its base bounding-sphere centre
-        # and squared cull distance (beyond it the primitive is provably
-        # outside the activation radius), its gain, and whether it is a
-        # rectangle.
-        ctx.obstacles = []
-        for obs in scene.obstacles:
-            prim = obs.primitive
-            bx, by, bz, r = prim.bounding_sphere
-            k = scene.gains.k_rep if obs.gain is None else obs.gain
-            ctx.obstacles.append(
-                (prim, bx, by, bz, (ctx.act + r) ** 2, k, isinstance(prim, RectPlane))
-            )
-        return ctx
+        return _scene_ctx(scene)
 
     def obstacle_count(self, scene) -> int:
         return len(scene.obstacles)
@@ -150,7 +139,7 @@ class GeoPFPlanner(_Planner):
         dists = ctx.dists
         # Each obstacle is queried at its base position, with the robot and
         # the goal shifted by minus its offset.
-        for i, (prim, bx, by, bz, threshold, k, is_plane) in enumerate(ctx.obstacles):
+        for i, (prim, label, k, bx, by, bz, threshold, is_plane) in enumerate(ctx.obstacles):
             ox, oy, oz = offsets[i]
             sx, sy, sz = rx - ox, ry - oy, rz - oz
             dx, dy, dz = sx - bx, sy - by, sz - bz
@@ -168,7 +157,7 @@ class GeoPFPlanner(_Planner):
             fy += ty
             fz += tz
             if terms is not None and d < act:
-                terms.append((f"obstacle[{i}]", tx, ty, tz))
+                terms.append((label, tx, ty, tz))
         wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, correction)
         if terms is not None:
             terms.append(("boundary", wx, wy, wz))

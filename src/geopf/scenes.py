@@ -1,9 +1,9 @@
 """Scene generation, dynamic drift and scene-file (de)serialization.
 
 A scene holds start/goal, an ordered obstacle list (each with an optional
-gain override and drift velocity), the boundary walls of the corridor
-workspace, planner gains, integration parameters and the seed that makes
-everything reproducible.
+gain override and drift velocity), the boundary walls, gains, integration
+parameters, the seed that makes everything reproducible, and the table of
+its bodies that the planners and the simulator read.
 
 The randomized benchmark classes place obstacles in the transit corridor
 between start (0, 1, 0) and goal (0, -1, 0); "longer" variants move the goal
@@ -80,6 +80,8 @@ class Obstacle:
     drift: np.ndarray | None = None
 
     def __post_init__(self):
+        if type(self.primitive) not in PRIMITIVE_TYPES:
+            raise TypeError(f"unsupported primitive type: {type(self.primitive).__name__}")
         if self.gain is not None:
             object.__setattr__(self, "gain", positive(self.gain, "gain"))
         if self.drift is not None:
@@ -136,6 +138,12 @@ class PlacedObstacles(Sequence):
         return translated(self.base[index], offset)
 
 
+def _body(prim: Primitive, label: str, gain: float, act: float) -> tuple:
+    """A body's row of ``Scene.bodies`` at the activation radius ``act``."""
+    cx, cy, cz, r = prim.bounding_sphere
+    return (prim, label, gain, cx, cy, cz, (act + r) ** 2, isinstance(prim, RectPlane))
+
+
 def _check_seed(seed) -> int:
     """The seed as an int: an integer in [0, 2**64), numpy's included."""
     try:
@@ -149,7 +157,14 @@ def _check_seed(seed) -> int:
 
 @dataclass
 class Scene:
-    """Everything needed to reproduce one trial."""
+    """Everything needed to reproduce one trial.
+
+    ``bodies``, built with the scene, holds one row per obstacle and then per
+    wall, in contact order: ``(primitive, label, gain, cx, cy, cz, cull,
+    is_rect)``, with the bounding centre and the squared distance from it at
+    and beyond which the body is out of the activation radius.  Rows are
+    plain tuples: only an exact tuple unpacks on the interpreter's fast path.
+    """
 
     start: np.ndarray
     goal: np.ndarray
@@ -175,6 +190,11 @@ class Scene:
             raise ValueError("drifting obstacles need drift_bounds")
         base = [obs.primitive for obs in self.obstacles]
         self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base))
+        k_rep, act = self.gains.k_rep, self.gains.activation_radius
+        self.bodies = [
+            _body(obs.primitive, f"obstacle[{i}]", k_rep if obs.gain is None else obs.gain, act)
+            for i, obs in enumerate(self.obstacles)
+        ] + [_body(wall, f"boundary[{j}]", k_rep, act) for j, wall in enumerate(self.boundary)]
         # Fold constants of each drifting obstacle, by index: its bounding
         # centre, drift velocity and the range its centre stays in.
         self._drifts = {}

@@ -12,10 +12,10 @@ or the step budget runs out.  Per-step wall time covers force evaluation and
 integration only; distance instrumentation, recording and collision checks
 run outside the timed region.
 
-Contact is decided here alone, from the signed distance: a body at a
-distance of at most zero is touched (see ``run_trial``).  A planner adds a
-zero term for a touched body, and the contact state records the force it
-returned.
+Contact is decided here alone, from the signed distance: a body of
+``scene.bodies`` at a distance of at most zero is touched, and its row names
+it (see ``run_trial``).  A planner adds a zero term for a touched body, and
+the contact state records the force it returned.
 
 Each step starts from ``scene.primitives_at_step``: the scene's base
 primitives plus one rigid offset per obstacle.  Distance is invariant under
@@ -234,15 +234,10 @@ def run_trial(
     gx, gy, gz = (float(v) for v in scene.goal)
     goal_r2 = params.goal_radius * params.goal_radius
 
-    prims = [obs.primitive for obs in scene.obstacles]
-    walls = list(scene.boundary)
-    n = len(prims)
-    kernels = [_kernel_for(prim) for prim in prims]
-    wall_kernels = [_kernel_for(wall) for wall in walls]
-    # The bodies are the obstacles, then the walls: their labels, and the
-    # rectangles among them, which a move can pierce, by body index.
-    labels = [f"obstacle[{i}]" for i in range(n)] + [f"boundary[{j}]" for j in range(len(walls))]
-    rects = [(k, body) for k, body in enumerate(prims + walls) if isinstance(body, RectPlane)]
+    bodies, n = scene.bodies, len(scene.obstacles)
+    kernels = [_kernel_for(prim) for prim, *_ in bodies[:n]]
+    walls = [(_kernel_for(prim), prim) for prim, *_ in bodies[n:]]
+    rects = [(k, prim) for k, (prim, *_, is_rect) in enumerate(bodies) if is_rect]
 
     record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
     states = record.states
@@ -293,12 +288,11 @@ def run_trial(
 
         # Contact: the nearest body at a distance of at most zero, the first
         # in body order on a tie.
-        bodies = dists + [kern(px, py, pz, wall)[0] for kern, wall in zip(wall_kernels, walls)]
-        nearest = min(bodies, default=math.inf)
+        body_dists = dists + [kern(px, py, pz, wall)[0] for kern, wall in walls]
+        nearest = min(body_dists, default=math.inf)
         if nearest <= 0.0:
-            record.verdict = Verdict(
-                VerdictKind.COLLISION, labels[bodies.index(nearest)], step_index
-            )
+            label = bodies[body_dists.index(nearest)][1]
+            record.verdict = Verdict(VerdictKind.COLLISION, label, step_index)
             break
 
         if step_index >= params.max_steps:
@@ -312,7 +306,7 @@ def run_trial(
         reach = move + DEGENERACY_EPS
         crossed = None
         for k, rect in rects:
-            if bodies[k] > reach:
+            if body_dists[k] > reach:
                 continue
             ox, oy, oz = placed.offsets[k] if k < n else (0.0, 0.0, 0.0)
             hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, rect)
@@ -338,7 +332,7 @@ def run_trial(
             record.path_length += math.sqrt(
                 (cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2
             )
-            record.verdict = Verdict(VerdictKind.COLLISION, labels[crossed], step_index + 1)
+            record.verdict = Verdict(VerdictKind.COLLISION, bodies[crossed][1], step_index + 1)
             break
 
         record.path_length += move

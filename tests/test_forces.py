@@ -263,6 +263,20 @@ def test_resultant_superposition_bitexact():
     assert len(bd.per_obstacle) == 2
 
 
+def test_a_gain_override_sets_its_own_term_and_its_neighbour_keeps_k_rep():
+    near, other = Sphere((0.0, 0.0, 0.0), 0.1), Sphere((0.3, 0.1, 0.0), 0.05)
+    robot, goal = (0.0, 0.3, 0.0), (0.0, -1.0, 0.0)
+    bd = resultant_force(robot, goal, scene_of([Obstacle(near, gain=0.7), other]))
+    overridden = Gains(k_attr=1.0, k_rep=0.7, activation_radius=1.0)
+    want = [
+        ("obstacle[0]", term(robot, goal, near, overridden)),
+        ("obstacle[1]", term(robot, goal, other)),
+    ]
+    assert [(label, list(map(float.hex, t))) for label, t in bd.per_obstacle] == [
+        (label, list(map(float.hex, t))) for label, t in want
+    ]
+
+
 def test_resultant_direction_away_from_foot():
     # Repulsion points from the closest point toward the robot except in
     # correction branches.

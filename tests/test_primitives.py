@@ -23,7 +23,7 @@ from geopf import (
 )
 from geopf import queries
 from geopf.primitives import unit3
-from geopf.scenes import _decode_primitive, _encode_primitive, _Reader, scene_to_document
+from geopf.scenes import _decode_primitive, _encode_primitive, _Reader
 
 
 def test_normalize_axis():
@@ -287,6 +287,7 @@ def test_unsupported_type_is_a_type_error():
         queries._kernel_for(torus)
     with pytest.raises(TypeError):
         translated(torus, (1.0, 0.0, 0.0))
-    scene = Scene(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[Obstacle(torus)], boundary=[])
     with pytest.raises(TypeError):
-        scene_to_document(scene)
+        _encode_primitive(torus)
+    with pytest.raises(TypeError, match="unsupported primitive type: _Torus"):
+        Obstacle(torus)

@@ -163,6 +163,19 @@ def test_placed_obstacles_match_translated_primitives():
                 assert np.array_equal(getattr(got, f.name), getattr(expected, f.name))
 
 
+@pytest.mark.parametrize("scene_class", list(SceneClass))
+def test_bodies_hold_one_plain_tuple_per_obstacle_then_per_wall(scene_class):
+    scene = generate(scene_class, 3)
+    act, k_rep = scene.gains.activation_radius, scene.gains.k_rep
+    prims = [obs.primitive for obs in scene.obstacles] + scene.boundary
+    assert len(scene.bodies) == len(prims)
+    for row, prim in zip(scene.bodies, prims):
+        assert type(row) is tuple
+        cx, cy, cz, r = prim.bounding_sphere
+        assert row[0] is prim
+        assert row[2:] == (k_rep, cx, cy, cz, (act + r) ** 2, isinstance(prim, RectPlane))
+
+
 def test_generation_failure_is_reported():
     # An impossible class configuration cannot be triggered through the
     # public classes, so drive the rejection counter directly.

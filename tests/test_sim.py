@@ -279,6 +279,33 @@ def test_crossing_at_the_end_of_the_moves_reach_is_found(role):
     assert record.states[-1].position[1] == pytest.approx(y, abs=1e-15)
 
 
+@pytest.mark.parametrize("at", ["start", "crossing"])
+@pytest.mark.parametrize("k", range(4))
+def test_a_collision_is_named_by_its_bodys_row(k, at):
+    """Bodies 0 and 1 are obstacle rectangles and 2 and 3 walls; only body k
+    lies across the fall, through its start (contact by distance) or below
+    it (a crossing)."""
+    y = 0.4 if at == "start" else 0.0
+
+    def rect(x):
+        corners = [(x + 0.5, 0.5), (x - 0.5, 0.5), (x - 0.5, -0.5), (x + 0.5, -0.5)]
+        return RectPlane(*((cx, y, cz) for cx, cz in corners))
+
+    rects = [rect(0.0 if j == k else 2.0) for j in range(4)]
+    scene = Scene(
+        start=(0, 0.4, 0),
+        goal=(0, -1, 0),
+        obstacles=[Obstacle(r) for r in rects[:2]],
+        boundary=rects[2:],
+        sim=SimParams(max_speed=5.0, damping=0.0, dt=0.01, max_steps=200),
+        seed=0,
+    )
+    verdict = run_trial(scene, _FallingPlanner()).verdict
+    assert verdict.kind is VerdictKind.COLLISION
+    assert verdict.obstacle_id == scene.bodies[k][1]
+    assert verdict.obstacle_id == ("obstacle[0]", "obstacle[1]", "boundary[0]", "boundary[1]")[k]
+
+
 def test_stall_exit_times_out_early():
     # Symmetric wall without correction: the robot stalls in front of it.
     wall = RectPlane((1, 0, 1), (-1, 0, 1), (-1, 0, -1), (1, 0, -1))

@@ -208,15 +208,23 @@ def _status(line: str, expected: str | None) -> str:
     return "CHANGED"
 
 
+def read_expected() -> tuple:
+    """The lines of ``fingerprints.txt`` by name, empty when there is no
+    file, and a note when its header names other Python or numpy versions
+    than these (None when it names these)."""
+    if not EXPECTED.exists():
+        return {}, None
+    text = EXPECTED.read_text()
+    versions = f"Python {platform.python_version()} and numpy {np.__version__}"
+    note = None if versions in text else f"{EXPECTED.name} was not recorded under {versions}"
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    return {line.split()[0]: line for line in lines}, note
+
+
 def main() -> int:
-    expected = {}
-    if EXPECTED.exists():
-        text = EXPECTED.read_text()
-        versions = f"Python {platform.python_version()} and numpy {np.__version__}"
-        if versions not in text:
-            print(f"# {EXPECTED.name} was not recorded under {versions}")
-        lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-        expected = {line.split()[0]: line for line in lines}
+    expected, note = read_expected()
+    if note:
+        print(f"# {note}")
     changed = 0
     for line in fingerprint_lines():
         if expected:
