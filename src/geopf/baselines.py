@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .forces import D_MIN
+from .forces import _repulsion
 from .primitives import (
     DEGENERACY_EPS,
     Cube,
@@ -146,7 +146,7 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
 def _near_spheres(rx, ry, rz, cloud, offsets, k, act):
     """``(dx, dy, dz, wn, mag)`` of every sphere nearer than ``act``, in
     cloud order: the robot minus the centre, its length and the repulsion
-    magnitude ``k / max(d, D_MIN)`` at the surface distance ``d``.
+    magnitude :func:`~geopf.forces._repulsion` at the surface distance ``d``.
 
     ``cloud`` holds one block of base records per obstacle, in scene order,
     zipped with ``offsets``: each block is queried at the robot minus its
@@ -167,7 +167,7 @@ def _near_spheres(rx, ry, rz, cloud, offsets, k, act):
                 continue
             if wn <= DEGENERACY_EPS:
                 continue
-            near.append((dx, dy, dz, wn, k / max(d, D_MIN)))
+            near.append((dx, dy, dz, wn, _repulsion(k, d)))
     return near
 
 

@@ -10,7 +10,7 @@ class GenerationFailure(RuntimeError):
 
 
 class SceneSchemaError(ValueError):
-    """A scene document violates the scene file schema.
+    """A scene or its document breaks a rule.
 
     ``field`` holds the dotted path of the offending field when known.
     """

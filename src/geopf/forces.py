@@ -2,16 +2,17 @@
 
 Attraction has constant magnitude ``k_attr`` toward the goal
 (:func:`_attraction`).  Repulsion is inverse-distance, ``F = k / d`` along
-the closest feature's direction, active only below the activation radius
-and clamped to ``k / D_MIN`` near contact.  One function computes the
-repulsion of any primitive, obstacle or boundary wall:
-:func:`obstacle_force_term`.  Rectangles, box faces and cylinder caps add a
-trap correction: when the straight robot-goal stretch pierces the
-obstacle, the repulsion turns parallel to the surface so that attraction
-cannot cancel it -- toward the nearest edge of a rectangle or box face, and
-radially toward the nearest rim point of a cap.  One routine finds the
-piercing point (``queries._pierce``); a rectangle tests it in its own frame
-(``queries._plane_contains``) and a cap by its distance from the cap centre.
+the closest feature's direction, active only below the activation radius and
+clamped to ``k / D_MIN`` near contact (:func:`_repulsion`, shared with the
+sphere-cloud baselines).  One function computes the repulsion of any
+primitive, obstacle or boundary wall: :func:`obstacle_force_term`.
+Rectangles, box faces and cylinder caps add a trap correction: when the
+straight robot-goal stretch pierces the obstacle, the repulsion turns
+parallel to the surface so that attraction cannot cancel it -- toward the
+nearest edge of a rectangle or box face, and radially toward the nearest rim
+point of a cap.  One routine finds the piercing point (``queries._pierce``);
+a rectangle tests it in its own frame (``queries._plane_contains``) and a
+cap by its distance from the cap centre.
 
 Everything here works on plain floats over the scalar kernels of
 :mod:`geopf.queries`.  The resultant of a scene is summed by the geometric
@@ -41,6 +42,11 @@ D_MIN = 1e-4
 TIE_EPS = 1e-12
 # Magnitude of the random nudge used to break exact ties.
 TIE_NOISE = 1e-9
+
+
+def _repulsion(k: float, d: float) -> float:
+    """Repulsion magnitude ``k / max(d, D_MIN)`` at distance ``d``."""
+    return k / max(d, D_MIN)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
     Returns (fx, fy, fz, distance).  The force is zero at or beyond the
     activation radius and at a non-positive distance, a contact, which the
     simulator decides from the same distance.  Otherwise it has magnitude
-    ``k / max(d, D_MIN)`` along the closest feature's direction, or, with
+    :func:`_repulsion` along the closest feature's direction, or, with
     ``correction`` on and the robot-goal stretch piercing the primitive's
     trap (a rectangle, a box face or a cap disk), along the surface-parallel
     corrected direction.  The kernel's ``DegenerateVector`` is the one
@@ -209,5 +215,5 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
         corr = _correction_direction(kernel, prim, kern[7], kern[8], rx, ry, rz, gx, gy, gz, rng)
         if corr is not None:
             ux, uy, uz = corr
-    mag = k / max(d, D_MIN)
+    mag = _repulsion(k, d)
     return mag * ux, mag * uy, mag * uz, d

@@ -3,16 +3,16 @@
 Each planner prepares a per-scene context from the obstacles' rows of
 ``scene.bodies``.  Before every step its one shared ``update`` takes the
 step's rigid offsets, one per obstacle, from the scene's
-``primitives_at_step`` view, and builds nothing.  ``force`` then produces the
-resultant as plain floats (this call is the timed region of a simulation
-step).  Every resultant is summed left to right as attraction, then the
-obstacle terms, then the boundary walls.  The geometric planner queries each
-row's primitive at the robot minus its obstacle's offset, and its ``force``
-is the one loop that sums a GeoPF resultant; :func:`resultant_force` runs it
-and keeps the terms.  The baseline planners hold one block of sphere records
-per obstacle, in scene order, and query each block the same way, at the robot
-minus its obstacle's offset.  All planners feel the same boundary-wall
-repulsion.
+``primitives_at_step`` view and allocates the step's empty distance slots
+(below), and nothing else.  ``force`` then produces the resultant as plain
+floats (this call is the timed region of a simulation step).  Every
+resultant is summed left to right as attraction, then the obstacle terms,
+then the boundary walls.  The geometric planner queries each row's primitive
+at the robot minus its obstacle's offset, and its ``force`` is the one loop
+that sums a GeoPF resultant; :func:`resultant_force` runs it and keeps the
+terms.  The baseline planners hold one block of sphere records per obstacle,
+in scene order, and query each block the same way, at the robot minus its
+obstacle's offset.  All planners feel the same boundary-wall repulsion.
 
 Every context also holds ``dists``, one slot per obstacle, which ``update``
 empties (all None) before each step.  GeoPF's ``force`` writes into slot i

@@ -12,7 +12,7 @@ reflect off a containment box so they never reach the start/goal regions.
 """
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields
 from enum import Enum
 import json
 import operator
@@ -151,7 +151,7 @@ def _check_seed(seed) -> int:
     except TypeError:
         value = -1
     if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise SceneSchemaError(f"seed must be an integer in [0, 2**64), got {seed!r}", "seed")
     return value
 
 
@@ -164,12 +164,16 @@ class Scene:
     is_rect)``, with the bounding centre and the squared distance from it at
     and beyond which the body is out of the activation radius.  Rows are
     plain tuples: only an exact tuple unpacks on the interpreter's fast path.
+
+    Built, a scene does not change: assigning or deleting a field raises
+    ``FrozenInstanceError``.  A bad seed or drift raises ``SceneSchemaError``
+    at ``seed`` or at the first bad drifting obstacle's ``obstacles[i].drift``.
     """
 
     start: np.ndarray
     goal: np.ndarray
-    obstacles: list
-    boundary: list
+    obstacles: tuple
+    boundary: tuple
     gains: Gains = field(default_factory=Gains)
     sim: SimParams = field(default_factory=SimParams)
     seed: int = 0
@@ -180,33 +184,45 @@ class Scene:
         self.start = as_vec3(self.start, "start")
         self.goal = as_vec3(self.goal, "goal")
         self.seed = _check_seed(self.seed)
+        self.obstacles, self.boundary = tuple(self.obstacles), tuple(self.boundary)
         for j, wall in enumerate(self.boundary):
             if not isinstance(wall, RectPlane):
                 raise ValueError(f"boundary[{j}] must be a RectPlane, got {type(wall).__name__}")
+        drifting = [i for i, obs in enumerate(self.obstacles) if obs.drift is not None]
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds
             self.drift_bounds = (as_vec3(lo, "drift_bounds"), as_vec3(hi, "drift_bounds"))
-        elif any(obs.drift is not None for obs in self.obstacles):
-            raise ValueError("drifting obstacles need drift_bounds")
+        elif drifting:
+            raise SceneSchemaError("drift needs drift_bounds", f"obstacles[{drifting[0]}].drift")
         base = [obs.primitive for obs in self.obstacles]
         self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base))
+        # Fold constants of each drifting obstacle, by index: its bounding
+        # centre, drift velocity and the range its centre stays in, which
+        # must hold the centre, or the fold would jump it there at once.
+        self._drifts = {}
+        for i in drifting:
+            obs, (lo, hi) = self.obstacles[i], self.drift_bounds
+            if not _inside_box(obs.primitive, lo, hi):
+                message = "drifting obstacle's bounding sphere must lie inside drift_bounds"
+                raise SceneSchemaError(message, f"obstacles[{i}].drift")
+            *centre, r = obs.primitive.bounding_sphere
+            self._drifts[i] = (centre, obs.drift.tolist(), (lo + r).tolist(), (hi - r).tolist())
         k_rep, act = self.gains.k_rep, self.gains.activation_radius
+        # Assigned last: once ``bodies`` is set, the fields are fixed.
         self.bodies = [
             _body(obs.primitive, f"obstacle[{i}]", k_rep if obs.gain is None else obs.gain, act)
             for i, obs in enumerate(self.obstacles)
         ] + [_body(wall, f"boundary[{j}]", k_rep, act) for j, wall in enumerate(self.boundary)]
-        # Fold constants of each drifting obstacle, by index: its bounding
-        # centre, drift velocity and the range its centre stays in.
-        self._drifts = {}
-        if self.drift_bounds is not None:
-            lo, hi = self.drift_bounds
-            for i, obs in enumerate(self.obstacles):
-                if obs.drift is not None:
-                    if not _inside_box(obs.primitive, lo, hi):
-                        raise ValueError(f"obstacles[{i}]: {_DRIFT_OUTSIDE_BOUNDS}")
-                    *centre, r = obs.primitive.bounding_sphere
-                    bounds = ((lo + r).tolist(), (hi - r).tolist())
-                    self._drifts[i] = (centre, obs.drift.tolist(), *bounds)
+
+    def __setattr__(self, name, value):
+        if name in self.__dataclass_fields__ and "bodies" in self.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
 
     def primitives_at_step(self, step: int) -> PlacedObstacles:
         """The obstacles at the step's obstacle time, as a
@@ -301,11 +317,6 @@ def _sample_primitive(rng, kind: str, center) -> Primitive:
         length = rng.uniform(0.1, 0.3)
         return Cylinder(center - 0.5 * length * e1, center + 0.5 * length * e1, radius)
     raise ValueError(f"unknown primitive kind {kind!r}")
-
-
-# A drifting obstacle folds its bounding centre into drift_bounds shrunk by
-# its radius; a centre outside that range would jump there on the first step.
-_DRIFT_OUTSIDE_BOUNDS = "drifting obstacle's bounding sphere must lie inside drift_bounds"
 
 
 def _inside_box(prim: Primitive, lo, hi) -> bool:
@@ -462,10 +473,6 @@ def maze_scene(seed: int = 0) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-def _vec_list(v) -> list:
-    return [float(x) for x in v]
-
-
 # Scene-file entries name a primitive by its class's ``scene_type`` and hold
 # its dataclass fields by name, except that the corners v1, v2, ... of
 # rectangles and boxes form one "corners" list.
@@ -484,9 +491,9 @@ def _encode_primitive(prim: Primitive) -> dict:
         if f.type is float:
             entry[f.name] = value
         elif _is_corner(f.name):
-            entry.setdefault("corners", []).append(_vec_list(value))
+            entry.setdefault("corners", []).append(value.tolist())
         else:
-            entry[f.name] = _vec_list(value)
+            entry[f.name] = value.tolist()
     return entry
 
 
@@ -498,20 +505,20 @@ def scene_to_document(scene: Scene) -> dict:
         if obs.gain is not None:
             entry["gain"] = obs.gain
         if obs.drift is not None:
-            entry["drift"] = _vec_list(obs.drift)
+            entry["drift"] = obs.drift.tolist()
         obstacles.append(entry)
     doc = {
         "format": SCENE_FORMAT,
         "class": scene.scene_class,
         "seed": scene.seed,
-        "start": _vec_list(scene.start),
-        "goal": _vec_list(scene.goal),
+        "start": scene.start.tolist(),
+        "goal": scene.goal.tolist(),
         "gains": asdict(scene.gains),
         "sim": asdict(scene.sim),
         "drift_bounds": None
         if scene.drift_bounds is None
-        else [_vec_list(scene.drift_bounds[0]), _vec_list(scene.drift_bounds[1])],
-        "boundary": [[_vec_list(v) for v in wall.corners] for wall in scene.boundary],
+        else [scene.drift_bounds[0].tolist(), scene.drift_bounds[1].tolist()],
+        "boundary": [[v.tolist() for v in wall.corners] for wall in scene.boundary],
         "obstacles": obstacles,
     }
     return doc
@@ -595,6 +602,17 @@ def _decode_corners(raw, path, count):
     return [_vec3(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` reported at ``path``; a
+    ``SceneSchemaError`` already names its field and passes unchanged."""
+    try:
+        return make(*args, **kwargs)
+    except SceneSchemaError:
+        raise
+    except ValueError as exc:
+        raise SceneSchemaError(str(exc), path) from exc
+
+
 def _decode_primitive(reader: _Reader) -> Primitive:
     kind = reader.get("type", "string")
     cls = _PRIMITIVE_BY_TYPE.get(kind)
@@ -606,10 +624,7 @@ def _decode_primitive(reader: _Reader) -> Primitive:
         values = _decode_corners(raw, reader._label("corners"), len(prim_fields))
     else:
         values = [reader.get(f.name, "number" if f.type is float else "vec3") for f in prim_fields]
-    try:
-        return cls(*values)
-    except ValueError as exc:
-        raise SceneSchemaError(str(exc), reader.path) from exc
+    return _built(reader.path, cls, *values)
 
 
 def _decode_params(root: _Reader, key: str, cls):
@@ -617,64 +632,42 @@ def _decode_params(root: _Reader, key: str, cls):
     document field per dataclass field."""
     reader = root.get(key, "object")
     values = {f.name: reader.get(f.name, "int" if f.type is int else "number") for f in fields(cls)}
-    try:
-        params = cls(**values)
-    except ValueError as exc:
-        raise SceneSchemaError(str(exc), key) from exc
+    params = _built(key, cls, **values)
     reader.finish()
     return params
 
 
 def document_to_scene(doc) -> Scene:
     """Validate a scene document and build the Scene (strict: unknown fields
-    and malformed values are rejected with their field path)."""
+    and malformed values are rejected with their field path).  The seed's
+    range and the drift rules are ``Scene``'s, checked after the obstacles."""
     root = _Reader(doc)
     fmt = root.get("format", "string")
     if fmt != SCENE_FORMAT:
         raise SceneSchemaError(f"unsupported format {fmt!r}", "format")
     scene_class = root.get("class", "string")
     seed = root.get("seed", "int")
-    try:
-        _check_seed(seed)
-    except ValueError as exc:
-        raise SceneSchemaError(str(exc), "seed") from exc
     start = root.get("start", "vec3")
     goal = root.get("goal", "vec3")
     gains = _decode_params(root, "gains", Gains)
     sim = _decode_params(root, "sim", SimParams)
-
-    drift_bounds = None
     raw_bounds = root.get("drift_bounds", "raw")
-    if raw_bounds is not None:
-        bounds = _decode_corners(raw_bounds, "drift_bounds", 2)
-        drift_bounds = (bounds[0], bounds[1])
+    drift_bounds = None if raw_bounds is None else tuple(_decode_corners(raw_bounds, "drift_bounds", 2))
 
     boundary = []
     for j, raw in enumerate(root.get("boundary", "list")):
-        corners = _decode_corners(raw, f"boundary[{j}]", 4)
-        try:
-            boundary.append(RectPlane(*corners))
-        except ValueError as exc:
-            raise SceneSchemaError(str(exc), f"boundary[{j}]") from exc
+        path = f"boundary[{j}]"
+        boundary.append(_built(path, RectPlane, *_decode_corners(raw, path, 4)))
 
     obstacles = []
     for i, raw in enumerate(root.get("obstacles", "list")):
         reader = _Reader(raw, f"obstacles[{i}]")
         prim = _decode_primitive(reader)
         gain = reader.get("gain", "number", required=False)
-        drift_raw = reader.get("drift", "raw", required=False)
-        drift = None
-        if drift_raw is not None:
-            drift = _vec3(drift_raw, reader._label("drift"))
-            if drift_bounds is None:
-                raise SceneSchemaError("drift needs drift_bounds", reader._label("drift"))
-            if not _inside_box(prim, *drift_bounds):
-                raise SceneSchemaError(_DRIFT_OUTSIDE_BOUNDS, reader._label("drift"))
+        drift = reader.get("drift", "raw", required=False)
+        drift = None if drift is None else _vec3(drift, reader._label("drift"))
         reader.finish()
-        try:
-            obstacles.append(Obstacle(prim, gain=gain, drift=drift))
-        except ValueError as exc:
-            raise SceneSchemaError(str(exc), f"obstacles[{i}]") from exc
+        obstacles.append(_built(reader.path, Obstacle, prim, gain=gain, drift=drift))
 
     root.finish()
     return Scene(

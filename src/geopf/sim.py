@@ -189,9 +189,9 @@ def run_trial(
         params: overrides ``scene.sim`` when given.
         keep_states: when False only the final state is retained (the
             aggregates still cover the full run).
-        stall_speed: optional early-timeout threshold; the trial ends with a
-            timeout verdict once the speed stays below it for
-            ``STALL_WINDOW`` consecutive steps.
+        stall_speed: optional early-timeout threshold, a speed checked by
+            ``positive``; the trial ends with a timeout verdict once the
+            speed stays below it for ``STALL_WINDOW`` consecutive steps.
 
     Returns:
         TrajectoryRecord with one state per step and the termination verdict.
@@ -221,6 +221,7 @@ def run_trial(
     skew times the rectangle's size outside the edges the kernel measures
     to, and the skip drops such a crossing.
     """
+    stall_speed = None if stall_speed is None else positive(stall_speed, "stall_speed")
     if planner is None:
         from .planners import GeoPFPlanner
 

@@ -10,6 +10,7 @@ from conftest import rect_distance_frame
 from scipy import ndimage
 
 from geopf import (
+    Gains,
     GenerationFailure,
     Obstacle,
     RectPlane,
@@ -17,6 +18,7 @@ from geopf import (
     SceneClass,
     SceneSchemaError,
     Segment,
+    SimParams,
     Sphere,
     corridor_boundary,
     distance,
@@ -167,7 +169,7 @@ def test_placed_obstacles_match_translated_primitives():
 def test_bodies_hold_one_plain_tuple_per_obstacle_then_per_wall(scene_class):
     scene = generate(scene_class, 3)
     act, k_rep = scene.gains.activation_radius, scene.gains.k_rep
-    prims = [obs.primitive for obs in scene.obstacles] + scene.boundary
+    prims = [obs.primitive for obs in scene.obstacles] + list(scene.boundary)
     assert len(scene.bodies) == len(prims)
     for row, prim in zip(scene.bodies, prims):
         assert type(row) is tuple
@@ -388,6 +390,112 @@ def test_drift_outside_its_bounds_is_a_schema_error_at_the_drift():
     with pytest.raises(SceneSchemaError, match="drift_bounds") as exc:
         document_to_scene(doc)
     assert exc.value.field == f"obstacles[{i}].drift"
+
+
+def _three_obstacles(drifts, drift_bounds=None, seed=0):
+    """A scene with segments at x = -0.2, 0 and 0.2 and the given drifts."""
+    return Scene(
+        start=(0, 1, 0),
+        goal=(0, -1, 0),
+        obstacles=[
+            Obstacle(Segment((x, -0.05, 0), (x, 0.05, 0)), drift=drift)
+            for x, drift in zip((-0.2, 0.0, 0.2), drifts)
+        ],
+        boundary=[],
+        seed=seed,
+        drift_bounds=drift_bounds,
+    )
+
+
+_DRIFT = (0.01, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"drifts": (None, None, None), "seed": -1}, "seed"),
+        ({"drifts": (None, _DRIFT, _DRIFT)}, "obstacles[1].drift"),
+        (
+            {"drifts": (_DRIFT, _DRIFT, _DRIFT), "drift_bounds": ((-0.15,) * 3, (0.3,) * 3)},
+            "obstacles[0].drift",
+        ),
+        (
+            {"drifts": (None, _DRIFT, _DRIFT), "drift_bounds": ((-0.1,) * 3, (0.1,) * 3)},
+            "obstacles[2].drift",
+        ),
+    ],
+    ids=["seed", "drift_without_bounds", "first_outside_bounds", "later_outside_bounds"],
+)
+def test_scene_names_the_field_of_a_bad_seed_or_drift(kwargs, field):
+    with pytest.raises(SceneSchemaError) as exc:
+        _three_obstacles(**kwargs)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.field == field
+    assert str(exc.value).count("(field:") == 1
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("drift_bounds", None)])
+def test_a_document_reports_its_obstacles_before_seed_and_drift(key, value):
+    # The seed's range and the drift rules are the Scene's, checked once the
+    # obstacles are read, so a bad obstacle in the same document comes first.
+    scene = generate(SceneClass.DYNAMIC_EASY, 0)
+    first_drift = next(i for i, obs in enumerate(scene.obstacles) if obs.drift is not None)
+    doc = scene_to_document(scene)
+    doc[key] = value
+    with pytest.raises(SceneSchemaError) as exc:
+        document_to_scene(doc)
+    assert exc.value.field == ("seed" if key == "seed" else f"obstacles[{first_drift}].drift")
+    last = len(doc["obstacles"]) - 1
+    doc["obstacles"][last]["gain"] = -1.0
+    with pytest.raises(SceneSchemaError) as exc:
+        document_to_scene(doc)
+    assert exc.value.field == f"obstacles[{last}]"
+
+
+_NEW_VALUES = {
+    "start": (0, 0.5, 0),
+    "goal": (0, -0.5, 0),
+    "obstacles": [],
+    "boundary": [],
+    "gains": Gains(k_rep=5.0),
+    "sim": SimParams(dt=0.001),
+    "seed": 7,
+    "scene_class": "other",
+    "drift_bounds": ((-1,) * 3, (1,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scene)])
+def test_a_built_scene_rejects_a_changed_field(name):
+    scene = generate(SceneClass.DYNAMIC_EASY, 0)
+    before = scene_to_document(scene)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(scene, name, _NEW_VALUES[name])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(scene, name)
+    assert scene_to_document(scene) == before
+    changed = dataclasses.replace(scene, **{name: _NEW_VALUES[name]})
+    assert getattr(changed, name) is not getattr(scene, name)
+
+
+def test_a_built_scene_keeps_its_obstacles_and_walls():
+    scene = generate(SceneClass.LINE_EASY, 0)
+    assert type(scene.obstacles) is tuple and type(scene.boundary) is tuple
+    with pytest.raises(AttributeError):
+        scene.obstacles.append(Obstacle(Sphere((0, 0.3, 0), 0.1)))
+    with pytest.raises(AttributeError):
+        scene.boundary.append(scene.boundary[0])
+    assert len(scene.bodies) == len(scene.obstacles) + len(scene.boundary)
+
+
+def test_a_built_scene_still_takes_a_step_view_of_its_own():
+    # Instrumentation wraps the step view per instance and takes it off again.
+    scene = generate(SceneClass.DYNAMIC_EASY, 0)
+    inner = scene.primitives_at_step
+    scene.primitives_at_step = lambda step: inner(step + 1)
+    assert scene.primitives_at_step(0).offsets == inner(1).offsets
+    del scene.primitives_at_step
+    assert scene.primitives_at_step(0).offsets == inner(0).offsets
 
 
 def test_a_wall_that_is_not_a_rectangle_is_rejected():

@@ -322,6 +322,13 @@ def test_stall_exit_times_out_early():
     assert record.states[-1].step < 20000
 
 
+@pytest.mark.parametrize("stall_speed", [math.nan, -1.0, 0.0])
+def test_a_stall_speed_that_is_not_positive_is_rejected(stall_speed):
+    # Each of these once turned the stall exit off without a word.
+    with pytest.raises(ValueError, match=r"^stall_speed must be finite and > 0"):
+        run_trial(generate(SceneClass.LINE_EASY, 0), stall_speed=stall_speed)
+
+
 # A segment whose far end the side-vertex branch once divided by zero at.
 SEG_A = (0.27, -0.46, -0.92)
 SEG_B = (-0.97, 0.63, 0.83)
