@@ -114,21 +114,21 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
     if isinstance(prim, Sphere):
         return [prim.bounding_sphere]
     if isinstance(prim, Segment):
-        return [(x, y, z, r) for x, y, z in _line_points(prim._a, prim._b, pitch)]
+        return [(x, y, z, r) for x, y, z in _line_points(prim.p1, prim.p2, pitch)]
     if isinstance(prim, RectPlane):
-        v1, v2, _, v4 = prim._vs
+        v1, v2, _, v4 = prim.corners
         return _records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r)
     if isinstance(prim, Cube):
         out = []
         for face in prim.faces:
-            v1, v2, _, v4 = face._vs
+            v1, v2, _, v4 = face.corners
             out.extend(_records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r))
         return _dedup(out)
     if isinstance(prim, Cylinder):
         b1, b2 = axis_frame(prim._axis)
         R = prim.radius
         wall = _circle(R, r, b1, b2)
-        out = _records(_line_points(prim._p1, prim._p2, pitch), wall, r)
+        out = _records(_line_points(prim.a1, prim.a2, pitch), wall, r)
         # Cap disks as polar grids: the center, rings at radial pitch, the rim.
         disk = []
         rho = pitch
@@ -136,7 +136,7 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
             disk.extend(_circle(rho, r, b1, b2))
             rho += pitch
         disk.extend(wall)
-        for cap in (prim._p1, prim._p2):
+        for cap in (prim.a1, prim.a2):
             out.append((*cap, r))
             out.extend(_records([cap], disk, r))
         return _dedup(out)

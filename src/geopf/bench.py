@@ -151,10 +151,10 @@ def run_suite(
     seed0: int = 0,
     *,
     stall_speed: float | None = None,
-    collect_trials: bool = False,
     workers: int | None = None,
 ) -> SuiteReport:
-    """Run ``n_trials`` seeded trials and aggregate the metrics.
+    """Run ``n_trials`` seeded trials and aggregate the metrics; the report
+    also keeps each completed trial's metrics and seed.
 
     Results are aggregated in seed order regardless of the worker pool, so a
     report is reproducible except for the wall-clock fields.
@@ -215,8 +215,8 @@ def run_suite(
             "avg_dist": _mean_std([m.avg_dist for m in metrics]),
         },
         ct_step_ms_median=statistics.median(ct_values) if ct_values else math.nan,
-        trial_metrics=metrics if collect_trials else [],
-        trial_seeds=seeds if collect_trials else [],
+        trial_metrics=metrics,
+        trial_seeds=seeds,
     )
     return report
 

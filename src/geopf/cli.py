@@ -119,7 +119,6 @@ def _cmd_bench(args) -> int:
         n_trials=args.trials,
         seed0=args.seed,
         stall_speed=args.stall_exit,
-        collect_trials=args.json is not None,
     )
     if report.trials == 0:
         print("all trials failed to generate", file=sys.stderr)

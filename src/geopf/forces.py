@@ -102,7 +102,7 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane, rng):
     order = sorted(range(4), key=lambda i: results[i][0])
     if results[order[1]][0] - results[order[0]][0] >= TIE_EPS or rng is None:
         return order[0], results[order[0]]
-    vx, vy, vz = plane._vs[int(rng.integers(0, 4))]
+    vx, vy, vz = plane.corners[int(rng.integers(0, 4))]
     dx, dy, dz = vx - rx, vy - ry, vz - rz
     m = math.sqrt(dx * dx + dy * dy + dz * dz)
     if m <= DEGENERACY_EPS:
@@ -122,7 +122,7 @@ def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane, rng):
     The returned unit direction is parallel to the rectangle, perpendicular
     to the nearest edge, signed toward it.
     """
-    hit = _pierce(rx, ry, rz, gx, gy, gz, plane._vs[0], plane._n)
+    hit = _pierce(rx, ry, rz, gx, gy, gz, plane.v1, plane._n)
     if hit is None:
         return None
     px, py, pz = hit
@@ -152,7 +152,7 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
     k/d.  On the axis the direction is undefined, and an in-plane direction
     at an RNG-drawn angle (angle 0 without an RNG) is used instead.
     """
-    center = cyl._p2 if kind is FeatureKind.CAP_TOP else cyl._p1
+    center = cyl.a2 if kind is FeatureKind.CAP_TOP else cyl.a1
     axis = cyl._axis
     hit = _pierce(rx, ry, rz, gx, gy, gz, center, axis)
     if hit is None:

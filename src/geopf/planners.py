@@ -60,7 +60,7 @@ def _scene_ctx(scene):
     """Context fields every planner shares: goal, gains, walls, obstacle
     rows, one zero offset and one empty distance slot per obstacle."""
     ctx = _Ctx()
-    ctx.goal = tuple(float(v) for v in scene.goal)
+    ctx.goal = scene.goal
     ctx.k_attr = scene.gains.k_attr
     ctx.k_rep = scene.gains.k_rep
     ctx.act = scene.gains.activation_radius
@@ -178,8 +178,8 @@ def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreak
     """
     planner = GeoPFPlanner(correction)
     ctx = planner.prepare(scene)
-    ctx.goal = tuple(as_vec3(goal).tolist())
-    rx, ry, rz = as_vec3(robot).tolist()
+    ctx.goal = as_vec3(goal)
+    rx, ry, rz = as_vec3(robot)
     terms = []
     resultant = planner.force(ctx, rx, ry, rz, 0.0, 0.0, 0.0, rng, terms)
     (_, *attractive), *per_obstacle, (_, *boundary) = terms

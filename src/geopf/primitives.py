@@ -8,12 +8,14 @@ records that the proximity queries and the simulator read (unit axes,
 normals, rectangle edges, box faces, bounding spheres); a primitive never
 changes after construction.
 
-Positions are metres; the derived records are plain float tuples so the
-query kernels can run without per-call numpy overhead.
+Positions are metres.  A point is a tuple of three floats, made by
+:func:`as_vec3` and stored once, in the field the caller and the kernels
+both read; the derived records are float tuples too, free of numpy overhead.
 """
 
 from dataclasses import dataclass, fields
 import math
+from operator import add
 import typing
 
 import numpy as np
@@ -40,8 +42,9 @@ def positive(value, name: str = "value", zero_ok: bool = False) -> float:
     return v
 
 
-def as_vec3(value, name: str = "value") -> np.ndarray:
-    """Coerce an (x, y, z) array-like to a finite float64 numpy vector.
+def as_vec3(value, name: str = "value") -> tuple:
+    """An (x, y, z) array-like as a tuple of three finite Python floats: the
+    one form in which the program stores a point.
 
     Raises:
         ValueError: naming ``name`` when the shape is not (3,) or a
@@ -54,7 +57,7 @@ def as_vec3(value, name: str = "value") -> np.ndarray:
     x, y, z = v.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} must be a finite 3-vector, got {[x, y, z]}")
-    return v
+    return (x, y, z)
 
 
 def norm3(x: float, y: float, z: float) -> float:
@@ -93,14 +96,13 @@ def axis_frame(axis) -> tuple:
 
 def _coerce(prim) -> list:
     """Coerce the dataclass fields of ``prim`` in place, scalars to float and
-    points to float64 3-vectors; returns them in field order as floats and
-    (x, y, z) float tuples."""
+    points by :func:`as_vec3`; returns them in field order."""
     values = []
     for f in fields(prim):
         value = getattr(prim, f.name)
         value = float(value) if f.type is float else as_vec3(value, f.name)
         object.__setattr__(prim, f.name, value)
-        values.append(value if f.type is float else tuple(value.tolist()))
+        values.append(value)
     return values
 
 
@@ -138,13 +140,13 @@ class Sphere:
 
     scene_type: typing.ClassVar[str] = "sphere"
 
-    center: np.ndarray
+    center: tuple
     radius: float
 
     def __post_init__(self):
         c, radius = _coerce(self)
         positive(radius, "radius", zero_ok=True)
-        _derive(self, _c=c, bounding_sphere=(*c, radius))
+        _derive(self, bounding_sphere=(*c, radius))
 
 
 @dataclass(frozen=True)
@@ -153,26 +155,25 @@ class Segment:
 
     scene_type: typing.ClassVar[str] = "segment"
 
-    p1: np.ndarray
-    p2: np.ndarray
+    p1: tuple
+    p2: tuple
 
     def __post_init__(self):
         a, b = _coerce(self)
         length, u = _span(a, b, "segment endpoints must be distinct")
         center = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
-        _derive(self, _a=a, _b=b, _u=u, length=length, bounding_sphere=(*center, length / 2))
+        _derive(self, _u=u, length=length, bounding_sphere=(*center, length / 2))
 
 
 class Edge:
-    """A rectangle edge as the float record ``_segment_kernel`` reads: ends
-    ``_a`` and ``_b``, unit direction ``_u`` from ``_a`` and ``length``."""
+    """A rectangle edge as the record ``_segment_kernel`` reads, under a
+    segment's names: ends ``p1`` and ``p2``, unit direction ``_u``, ``length``."""
 
-    __slots__ = ("_a", "_b", "_u", "length")
+    __slots__ = ("p1", "p2", "_u", "length")
 
-    def __init__(self, a: tuple, b: tuple):
-        self._a = a
-        self._b = b
-        self.length, self._u = _span(a, b, "rectangle has a zero-length edge")
+    def __init__(self, p1: tuple, p2: tuple):
+        self.p1, self.p2 = p1, p2
+        self.length, self._u = _span(p1, p2, "rectangle has a zero-length edge")
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,13 @@ class RectPlane:
 
     scene_type: typing.ClassVar[str] = "plane"
 
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    v4: np.ndarray
+    v1: tuple
+    v2: tuple
+    v3: tuple
+    v4: tuple
 
     def __post_init__(self):
-        vs = tuple(_coerce(self))
+        vs = _coerce(self)
         edges = tuple(Edge(vs[i], vs[(i + 1) % 4]) for i in range(4))
         for i in range(4):
             (ax, ay, az), (bx, by, bz) = edges[i]._u, edges[(i + 1) % 4]._u
@@ -203,16 +204,15 @@ class RectPlane:
                 raise ValueError(
                     f"rectangle corners are not orthogonal (corner {i + 1}, |cos|={cos:.3e})"
                 )
-        nx, ny, nz = cross3(edges[0]._u, edges[1]._u)
-        (ax, ay, az), (dx, dy, dz) = vs[0], vs[3]
-        off = abs((dx - ax) * nx + (dy - ay) * ny + (dz - az) * nz)
-        if off > COPLANAR_TOL:
-            raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
         # Unit normal from the corner winding: normalize((v1 - v2) x (v3 - v2)).
-        v1, v2, v3 = vs[0], vs[1], vs[2]
+        v1, v2, v3, v4 = vs
         a = (v1[0] - v2[0], v1[1] - v2[1], v1[2] - v2[2])
         b = (v3[0] - v2[0], v3[1] - v2[1], v3[2] - v2[2])
-        _derive(self, _vs=vs, _n=unit3(*cross3(a, b)), edges=edges, bounding_sphere=_enclosing(vs))
+        n = unit3(*cross3(a, b))
+        off = abs((v4[0] - v1[0]) * n[0] + (v4[1] - v1[1]) * n[1] + (v4[2] - v1[2]) * n[2])
+        if off > COPLANAR_TOL:
+            raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
+        _derive(self, _n=n, edges=edges, bounding_sphere=_enclosing(vs))
 
     @property
     def corners(self) -> list:
@@ -253,29 +253,24 @@ class Cube:
 
     scene_type: typing.ClassVar[str] = "cube"
 
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    v4: np.ndarray
-    v5: np.ndarray
-    v6: np.ndarray
-    v7: np.ndarray
-    v8: np.ndarray
+    v1: tuple
+    v2: tuple
+    v3: tuple
+    v4: tuple
+    v5: tuple
+    v6: tuple
+    v7: tuple
+    v8: tuple
 
     def __post_init__(self):
         vs = _coerce(self)
-        corners = self.corners
         # Face construction itself validates rectangularity of all six faces.
-        faces = tuple(RectPlane(*(corners[i] for i in idx)) for idx in CUBE_FACE_CORNERS)
+        faces = tuple(RectPlane(*(vs[i] for i in idx)) for idx in CUBE_FACE_CORNERS)
         frame = vs[0]
         for k in (1, 3, 4):
             length, u = _span(vs[0], vs[k], "box has a zero-length edge")
             frame += (length, *u)
         _derive(self, faces=faces, _frame=frame, bounding_sphere=_enclosing(vs))
-
-    @property
-    def corners(self) -> list:
-        return [getattr(self, f"v{i + 1}") for i in range(8)]
 
 
 @dataclass(frozen=True)
@@ -284,8 +279,8 @@ class Cylinder:
 
     scene_type: typing.ClassVar[str] = "cylinder"
 
-    a1: np.ndarray
-    a2: np.ndarray
+    a1: tuple
+    a2: tuple
     radius: float
 
     def __post_init__(self):
@@ -294,7 +289,7 @@ class Cylinder:
         length, axis = _span(p1, p2, "cylinder axis endpoints must be distinct")
         center = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (p1[2] + p2[2]) / 2)
         r = math.sqrt((length / 2) ** 2 + radius**2)
-        _derive(self, _p1=p1, _p2=p2, _axis=axis, length=length, bounding_sphere=(*center, r))
+        _derive(self, _axis=axis, length=length, bounding_sphere=(*center, r))
 
 
 Primitive = Sphere | Segment | RectPlane | Cube | Cylinder
@@ -313,11 +308,8 @@ def primitive_fields(prim: Primitive) -> tuple:
 
 
 def translated(prim: Primitive, offset) -> Primitive:
-    """Return a copy of ``prim`` rigidly translated by ``offset``."""
+    """Return a copy of ``prim`` rigidly translated by ``offset``, added to
+    each point coordinate by coordinate."""
     d = as_vec3(offset)
-    return type(prim)(
-        *(
-            getattr(prim, f.name) if f.type is float else getattr(prim, f.name) + d
-            for f in primitive_fields(prim)
-        )
-    )
+    values = [getattr(prim, f.name) for f in primitive_fields(prim)]
+    return type(prim)(*(v if type(v) is float else tuple(map(add, v, d)) for v in values))

@@ -113,7 +113,7 @@ def _wrap(raw) -> ClosestFeature:
 
 
 def _sphere_kernel(rx, ry, rz, sph: Sphere):
-    cx, cy, cz = sph._c
+    cx, cy, cz = sph.center
     wx, wy, wz = rx - cx, ry - cy, rz - cz
     wn = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wn <= DEGENERACY_EPS:
@@ -134,7 +134,7 @@ def _sphere_kernel(rx, ry, rz, sph: Sphere):
 
 
 def _segment_kernel(rx, ry, rz, seg: Segment):
-    ax, ay, az = seg._a
+    ax, ay, az = seg.p1
     ux, uy, uz = seg._u
     wx, wy, wz = rx - ax, ry - ay, rz - az
     t = wx * ux + wy * uy + wz * uz
@@ -144,7 +144,7 @@ def _segment_kernel(rx, ry, rz, seg: Segment):
             raise DegenerateVector("robot lies on a segment end")
         return (d, wx / d, wy / d, wz / d, ax, ay, az, FeatureKind.SIDE_VERTEX_1, ())
     if t > seg.length:
-        bx, by, bz = seg._b
+        bx, by, bz = seg.p2
         wx, wy, wz = rx - bx, ry - by, rz - bz
         d = math.sqrt(wx * wx + wy * wy + wz * wz)
         if d <= DEGENERACY_EPS:
@@ -160,7 +160,7 @@ def _segment_kernel(rx, ry, rz, seg: Segment):
 
 def _plane_offset(rx, ry, rz, plane: RectPlane):
     nx, ny, nz = plane._n
-    v1x, v1y, v1z = plane._vs[0]
+    v1x, v1y, v1z = plane.v1
     return (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
 
 
@@ -173,7 +173,7 @@ def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
     in [0, L2].  The boundary is inclusive.
     """
     e1, e2 = plane.edges[0], plane.edges[1]
-    ax, ay, az = e1._a
+    ax, ay, az = e1.p1
     wx, wy, wz = fx - ax, fy - ay, fz - az
     ux, uy, uz = e1._u
     s = wx * ux + wy * uy + wz * uz
@@ -323,7 +323,7 @@ def _cube_kernel(rx, ry, rz, cube: Cube):
 
 
 def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
-    p1x, p1y, p1z = cyl._p1
+    p1x, p1y, p1z = cyl.a1
     ux, uy, uz = cyl._axis
     L = cyl.length
     R = cyl.radius
@@ -348,9 +348,9 @@ def _cylinder_kernel(rx, ry, rz, cyl: Cylinder):
         if dperp >= R:
             # Past a cap and beside the wall: the rim point facing the robot.
             if t < 0.0:
-                (ex, ey, ez), kind = cyl._p1, FeatureKind.SIDE_VERTEX_1
+                (ex, ey, ez), kind = cyl.a1, FeatureKind.SIDE_VERTEX_1
             else:
-                (ex, ey, ez), kind = cyl._p2, FeatureKind.SIDE_VERTEX_2
+                (ex, ey, ez), kind = cyl.a2, FeatureKind.SIDE_VERTEX_2
             nqx, nqy, nqz = qx / dperp, qy / dperp, qz / dperp
             sx, sy, sz = ex + R * nqx, ey + R * nqy, ez + R * nqz
             dx, dy, dz = rx - sx, ry - sy, rz - sz
@@ -421,9 +421,9 @@ def closest_feature(robot, prim: Primitive) -> ClosestFeature:
             segment or its end, or on a cylinder rim.
         TypeError: when ``prim`` is not one of the primitive types.
     """
-    return _wrap(_kernel_for(prim)(*as_vec3(robot).tolist(), prim))
+    return _wrap(_kernel_for(prim)(*as_vec3(robot), prim))
 
 
 def distance(robot, prim: Primitive) -> float:
     """Shortest distance only (negative inside volumetric primitives)."""
-    return _kernel_for(prim)(*as_vec3(robot).tolist(), prim)[0]
+    return _kernel_for(prim)(*as_vec3(robot), prim)[0]

@@ -73,11 +73,12 @@ class SceneClass(Enum):
 
 @dataclass(frozen=True)
 class Obstacle:
-    """A primitive plus optional per-obstacle gain and drift velocity."""
+    """A primitive plus optional per-obstacle gain and drift velocity, the
+    drift stored as :func:`~geopf.primitives.as_vec3` makes a point."""
 
     primitive: Primitive
     gain: float | None = None
-    drift: np.ndarray | None = None
+    drift: tuple | None = None
 
     def __post_init__(self):
         if type(self.primitive) not in PRIMITIVE_TYPES:
@@ -165,13 +166,15 @@ class Scene:
     and beyond which the body is out of the activation radius.  Rows are
     plain tuples: only an exact tuple unpacks on the interpreter's fast path.
 
-    Built, a scene does not change: assigning or deleting a field raises
+    ``start``, ``goal`` and the corners of ``drift_bounds`` are points made
+    by :func:`~geopf.primitives.as_vec3`; scenes compare by value.  Built, a
+    scene does not change: assigning or deleting a field raises
     ``FrozenInstanceError``.  A bad seed or drift raises ``SceneSchemaError``
     at ``seed`` or at the first bad drifting obstacle's ``obstacles[i].drift``.
     """
 
-    start: np.ndarray
-    goal: np.ndarray
+    start: tuple
+    goal: tuple
     obstacles: tuple
     boundary: tuple
     gains: Gains = field(default_factory=Gains)
@@ -206,7 +209,7 @@ class Scene:
                 message = "drifting obstacle's bounding sphere must lie inside drift_bounds"
                 raise SceneSchemaError(message, f"obstacles[{i}].drift")
             *centre, r = obs.primitive.bounding_sphere
-            self._drifts[i] = (centre, obs.drift.tolist(), (lo + r).tolist(), (hi - r).tolist())
+            self._drifts[i] = (centre, obs.drift, [v + r for v in lo], [v - r for v in hi])
         k_rep, act = self.gains.k_rep, self.gains.activation_radius
         # Assigned last: once ``bodies`` is set, the fields are fixed.
         self.bodies = [
@@ -430,7 +433,7 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
         sim=SimParams(),
         seed=seed,
         scene_class=scene_class.value,
-        drift_bounds=(np.array(band_lo), np.array(band_hi)) if drifting else None,
+        drift_bounds=(band_lo, band_hi) if drifting else None,
     )
 
 
@@ -457,8 +460,8 @@ def maze_scene(seed: int = 0) -> Scene:
         RectPlane((x_in, -y_half, -z_half), (x_in, -y_half, z_half), (x_in, y_half, z_half), (x_in, y_half, -z_half)),
     ]
     return Scene(
-        start=np.array(START),
-        goal=np.array(GOAL),
+        start=START,
+        goal=GOAL,
         obstacles=[Obstacle(w) for w in walls],
         boundary=corridor_boundary(GOAL[1] - WALL_Y_MARGIN, START[1] + WALL_Y_MARGIN),
         gains=Gains(),
@@ -491,9 +494,9 @@ def _encode_primitive(prim: Primitive) -> dict:
         if f.type is float:
             entry[f.name] = value
         elif _is_corner(f.name):
-            entry.setdefault("corners", []).append(value.tolist())
+            entry.setdefault("corners", []).append(list(value))
         else:
-            entry[f.name] = value.tolist()
+            entry[f.name] = list(value)
     return entry
 
 
@@ -505,20 +508,20 @@ def scene_to_document(scene: Scene) -> dict:
         if obs.gain is not None:
             entry["gain"] = obs.gain
         if obs.drift is not None:
-            entry["drift"] = obs.drift.tolist()
+            entry["drift"] = list(obs.drift)
         obstacles.append(entry)
     doc = {
         "format": SCENE_FORMAT,
         "class": scene.scene_class,
         "seed": scene.seed,
-        "start": scene.start.tolist(),
-        "goal": scene.goal.tolist(),
+        "start": list(scene.start),
+        "goal": list(scene.goal),
         "gains": asdict(scene.gains),
         "sim": asdict(scene.sim),
         "drift_bounds": None
         if scene.drift_bounds is None
-        else [scene.drift_bounds[0].tolist(), scene.drift_bounds[1].tolist()],
-        "boundary": [[v.tolist() for v in wall.corners] for wall in scene.boundary],
+        else [list(v) for v in scene.drift_bounds],
+        "boundary": [[list(v) for v in wall.corners] for wall in scene.boundary],
         "obstacles": obstacles,
     }
     return doc
@@ -537,12 +540,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _vec3(value, path) -> np.ndarray:
-    """A scene file's ``[x, y, z]`` as a float64 vector; ``path`` names the
-    field in the error."""
+def _vec3(value, path) -> list:
+    """A scene file's ``[x, y, z]``, checked to be three finite numbers;
+    ``path`` names the field in the error."""
     if not isinstance(value, list) or len(value) != 3 or not all(map(_is_number, value)):
         raise SceneSchemaError("expected [x, y, z] numbers", path)
-    return np.array([float(x) for x in value])
+    return value
 
 
 class _Reader:

@@ -165,7 +165,7 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     measured against the same plane instance, so quasi-static motion within
     one step is fine.
     """
-    hit = _pierce(px, py, pz, qx, qy, qz, plane._vs[0], plane._n)
+    hit = _pierce(px, py, pz, qx, qy, qz, plane.v1, plane._n)
     if hit is None:
         return None
     cx, cy, cz = hit
@@ -230,9 +230,9 @@ def run_trial(
     rng = trial_rng(scene.seed)
     ctx = planner.prepare(scene)
 
-    px, py, pz = (float(v) for v in scene.start)
+    px, py, pz = scene.start
     vx = vy = vz = 0.0
-    gx, gy, gz = (float(v) for v in scene.goal)
+    gx, gy, gz = scene.goal
     goal_r2 = params.goal_radius * params.goal_radius
 
     bodies, n = scene.bodies, len(scene.obstacles)

@@ -34,7 +34,7 @@ def fibonacci_sphere(center, radius, pitch):
 
 
 def sample_segment_surface(seg: Segment, pitch):
-    n = max(int(math.ceil(float(np.linalg.norm(seg.p2 - seg.p1)) / pitch)), 1) + 1
+    n = max(int(math.ceil(float(np.linalg.norm(np.subtract(seg.p2, seg.p1))) / pitch)), 1) + 1
     t = np.linspace(0.0, 1.0, n)[:, None]
     return np.asarray(seg.p1) + t * (np.asarray(seg.p2) - np.asarray(seg.p1))
 
@@ -128,7 +128,7 @@ def point_inside(prim, p) -> bool:
         return False
     if isinstance(prim, Cube):
         v1 = np.asarray(prim.v1)
-        for e in (prim.v2 - prim.v1, prim.v4 - prim.v1, prim.v5 - prim.v1):
+        for e in (prim.v2 - v1, prim.v4 - v1, prim.v5 - v1):
             c = float((p - v1) @ e) / float(e @ e)
             if not 0.0 < c < 1.0:
                 return False

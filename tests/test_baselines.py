@@ -116,10 +116,12 @@ def _numpy_cloud(prim, params):
         return max(int(math.ceil(float(np.linalg.norm(e)) / pitch)), 1) + 1
 
     def line(p1, p2):
+        p1, p2 = np.asarray(p1), np.asarray(p2)
         n = count(p2 - p1)
         return [p1 + (i / (n - 1)) * (p2 - p1) for i in range(n)]
 
-    def grid(origin, e1, e2):
+    def grid(v1, v2, v4):
+        origin, e1, e2 = np.asarray(v1), np.subtract(v2, v1), np.subtract(v4, v1)
         n1, n2 = count(e1), count(e2)
         return [
             origin + (i / (n1 - 1)) * e1 + (j / (n2 - 1)) * e2
@@ -134,13 +136,13 @@ def _numpy_cloud(prim, params):
         return list(seen.values())
 
     if isinstance(prim, Sphere):
-        return [(*prim._c, prim.radius)]
+        return [(*prim.center, prim.radius)]
     if isinstance(prim, Segment):
         pts = line(prim.p1, prim.p2)
     elif isinstance(prim, RectPlane):
-        pts = grid(prim.v1, prim.v2 - prim.v1, prim.v4 - prim.v1)
+        pts = grid(prim.v1, prim.v2, prim.v4)
     elif isinstance(prim, Cube):
-        pts = dedup([p for f in prim.faces for p in grid(f.v1, f.v2 - f.v1, f.v4 - f.v1)])
+        pts = dedup([p for f in prim.faces for p in grid(f.v1, f.v2, f.v4)])
     else:
         b1, b2 = map(np.array, axis_frame(prim._axis))
         R = prim.radius
@@ -155,7 +157,7 @@ def _numpy_cloud(prim, params):
         while rho < R:
             radii.append(rho)
             rho += pitch
-        for cap in (prim.a1, prim.a2):
+        for cap in map(np.asarray, (prim.a1, prim.a2)):
             pts.append(cap.copy())
             pts.extend(cap + d for rho in radii + [R] for d in circle(rho))
         pts = dedup(pts)

@@ -115,7 +115,7 @@ def test_planner_spec_builds_each_kind_with_its_parameters():
 
 def test_worker_pool_gives_the_serial_report():
     spec = PlannerSpec("geopf")
-    kw = dict(stall_speed=0.01, collect_trials=True)
+    kw = dict(stall_speed=0.01)
     serial = run_suite("line_easy", spec, 2, seed0=3, workers=1, **kw)
     pooled = run_suite("line_easy", spec, 2, seed0=3, workers=2, **kw)
     assert serial.trials == 2
@@ -139,7 +139,7 @@ def test_csv_has_the_header_and_one_row_per_suite(tmp_path):
 
 def test_json_mirror_keys(tmp_path):
     spec = PlannerSpec("pf", rsp=0.1)
-    report = run_suite("line_easy", spec, 1, stall_speed=0.01, collect_trials=True, workers=1)
+    report = run_suite("line_easy", spec, 1, stall_speed=0.01, workers=1)
     path = tmp_path / "bench.json"
     write_json(report, path)
     doc = json.loads(path.read_text())

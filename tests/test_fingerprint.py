@@ -1,8 +1,9 @@
 """The fast lines of ``tools/fingerprint.py`` match ``tools/fingerprints.txt``.
 
-``scenes`` hashes the scene files of 400 generated scenes and ``kernels``
-every obstacle's query kernel at seeded probe points.  The other lines run
-thousands of trials and stay with the tool.
+``scenes`` hashes the scene files of 400 generated scenes, ``clouds`` the
+sphere clouds of their obstacles and ``kernels`` every obstacle's query
+kernel at seeded probe points.  The other lines run thousands of trials and
+stay with the tool.
 """
 
 import importlib.util
@@ -17,7 +18,12 @@ _spec.loader.exec_module(fingerprint)
 
 
 @pytest.mark.parametrize(
-    "name, digest", [("scenes", fingerprint.scene_hash), ("kernels", fingerprint.kernel_hash)]
+    "name, digest",
+    [
+        ("scenes", fingerprint.scene_hash),
+        ("clouds", fingerprint.cloud_hash),
+        ("kernels", fingerprint.kernel_hash),
+    ],
 )
 def test_fast_fingerprint_lines_are_the_recorded_ones(name, digest):
     expected, note = fingerprint.read_expected()

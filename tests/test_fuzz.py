@@ -36,9 +36,9 @@ def trials(draw):
     elif start_kind != "free":
         seg = random_primitive(rng, "segment")
         if start_kind == "segment_interior":
-            start = seg.p1 + draw(st.floats(0.0, 1.0)) * (seg.p2 - seg.p1)
+            start = np.asarray(seg.p1) + draw(st.floats(0.0, 1.0)) * np.subtract(seg.p2, seg.p1)
         else:
-            start = seg.p2.copy()
+            start = np.asarray(seg.p2)
         prims.append(seg)
     drifting = draw(st.booleans())
     obstacles = [

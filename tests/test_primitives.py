@@ -89,8 +89,8 @@ def test_rect_plane_normal_orthogonal_to_edges(rng):
     for _ in range(50):
         p = random_primitive(rng, "plane")
         n = p.normal
-        assert abs(float(n @ (p.v2 - p.v1))) < 1e-9
-        assert abs(float(n @ (p.v4 - p.v1))) < 1e-9
+        assert abs(float(n @ np.subtract(p.v2, p.v1))) < 1e-9
+        assert abs(float(n @ np.subtract(p.v4, p.v1))) < 1e-9
 
 
 def test_cube_face_decoding():

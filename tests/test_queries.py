@@ -121,8 +121,8 @@ def test_segment_on_line_degenerate():
 
 def test_segment_classification_by_projection(rng):
     seg = random_primitive(rng, "segment")
-    u = (seg.p2 - seg.p1) / np.linalg.norm(seg.p2 - seg.p1)
-    length = float(np.linalg.norm(seg.p2 - seg.p1))
+    u = np.subtract(seg.p2, seg.p1) / np.linalg.norm(np.subtract(seg.p2, seg.p1))
+    length = float(np.linalg.norm(np.subtract(seg.p2, seg.p1)))
     for _ in range(200):
         p = rng.uniform(-1, 1, size=3)
         t = float((p - seg.p1) @ u)
@@ -190,7 +190,7 @@ def _four_indicator_inside(fx, fy, fz, plane):
     all share one orientation.  Points on a corner or an edge count as
     inside.
     """
-    vs = plane._vs
+    vs = plane.corners
     nx, ny, nz = plane._n
     dirs = []
     for vx, vy, vz in vs:
@@ -252,11 +252,11 @@ def test_plane_inside_matches_box_oracle(rng):
     # 10^4 random feet, excluding the +-1e-9 boundary band.
     for _ in range(20):
         p = random_primitive(rng, "plane")
-        e1 = p.v2 - p.v1
-        e2 = p.v4 - p.v1
+        e1 = np.subtract(p.v2, p.v1)
+        e2 = np.subtract(p.v4, p.v1)
         for _ in range(500):
             u, v = rng.uniform(-0.5, 1.5, size=2)
-            foot = p.v1 + u * e1 + v * e2
+            foot = np.asarray(p.v1) + u * e1 + v * e2
             du = min(abs(u), abs(u - 1.0)) * float(np.linalg.norm(e1))
             dv = min(abs(v), abs(v - 1.0)) * float(np.linalg.norm(e2))
             if min(du, dv) <= 1e-9:
@@ -301,7 +301,7 @@ def test_plane_in_plane_near_edges_never_raises():
         for _ in range(50):
             edge = rect.edges[int(rng.integers(4))]
             u = np.array(edge._u)
-            on_edge = np.array(edge._a) + rng.uniform(0.0, edge.length) * u
+            on_edge = np.array(edge.p1) + rng.uniform(0.0, edge.length) * u
             outward = np.cross(u, rect.normal)
             if outward @ (on_edge - center) < 0.0:
                 outward = -outward
@@ -373,7 +373,7 @@ def _six_face_reference(rx, ry, rz, cube):
     outward = _outward_normals(cube)
     offs = []
     for face, (nx, ny, nz) in zip(cube.faces, outward):
-        v1x, v1y, v1z = face._vs[0]
+        v1x, v1y, v1z = face.v1
         offs.append((rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz)
     if max(offs) < 0.0:
         i = max(range(6), key=lambda k: offs[k])

@@ -82,8 +82,8 @@ def test_class_count_statistics():
 def test_longer_variant_moves_goal():
     near = generate(SceneClass.PLANE_EASY, 7)
     far = generate(SceneClass.PLANE_EASY_LONGER, 7)
-    d_near = np.linalg.norm(near.goal - near.start)
-    d_far = np.linalg.norm(far.goal - far.start)
+    d_near = np.linalg.norm(np.subtract(near.goal, near.start))
+    d_far = np.linalg.norm(np.subtract(far.goal, far.start))
     assert d_far == pytest.approx(1.5 * d_near)
 
 
@@ -115,7 +115,7 @@ def test_dynamic_fraction_and_speed():
 def test_dynamic_containment_over_horizon():
     for seed in range(5):
         scene = generate(SceneClass.DYNAMIC_HARD, seed)
-        lo, hi = scene.drift_bounds
+        lo, hi = map(np.asarray, scene.drift_bounds)
         horizon = (scene.sim.max_steps + 1) * scene.sim.dt
         for t in np.linspace(0.0, horizon, 200):
             for i, obs in enumerate(scene.obstacles):

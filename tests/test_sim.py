@@ -440,7 +440,7 @@ def test_crossing_hits_lie_within_the_moves_reach():
     for _ in range(300):
         base = random_primitive(rng, "plane")
         kernel = _kernel_for(base)
-        v1, n = np.array(base._vs[0]), np.array(base._n)
+        v1, n = np.array(base.v1), np.array(base._n)
         e1, e2 = base.edges[0], base.edges[1]
         u1, u2 = np.array(e1._u), np.array(e2._u)
         o = rng.uniform(-0.5, 0.5, size=3)

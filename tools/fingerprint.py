@@ -154,7 +154,7 @@ def _probe_points(prim, rng) -> list:
     cx, cy, cz, r = prim.bounding_sphere
     points = (rng.uniform(-1.5 * r, 1.5 * r, (64, 3)) + (cx, cy, cz)).tolist()
     if isinstance(prim, Cylinder):
-        (ax, ay, az), (ux, uy, uz) = prim._p1, prim._axis
+        (ax, ay, az), (ux, uy, uz) = prim.a1, prim._axis
         (bx, by, bz), _ = axis_frame(prim._axis)
         L, R = prim.length, prim.radius
         grid = [(t, rho) for t in (0.0, L / 2.0, L) for rho in (0.0, R / 2.0, R)]
