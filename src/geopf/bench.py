@@ -4,6 +4,12 @@ Suites run seeds ``seed0 .. seed0 + n - 1`` of a scene class under one
 planner, aggregate mean/std per metric in seed order and serialize a CSV row
 (plus an optional JSON mirror carrying every trial).  Generation failures
 are excluded from the statistics but always reported.
+
+Two step times are reported.  ``ct_step_ms`` (``ct_per_step``) is the
+paper's force-only time: force evaluation plus integration.  ``full_step_ms``
+(``full_step``) is the mean wall time of a whole simulation step, with the
+distance instrumentation, contact and crossing checks that the force-only
+time leaves out.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -26,7 +32,8 @@ class TrialMetrics:
 
     success: bool
     steps: int
-    ct_per_step: float  # ms, mean of per-step force+integration times
+    ct_per_step: float  # ms, mean of per-step force+integration times (force-only)
+    full_step: float  # ms, mean wall time of a whole simulation step
     path_length: float
     min_dist: float
     avg_dist: float
@@ -82,6 +89,7 @@ class SuiteReport:
     seed_end: int
     stats: dict = field(default_factory=dict)  # name -> (mean, std)
     ct_step_ms_median: float = math.nan
+    full_step_ms_median: float = math.nan
     trial_metrics: list = field(default_factory=list)
     trial_seeds: list = field(default_factory=list)
 
@@ -105,6 +113,7 @@ def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
         success=success,
         steps=steps,
         ct_per_step=ct,
+        full_step=1e3 * record.full_step_time,
         path_length=record.path_length,
         min_dist=record.min_dist,
         avg_dist=record.dist_sum / record.dist_count if record.dist_count else math.inf,
@@ -196,6 +205,7 @@ def run_suite(
     completed = len(metrics)
     rate = successes / completed if completed else math.nan
     ct_values = _finite([m.ct_per_step for m in metrics])
+    full_values = _finite([m.full_step for m in metrics])
     report = SuiteReport(
         scene_class=scene_class.value,
         planner=spec.label,
@@ -210,11 +220,13 @@ def run_suite(
             "n_obs": _mean_std([float(c) for c in n_obs]),
             "steps": _mean_std([float(m.steps) for m in metrics]),
             "ct_step_ms": _mean_std([m.ct_per_step for m in metrics]),
+            "full_step_ms": _mean_std([m.full_step for m in metrics]),
             "path_len": _mean_std([m.path_length for m in metrics]),
             "min_dist": _mean_std([m.min_dist for m in metrics]),
             "avg_dist": _mean_std([m.avg_dist for m in metrics]),
         },
         ct_step_ms_median=statistics.median(ct_values) if ct_values else math.nan,
+        full_step_ms_median=statistics.median(full_values) if full_values else math.nan,
         trial_metrics=metrics,
         trial_seeds=seeds,
     )
@@ -225,6 +237,7 @@ CSV_HEADER = (
     "scene_class,planner,rsp,ksp,trials,excluded,success_rate,"
     "n_obs_mean,n_obs_std,steps_mean,steps_std,"
     "ct_step_ms_mean,ct_step_ms_std,ct_step_ms_median,"
+    "full_step_ms_mean,full_step_ms_std,full_step_ms_median,"
     "path_len_mean,path_len_std,min_dist_mean,min_dist_std,"
     "avg_dist_mean,avg_dist_std,seed_start,seed_end"
 )
@@ -253,6 +266,8 @@ def report_csv_row(report: SuiteReport) -> str:
     for name in ("n_obs", "steps", "ct_step_ms"):
         cells.extend(report.stats[name])
     cells.append(report.ct_step_ms_median)
+    cells.extend(report.stats["full_step_ms"])
+    cells.append(report.full_step_ms_median)
     for name in ("path_len", "min_dist", "avg_dist"):
         cells.extend(report.stats[name])
     cells.extend([report.seed_start, report.seed_end])
@@ -291,6 +306,7 @@ def write_json(report: SuiteReport, path):
             k: [_json_safe(v) for v in pair] for k, pair in report.stats.items()
         },
         "ct_step_ms_median": _json_safe(report.ct_step_ms_median),
+        "full_step_ms_median": _json_safe(report.full_step_ms_median),
         "trials_detail": [
             {"seed": seed, **{k: _json_safe(v) for k, v in asdict(m).items()}}
             for seed, m in zip(report.trial_seeds, report.trial_metrics)

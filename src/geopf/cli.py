@@ -67,7 +67,8 @@ def _run_and_report(scene, spec, traj_path=None, stall_speed=None):
         what += f" ({verdict.obstacle_id})"
     print(f"verdict:    {what}")
     print(f"steps:      {metrics.steps}")
-    print(f"ct/step:    {_fmt(metrics.ct_per_step)} ms")
+    print(f"ct/step:    {_fmt(metrics.ct_per_step)} ms (force-only)")
+    print(f"full step:  {_fmt(metrics.full_step)} ms")
     print(f"path:       {_fmt(metrics.path_length)} m")
     print(f"min dist:   {_fmt(metrics.min_dist)} m")
     print(f"avg dist:   {_fmt(metrics.avg_dist)} m")
@@ -131,7 +132,8 @@ def _cmd_bench(args) -> int:
         f"{report.scene_class} {report.planner}: "
         f"SR {100 * sr:.1f}% over {report.trials} trials "
         f"({report.excluded} excluded), "
-        f"ct/step {_fmt(report.stats['ct_step_ms'][0])} ms -> {args.out}"
+        f"ct/step {_fmt(report.stats['ct_step_ms'][0])} ms force-only, "
+        f"full step {_fmt(report.stats['full_step_ms'][0])} ms -> {args.out}"
     )
     return EXIT_OK
 

@@ -2,10 +2,10 @@
 
 Each planner prepares a per-scene context from the obstacles' rows of
 ``scene.bodies``.  Before every step its one shared ``update`` takes the
-step's rigid offsets, one per obstacle, from the scene's
-``primitives_at_step`` view and allocates the step's empty distance slots
-(below), and nothing else.  ``force`` then produces the resultant as plain
-floats (this call is the timed region of a simulation step).  Every
+step's rigid offsets, one per obstacle, and their obstacle time from the
+scene's ``primitives_at_step`` view and allocates the step's empty distance
+slots (below), and nothing else.  ``force`` then produces the resultant as
+plain floats (this call is the timed region of a simulation step).  Every
 resultant is summed left to right as attraction, then the obstacle terms,
 then the boundary walls.  The geometric planner queries each row's primitive
 at the robot minus its obstacle's offset, and its ``force`` is the one loop
@@ -20,12 +20,32 @@ the distance its obstacle term measured for obstacle i, so the simulator's
 distance instrumentation takes it instead of querying the obstacle again.
 Culled obstacles keep None; the sphere-cloud planners write nothing.
 
+Candidate lists.  GeoPF's obstacle loop and every planner's wall loop run
+over a candidate list that the context keeps between steps, not over every
+body.  A list is built at one robot position r_a and obstacle time t_a: it
+keeps each obstacle whose bounding centre lies within its cull distance
+plus ``SKIN`` of r_a minus the obstacle's offset at t_a, and each wall whose
+plane offset from r_a is below the activation radius plus ``SKIN``.  It
+stays valid while |r - r_a| + V |t - t_a| < ``SKIN`` less a rounding guard,
+with V the scene's largest drift speed (0 for a static scene) and t the
+time of the offsets ``update`` last took; walls do not drift, so their list
+checks the first term alone.  Time is read off the view, never counted in
+calls, since callers may visit steps in any order.  Every reader checks
+validity first and rebuilds a stale list at the robot it is given, so
+``_wall_terms`` stays exact when called on its own.  No bit moves: a body
+that passes the per-step cull at (r, t) lies within its cull distance plus
+the distance that r minus its offset moved since (r_a, t_a), so it is in
+the list; each entry in the list still runs the per-step tests, in scene
+order, so the same terms are summed in the same order, the same
+``ctx.dists`` slots are written and the same random draws are made.
+
 No planner decides contact.  A touched or penetrated obstacle or wall adds
 a zero term (``obstacle_force_term``), ``force`` returns the sum as usual,
 and the simulator reads contact off its own distances.  The one exception
 ``force`` raises is ``DegenerateVector``.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -39,6 +59,15 @@ from .primitives import as_vec3
 from .queries import _plane_offset
 from .scenes import ZERO_OFFSET
 
+# Skin of the candidate lists (m), chosen by a sweep on the benchmark's GeoPF
+# workloads.  A list holds every body within its cull distance plus SKIN of
+# where it was built, and stays valid while the robot's move since then plus
+# the fastest drift over the time since then stays below _REACH: the skin
+# less a guard against the rounding of positions, offsets and plane offsets,
+# each far below a micrometre in the scenes' sizes and times.
+SKIN = 0.05
+_REACH = SKIN - 1e-6
+
 
 class _Ctx:
     """Mutable per-trial planner state."""
@@ -51,14 +80,21 @@ class _Ctx:
         "walls",
         "obstacles",
         "offsets",
+        "time",
+        "drift_speed",
         "dists",
         "cloud",
+        "near_walls",
+        "wall_anchor",
+        "near_obstacles",
+        "obstacle_anchor",
     )
 
 
 def _scene_ctx(scene):
     """Context fields every planner shares: goal, gains, walls, obstacle
-    rows, one zero offset and one empty distance slot per obstacle."""
+    rows, one zero offset and one empty distance slot per obstacle at time
+    0, the scene's drift speed, and candidate lists due for a rebuild."""
     ctx = _Ctx()
     ctx.goal = scene.goal
     ctx.k_attr = scene.gains.k_attr
@@ -67,8 +103,54 @@ def _scene_ctx(scene):
     ctx.walls = list(scene.boundary)
     ctx.obstacles = scene.bodies[: len(scene.obstacles)]
     ctx.offsets = [ZERO_OFFSET] * len(scene.obstacles)
+    ctx.time = 0.0
+    ctx.drift_speed = scene._drift_speed
     ctx.dists = [None] * len(scene.obstacles)
+    ctx.wall_anchor = (math.inf, 0.0, 0.0)
+    ctx.obstacle_anchor = (math.inf, 0.0, 0.0, 0.0)
     return ctx
+
+
+def _near_walls(ctx, rx, ry, rz):
+    """The walls whose plane offset from the robot can be below the
+    activation radius, in scene order.
+
+    Rebuilt once the robot is ``_REACH`` or more from where the list was
+    built: a plane offset changes by at most the robot's move.
+    """
+    ax, ay, az = ctx.wall_anchor
+    if not math.hypot(rx - ax, ry - ay, rz - az) < _REACH:
+        reach = ctx.act + SKIN
+        ctx.near_walls = [
+            wall for wall in ctx.walls if not abs(_plane_offset(rx, ry, rz, wall)) >= reach
+        ]
+        ctx.wall_anchor = (rx, ry, rz)
+    return ctx.near_walls
+
+
+def _near_obstacles(ctx, rx, ry, rz):
+    """``(i, row)`` for each obstacle whose bounding centre can be within its
+    cull distance of the robot minus its offset, in scene order.
+
+    Rebuilt once the robot's move plus the scene's drift speed times the
+    obstacle time passed since the list was built reaches ``_REACH``: the
+    robot minus an offset moves by at most that sum.
+    """
+    ax, ay, az, at = ctx.obstacle_anchor
+    t = ctx.time
+    if not math.hypot(rx - ax, ry - ay, rz - az) + ctx.drift_speed * abs(t - at) < _REACH:
+        offsets = ctx.offsets
+        near = []
+        for i, row in enumerate(ctx.obstacles):
+            _, _, _, bx, by, bz, threshold, _ = row
+            ox, oy, oz = offsets[i]
+            dx, dy, dz = rx - ox - bx, ry - oy - by, rz - oz - bz
+            reach = math.sqrt(threshold) + SKIN
+            if not dx * dx + dy * dy + dz * dz >= reach * reach:
+                near.append((i, row))
+        ctx.near_obstacles = near
+        ctx.obstacle_anchor = (rx, ry, rz, t)
+    return ctx.near_obstacles
 
 
 def _wall_terms(ctx, rx, ry, rz, rng, correction):
@@ -76,7 +158,7 @@ def _wall_terms(ctx, rx, ry, rz, rng, correction):
     gx, gy, gz = ctx.goal
     wx = wy = wz = 0.0
     act = ctx.act
-    for wall in ctx.walls:
+    for wall in _near_walls(ctx, rx, ry, rz):
         off = _plane_offset(rx, ry, rz, wall)
         if off >= act or off <= -act:
             continue
@@ -96,10 +178,11 @@ class _Planner:
     drift as one rigid offset per obstacle."""
 
     def update(self, ctx, placed):
-        """Take the step's obstacle offsets from ``placed``, a
-        ``Scene.primitives_at_step`` view over the scene's base primitives,
+        """Take the step's obstacle offsets and their time from ``placed``,
+        a ``Scene.primitives_at_step`` view over the scene's base primitives,
         and empty the distance slots."""
         ctx.offsets = placed.offsets
+        ctx.time = placed.time
         ctx.dists = [None] * len(placed.offsets)
 
 
@@ -137,9 +220,11 @@ class GeoPFPlanner(_Planner):
         correction = self.correction
         offsets = ctx.offsets
         dists = ctx.dists
-        # Each obstacle is queried at its base position, with the robot and
-        # the goal shifted by minus its offset.
-        for i, (prim, label, k, bx, by, bz, threshold, is_plane) in enumerate(ctx.obstacles):
+        # Each candidate obstacle is queried at its base position, with the
+        # robot and the goal shifted by minus its offset.
+        for i, (prim, label, k, bx, by, bz, threshold, is_plane) in _near_obstacles(
+            ctx, rx, ry, rz
+        ):
             ox, oy, oz = offsets[i]
             sx, sy, sz = rx - ox, ry - oy, rz - oz
             dx, dy, dz = sx - bx, sy - by, sz - bz

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields
 from enum import Enum
 import json
+import math
 import operator
 import sys
 
@@ -121,13 +122,18 @@ class PlacedObstacles(Sequence):
     path queries ``base[i]`` at ``robot - offsets[i]`` and never builds a
     primitive.  Indexing the view builds the placed primitive on demand
     (the base object itself at a zero offset).
+
+    ``time`` is the obstacle time, in seconds, at which the offsets hold:
+    ``(step + 1) * dt`` for a drifting scene's view of ``step``, and 0 for a
+    static scene's one view, whose offsets hold at every time.
     """
 
-    __slots__ = ("base", "offsets")
+    __slots__ = ("base", "offsets", "time")
 
-    def __init__(self, base, offsets):
+    def __init__(self, base, offsets, time):
         self.base = base
         self.offsets = offsets
+        self.time = time
 
     def __len__(self):
         return len(self.base)
@@ -166,6 +172,11 @@ class Scene:
     and beyond which the body is out of the activation radius.  Rows are
     plain tuples: only an exact tuple unpacks on the interpreter's fast path.
 
+    ``_drift_speed`` is the largest speed of a drifting obstacle, 0 for a
+    static scene: no obstacle's offset moves farther than that speed times
+    the time between two views, since the fold that reflects it off
+    ``drift_bounds`` never moves a coordinate faster than its velocity.
+
     ``start``, ``goal`` and the corners of ``drift_bounds`` are points made
     by :func:`~geopf.primitives.as_vec3`; scenes compare by value.  Built, a
     scene does not change: assigning or deleting a field raises
@@ -198,7 +209,7 @@ class Scene:
         elif drifting:
             raise SceneSchemaError("drift needs drift_bounds", f"obstacles[{drifting[0]}].drift")
         base = [obs.primitive for obs in self.obstacles]
-        self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base))
+        self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base), 0.0)
         # Fold constants of each drifting obstacle, by index: its bounding
         # centre, drift velocity and the range its centre stays in, which
         # must hold the centre, or the fold would jump it there at once.
@@ -210,6 +221,8 @@ class Scene:
                 raise SceneSchemaError(message, f"obstacles[{i}].drift")
             *centre, r = obs.primitive.bounding_sphere
             self._drifts[i] = (centre, obs.drift, [v + r for v in lo], [v - r for v in hi])
+        speeds = (math.hypot(*self.obstacles[i].drift) for i in drifting)
+        self._drift_speed = max(speeds, default=0.0)
         k_rep, act = self.gains.k_rep, self.gains.activation_radius
         # Assigned last: once ``bodies`` is set, the fields are fixed.
         self.bodies = [
@@ -232,9 +245,9 @@ class Scene:
         :class:`PlacedObstacles` view over the shared base primitives.
 
         Obstacles move before each force evaluation, so step ``i`` sees the
-        obstacles at time ``(i + 1) * dt``.  Only the offsets of drifting
-        obstacles are computed; static scenes return one shared view whose
-        offsets are all zero.
+        obstacles at time ``(i + 1) * dt``, the view's ``time``.  Only the
+        offsets of drifting obstacles are computed; static scenes return one
+        shared view whose offsets are all zero and whose time is 0.
         """
         if not self._drifts:
             return self._at_rest
@@ -242,7 +255,7 @@ class Scene:
         offsets = list(self._at_rest.offsets)
         for i, drift in self._drifts.items():
             offsets[i] = _drift_offset(drift, t)
-        return PlacedObstacles(self._at_rest.base, offsets)
+        return PlacedObstacles(self._at_rest.base, offsets, t)
 
 
 def corridor_boundary(y_min: float, y_max: float) -> list:

@@ -10,7 +10,8 @@ A trial integrates until the goal ball is reached, an obstacle or boundary
 wall is touched (including zero-thickness rectangles crossed between steps),
 or the step budget runs out.  Per-step wall time covers force evaluation and
 integration only; distance instrumentation, recording and collision checks
-run outside the timed region.
+run outside the timed region.  Two more stamps, around the step loop, give
+the mean full step.
 
 Contact is decided here alone, from the signed distance: a body of
 ``scene.bodies`` at a distance of at most zero is touched, and its row names
@@ -101,8 +102,10 @@ class TrajectoryRecord:
     """Recorded trajectory plus verdict and per-trial aggregates.
 
     ``step_times`` holds the per-step force+integration wall times in seconds
-    and is the only field excluded from determinism guarantees.  The distance
-    aggregates cover every (step, obstacle) pair seen during the run.
+    (the force-only time) and ``full_step_time`` the mean wall time of a
+    whole step, the step loop's time over its steps; these two are the
+    fields excluded from determinism guarantees.  The distance aggregates
+    cover every (step, obstacle) pair seen during the run.
     """
 
     states: list
@@ -112,6 +115,7 @@ class TrajectoryRecord:
     dist_sum: float = 0.0
     dist_count: int = 0
     step_times: list = field(default_factory=list)
+    full_step_time: float = math.nan
 
 
 def integrate_step(position, velocity, force, params: SimParams):
@@ -195,7 +199,8 @@ def run_trial(
 
     Returns:
         TrajectoryRecord with one state per step and the termination verdict.
-        Deterministic for fixed (scene, planner, params) except step_times.
+        Deterministic for fixed (scene, planner, params) except step_times
+        and full_step_time.
 
     Raises:
         DegenerateVector: when the robot lies on a segment, its end, a
@@ -264,6 +269,7 @@ def run_trial(
         return dists, md
 
     step_index = 0
+    loop_start = perf()
     while True:
         placed = scene.primitives_at_step(step_index)
         planner.update(ctx, placed)
@@ -350,6 +356,7 @@ def run_trial(
 
         step_index += 1
 
+    record.full_step_time = (perf() - loop_start) / (step_index + 1)
     return record
 
 

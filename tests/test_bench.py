@@ -15,6 +15,7 @@ from geopf import (
     SphereCFPlanner,
     SpherePFPlanner,
     SpherizationParams,
+    VerdictKind,
     compute_metrics,
     distance,
     generate,
@@ -89,12 +90,25 @@ def test_replay_recomputes_path_length():
     assert path == pytest.approx(record.path_length, rel=1e-12)
 
 
+def test_the_full_step_covers_the_force_only_step():
+    scene = generate(SceneClass.LINE_EASY, 0)
+    record = run_trial(scene, params=SimParams(max_steps=200))
+    assert record.verdict.kind is VerdictKind.TIMEOUT
+    # Every step evaluated a force, and the loop's time holds those times.
+    assert len(record.step_times) == 201
+    metrics = compute_metrics(record, scene)
+    assert metrics.full_step == 1e3 * record.full_step_time
+    assert metrics.full_step > metrics.ct_per_step
+
+
 def _without_step_times(report):
     doc = dataclasses.asdict(report)
-    doc["stats"].pop("ct_step_ms")
-    doc.pop("ct_step_ms_median")
+    for name in ("ct_step_ms", "full_step_ms"):
+        doc["stats"].pop(name)
+        doc.pop(f"{name}_median")
     for trial in doc["trial_metrics"]:
         trial.pop("ct_per_step")
+        trial.pop("full_step")
     return doc
 
 
@@ -129,6 +143,11 @@ def test_csv_has_the_header_and_one_row_per_suite(tmp_path):
     write_csv(reports, path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
+    # The full step follows the force-only step, mean, std and median each.
+    assert (
+        "ct_step_ms_mean,ct_step_ms_std,ct_step_ms_median,"
+        "full_step_ms_mean,full_step_ms_std,full_step_ms_median,path_len_mean"
+    ) in CSV_HEADER
     assert len(lines) == 3
     for line, report in zip(lines[1:], reports):
         cells = line.split(",")
@@ -155,10 +174,28 @@ def test_json_mirror_keys(tmp_path):
         "seed_end",
         "stats",
         "ct_step_ms_median",
+        "full_step_ms_median",
         "trials_detail",
     }
-    assert set(doc["stats"]) == {"n_obs", "steps", "ct_step_ms", "path_len", "min_dist", "avg_dist"}
+    assert set(doc["stats"]) == {
+        "n_obs",
+        "steps",
+        "ct_step_ms",
+        "full_step_ms",
+        "path_len",
+        "min_dist",
+        "avg_dist",
+    }
     assert [set(t) for t in doc["trials_detail"]] == [
-        {"seed", "success", "steps", "ct_per_step", "path_length", "min_dist", "avg_dist"}
+        {
+            "seed",
+            "success",
+            "steps",
+            "ct_per_step",
+            "full_step",
+            "path_length",
+            "min_dist",
+            "avg_dist",
+        }
     ]
     assert (doc["planner"], doc["rsp"], doc["ksp"]) == ("pf(0.1,1)", 0.1, 1.0)

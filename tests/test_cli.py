@@ -15,6 +15,7 @@ def test_gen_then_run(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "verdict:    reached_goal" in out
+    assert " ms (force-only)\nfull step:  " in out
     assert traj.read_text().startswith("step,px,py,pz")
 
 

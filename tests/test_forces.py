@@ -20,6 +20,7 @@ from geopf import (
     resultant_force,
 )
 from geopf.forces import obstacle_force_term
+from geopf.planners import SKIN
 from geopf.seeding import trial_rng
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
@@ -329,3 +330,80 @@ def test_resultant_is_the_planner_force_bit_for_bit(scene_class):
                 ).resultant
                 want = planner.force(ctx, *robot.tolist(), 0, 0, 0, trial_rng(n))
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def _hexes(values):
+    return [None if v is None else float.hex(v) for v in values]
+
+
+def _visits(scene, pick):
+    """(step, robot) visits for one long-lived context, obstacle by obstacle
+    and then wall by wall.
+
+    Each obstacle is visited at a random step: from a jump to a point just
+    off its cull sphere plus ``SKIN`` (1e-9 m inside or outside), in moves
+    that together stay short of the skin, to 1e-9 m inside and outside its
+    cull sphere; then in small moves over forward, repeated and backward
+    steps; then at one point, 3,000 steps later and back, after a jump that
+    builds the lists at the later time.  Each wall is approached the same
+    way, from just off its activation radius plus ``SKIN``.
+    """
+    bodies, n = scene.bodies, len(scene.obstacles)
+    for i, (_, _, _, bx, by, bz, cull, _) in enumerate(bodies[:n]):
+        s = int(pick.integers(0, 5000))
+        c = np.array((bx, by, bz)) + scene.primitives_at_step(s).offsets[i]
+        r = math.sqrt(cull)
+        u = pick.normal(size=3)
+        u /= np.linalg.norm(u)
+        edge = r + SKIN + pick.choice((-1e-9, 1e-9))
+        yield s, c + (edge + 0.2) * u
+        for k in range(9):
+            yield s, c + (edge - k * SKIN * (1 - 1e-4) / 8) * u
+        yield s, c + (r + 1e-9) * u
+        yield s, c + (r - 1e-9) * u
+        p = c + (r - 0.01) * u
+        for step in [s + k for k in range(12)] + [s + 11] * 3 + [s + 11 - k for k in range(24)]:
+            p = p + pick.normal(size=3) * 0.002
+            yield max(step, 0), p
+        yield s + 3000, p + 0.2 * u
+        yield s + 3000, p
+        yield s, p
+    act = scene.gains.activation_radius
+    for prim, _, _, cx, cy, cz, _, _ in bodies[n:]:
+        wall = np.array((cx, cy, cz))
+        inward = prim.normal * np.sign(prim.normal @ (np.array(scene.start) - wall))
+        edge = act + SKIN + pick.choice((-1e-9, 1e-9))
+        yield 0, wall + (edge + 0.2) * inward
+        for k in range(9):
+            yield k, wall + (edge - k * SKIN * (1 - 1e-4) / 8) * inward
+        yield 9, wall + (act + 1e-9) * inward
+        yield 9, wall + (act - 1e-9) * inward
+
+
+@pytest.mark.parametrize("scene_class", ["dynamic_easy", "dynamic_hard"])
+def test_a_long_lived_context_forces_as_a_fresh_one_bit_for_bit(scene_class):
+    # The candidate lists a context keeps between calls must never change a
+    # force or a distance slot: one context, carried through every visit,
+    # against a context prepared afresh for each.
+    planner = GeoPFPlanner()
+    reused = visits = active = 0
+    for seed in range(3):
+        scene = generate(SceneClass(scene_class), seed)
+        ctx = planner.prepare(scene)
+        pick = np.random.default_rng(seed)
+        for n, (step, robot) in enumerate(_visits(scene, pick)):
+            placed = scene.primitives_at_step(step)
+            robot = robot.tolist()
+            anchor = ctx.obstacle_anchor
+            planner.update(ctx, placed)
+            got = planner.force(ctx, *robot, 0.0, 0.0, 0.0, trial_rng(n))
+            fresh = planner.prepare(scene)
+            planner.update(fresh, placed)
+            want = planner.force(fresh, *robot, 0.0, 0.0, 0.0, trial_rng(n))
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (seed, n)
+            assert _hexes(ctx.dists) == _hexes(fresh.dists), (seed, n)
+            visits += 1
+            reused += ctx.obstacle_anchor == anchor
+            active += any(d is not None and d < scene.gains.activation_radius for d in ctx.dists)
+    assert reused >= visits // 2
+    assert active >= visits // 4

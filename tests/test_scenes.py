@@ -106,6 +106,8 @@ def test_dynamic_fraction_and_speed():
         assert len(dyn) == round(n / 3)
         for o in dyn:
             assert float(np.linalg.norm(o.drift)) <= 0.05 + 1e-12
+        speeds = [float(np.linalg.norm(o.drift)) for o in dyn]
+        assert scene._drift_speed == pytest.approx(max(speeds, default=0.0), rel=1e-15)
     scene = generate(SceneClass.DYNAMIC_HARD, 3)
     n = len(scene.obstacles)
     assert 10 <= n <= 20
@@ -144,6 +146,7 @@ def test_static_scene_prims_shared():
     scene = generate(SceneClass.LINE_EASY, 5)
     placed = scene.primitives_at_step(0)
     assert placed is scene.primitives_at_step(100)
+    assert (placed.time, scene._drift_speed) == (0.0, 0.0)
     assert all(p is obs.primitive for p, obs in zip(placed, scene.obstacles))
 
 
@@ -152,6 +155,7 @@ def test_placed_obstacles_match_translated_primitives():
     dt = scene.sim.dt
     for s in (0, 1, 37, 5000):
         placed = scene.primitives_at_step(s)
+        assert placed.time == (s + 1) * dt
         assert len(placed) == len(scene.obstacles)
         for i, obs in enumerate(scene.obstacles):
             assert placed.base[i] is obs.primitive
