@@ -26,7 +26,9 @@ import numpy as np
 
 from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame, positive
 from .queries import (
-    FeatureKind,
+    _CAP_BOTTOM,
+    _CAP_TOP,
+    _FACE,
     _cube_kernel,
     _cylinder_kernel,
     _kernel_for,
@@ -152,7 +154,7 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
     k/d.  On the axis the direction is undefined, and an in-plane direction
     at an RNG-drawn angle (angle 0 without an RNG) is used instead.
     """
-    center = cyl.a2 if kind is FeatureKind.CAP_TOP else cyl.a1
+    center = cyl.a2 if kind is _CAP_TOP else cyl.a1
     axis = cyl._axis
     hit = _pierce(rx, ry, rz, gx, gy, gz, center, axis)
     if hit is None:
@@ -175,7 +177,7 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
     return (ca * b1[0] + sa * b2[0], ca * b1[1] + sa * b2[1], ca * b1[2] + sa * b2[2])
 
 
-_CAPS = (FeatureKind.CAP_TOP, FeatureKind.CAP_BOTTOM)
+_CAPS = (_CAP_TOP, _CAP_BOTTOM)
 
 
 def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz, rng):
@@ -186,7 +188,7 @@ def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz, rng
     """
     if kernel is _plane_kernel:
         return _rect_correction(rx, ry, rz, gx, gy, gz, prim, rng)
-    if kernel is _cube_kernel and kind is FeatureKind.FACE:
+    if kernel is _cube_kernel and kind is _FACE:
         return _rect_correction(rx, ry, rz, gx, gy, gz, prim.faces[index[0] - 1], rng)
     if kernel is _cylinder_kernel and kind in _CAPS:
         return _cap_correction(rx, ry, rz, gx, gy, gz, prim, kind, rng)

@@ -32,6 +32,13 @@ the same shifted point, so the recorded distances keep every bit.  The
 crossing test then skips every rectangle and wall farther from the move's
 start than the move is long: a pierced closed rectangle holds a point of
 the move, and every point of the move lies within its length of the start.
+
+A wall is measured by its plane first.  A rectangle is never nearer than
+its supporting plane, so a wall whose plane lies beyond the move's reach
+can be neither touched nor crossed; it enters the contact test at its plane
+distance, and its kernel runs only when the plane is within reach.  The
+corridor walls lie beyond the reach on almost every step, so most steps run
+no wall kernel.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +50,7 @@ import time
 from typing import NamedTuple
 
 from .primitives import DEGENERACY_EPS, RectPlane, positive
-from .queries import _kernel_for, _pierce, _plane_contains
+from .queries import _kernel_for, _pierce, _plane_contains, _plane_offset
 from .seeding import trial_rng
 
 # With a stall speed set, a trial times out after this many slow steps in a row.
@@ -214,6 +221,15 @@ def run_trial(
     first wall touched.  Then one loop looks for a crossing, over the
     obstacle rectangles and then the walls.
 
+    A wall whose plane lies farther from the robot than the move's reach
+    (below) enters the ``min`` at its plane distance, and its kernel does
+    not run.  That stand-in moves no verdict: it is above zero, so the wall
+    is not touched, and the wall's true distance, never below the plane's,
+    is above zero too; it is above the reach, so the crossing loop skips the
+    wall, as it would at the true distance, and the move cannot cross a
+    plane farther from its start than it is long.  The ``min`` and the
+    index of a touched body are therefore those of the true distances.
+
     The distances recorded after a force call reuse the ones the planner
     left in ``ctx.dists``, when its context has that field, and query only
     the other obstacles; the goal step and a crossing point are measured
@@ -293,9 +309,16 @@ def run_trial(
         dists, md = instrument(px, py, pz, placed, getattr(ctx, "dists", None))
         push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
+        move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
+        reach = move + DEGENERACY_EPS
         # Contact: the nearest body at a distance of at most zero, the first
-        # in body order on a tie.
-        body_dists = dists + [kern(px, py, pz, wall)[0] for kern, wall in walls]
+        # in body order on a tie.  A wall whose plane lies beyond the reach
+        # stands in at its plane distance, and its kernel does not run.
+        body_dists = dists + [
+            off if (off := abs(_plane_offset(px, py, pz, wall))) > reach
+            else kern(px, py, pz, wall)[0]
+            for kern, wall in walls
+        ]
         nearest = min(body_dists, default=math.inf)
         if nearest <= 0.0:
             label = bodies[body_dists.index(nearest)][1]
@@ -309,8 +332,6 @@ def run_trial(
         # Zero-thickness rectangles can be crossed between steps; treat a
         # pierced rectangle (obstacle or wall) as a contact at distance zero.
         # Only rectangles within the move's reach can be pierced.
-        move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
-        reach = move + DEGENERACY_EPS
         crossed = None
         for k, rect in rects:
             if body_dists[k] > reach:

@@ -33,7 +33,7 @@ from geopf import (
 )
 from geopf import forces, primitives, scenes, sim
 from geopf.primitives import DEGENERACY_EPS
-from geopf.queries import _kernel_for
+from geopf.queries import _kernel_for, _plane_offset
 from geopf.scenes import document_to_scene, scene_to_document
 from geopf.seeding import trial_rng
 from geopf.sim import _crossing
@@ -216,17 +216,22 @@ CONTACT_STARTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["geopf", "pf", "cf"])
-@pytest.mark.parametrize("case", sorted(CONTACT_STARTS))
-def test_contact_by_distance_names_the_nearest_body(case, kind):
-    start, spheres, obstacle_id, min_dist = CONTACT_STARTS[case]
-    scene = Scene(
+def contact_scene(case):
+    start, spheres, _, _ = CONTACT_STARTS[case]
+    return Scene(
         start=start,
         goal=(0, -1, 0),
         obstacles=[Obstacle(s) for s in spheres],
         boundary=corridor_boundary(-1.2, 1.2),
         seed=0,
     )
+
+
+@pytest.mark.parametrize("kind", ["geopf", "pf", "cf"])
+@pytest.mark.parametrize("case", sorted(CONTACT_STARTS))
+def test_contact_by_distance_names_the_nearest_body(case, kind):
+    start, _, obstacle_id, min_dist = CONTACT_STARTS[case]
+    scene = contact_scene(case)
     record = run_trial(scene, PlannerSpec(kind).build())
     assert record.verdict == Verdict(VerdictKind.COLLISION, obstacle_id, 0)
     final = record.states[-1]
@@ -358,16 +363,41 @@ def test_degenerate_start_raises_degenerate_vector(case, kind):
         run_trial(scene, PlannerSpec(kind).build())
 
 
+def _fall_through_a_wall():
+    """A boundary wall across the fall of ``_FallingPlanner``, at y = 0."""
+    wall = RectPlane((0.5, 0.0, 0.5), (-0.5, 0.0, 0.5), (-0.5, 0.0, -0.5), (0.5, 0.0, -0.5))
+    return Scene(
+        start=(0, 0.4, 0),
+        goal=(0, -1, 0),
+        obstacles=[],
+        boundary=[wall],
+        sim=SimParams(max_speed=5.0, damping=0.0, dt=0.01, max_steps=200),
+        seed=0,
+    )
+
+
+# One trial per way to end: (scene, planner, params, verdict kind and body).
+KEEP_STATES_TRIALS = [
+    (demo_scene, GeoPFPlanner, None, (VerdictKind.REACHED_GOAL, None)),
+    (lambda: contact_scene("wall"), GeoPFPlanner, None, (VerdictKind.COLLISION, "boundary[1]")),
+    (_fall_through_a_wall, _FallingPlanner, None, (VerdictKind.COLLISION, "boundary[0]")),
+    (demo_scene, GeoPFPlanner, SimParams(max_steps=300), (VerdictKind.TIMEOUT, None)),
+]
+
+
 def test_keep_states_false_keeps_aggregates():
-    scene = demo_scene()
-    full = run_trial(scene)
-    lean = run_trial(scene, keep_states=False)
-    assert len(lean.states) == 1
-    assert lean.verdict == full.verdict
-    assert lean.path_length == full.path_length
-    assert lean.min_dist == full.min_dist
-    assert lean.dist_sum == full.dist_sum
-    assert lean.dist_count == full.dist_count
+    for make_scene, make_planner, params, ending in KEEP_STATES_TRIALS:
+        scene = make_scene()
+        full = run_trial(scene, make_planner(), params)
+        lean = run_trial(scene, make_planner(), params, keep_states=False)
+        assert (full.verdict.kind, full.verdict.obstacle_id) == ending
+        assert len(lean.states) == 1
+        assert lean.states[-1] == full.states[-1]
+        assert lean.verdict == full.verdict
+        assert lean.path_length == full.path_length
+        assert lean.min_dist == full.min_dist
+        assert lean.dist_sum == full.dist_sum
+        assert lean.dist_count == full.dist_count
 
 
 # -- trajectory export --------------------------------------------------------
@@ -498,6 +528,39 @@ def test_step_loop_tests_crossings_only_within_reach(monkeypatch):
     assert record.verdict.step == 300  # the whole budget ran
     assert any(isinstance(obs.primitive, RectPlane) for obs in scene.obstacles)
     assert all(reached)
+
+
+def test_walls_are_measured_only_within_the_moves_reach(monkeypatch):
+    """A wall whose plane lies beyond the move's reach can be neither touched
+    nor crossed, so the step loop runs no kernel for it.  On dynamic_hard
+    seed 0 every wall plane stays far beyond the reach for 50 steps."""
+    scene = generate(SceneClass.DYNAMIC_HARD, 0)
+    walls = {id(wall) for wall in scene.boundary}
+    wall_calls = [0]
+    kernel_for = sim._kernel_for
+
+    def counting_kernel_for(prim):
+        kern = kernel_for(prim)
+        if id(prim) not in walls:
+            return kern
+
+        def counted(*args):
+            wall_calls[0] += 1
+            return kern(*args)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_kernel_for", counting_kernel_for)
+    record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=50))
+    assert record.verdict == Verdict(VerdictKind.TIMEOUT, step=50)
+    assert len(scene.boundary) == 6
+    states = record.states
+    longest_move = max(math.dist(a.position, b.position) for a, b in zip(states, states[1:]))
+    nearest_plane = min(
+        abs(_plane_offset(*s.position, wall)) for s in states for wall in scene.boundary
+    )
+    assert nearest_plane > 100 * longest_move
+    assert wall_calls[0] == 0
 
 
 @pytest.mark.parametrize(
