@@ -5,11 +5,13 @@ planner, aggregate mean/std per metric in seed order and serialize a CSV row
 (plus an optional JSON mirror carrying every trial).  Generation failures
 are excluded from the statistics but always reported.
 
-Two step times are reported.  ``ct_step_ms`` (``ct_per_step``) is the
-paper's force-only time: force evaluation plus integration.  ``full_step_ms``
-(``full_step``) is the mean wall time of a whole simulation step, with the
-distance instrumentation, contact and crossing checks that the force-only
-time leaves out.
+``_STATS`` is the one list of reported statistics: the suite's ``stats`` and
+medians, the CSV columns and the JSON mirror's ``stats`` all follow it.
+
+Two step times are reported.  ``ct_per_step`` is the paper's force-only
+time: force evaluation plus integration.  ``full_step`` is the mean wall time
+of a whole simulation step, with the distance instrumentation, contact and
+crossing checks that the force-only time leaves out.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -22,6 +24,7 @@ import statistics
 from .errors import GenerationFailure
 from .baselines import SpherizationParams
 from .planners import GeoPFPlanner, SphereCFPlanner, SpherePFPlanner
+from .primitives import positive_int
 from .scenes import SceneClass, generate
 from .sim import TrajectoryRecord, VerdictKind, run_trial
 
@@ -74,9 +77,27 @@ class PlannerSpec:
         return f"{self.kind}({self.rsp:g},{self.ksp:g})"
 
 
+# The reported statistics, in report order: name, the TrialMetrics field it
+# summarises (None: the planner's obstacle count) and whether its median is
+# reported (as the SuiteReport field ``<name>_median``).
+_STATS = (
+    ("n_obs", None, False),
+    ("steps", "steps", False),
+    ("ct_step_ms", "ct_per_step", True),
+    ("full_step_ms", "full_step", True),
+    ("path_len", "path_length", False),
+    ("min_dist", "min_dist", False),
+    ("avg_dist", "avg_dist", False),
+)
+
+
 @dataclass
 class SuiteReport:
-    """Aggregated results of one (scene class, planner) suite."""
+    """Aggregated results of one (scene class, planner) suite.
+
+    ``stats`` holds the mean and std of each statistic of ``_STATS``, the one
+    list of reported statistics, in its order.
+    """
 
     scene_class: str
     planner: str
@@ -120,17 +141,12 @@ def compute_metrics(record: TrajectoryRecord, scene) -> TrialMetrics:
     )
 
 
-def _finite(values):
-    return [v for v in values if math.isfinite(v)]
-
-
-def _mean_std(values):
-    vals = _finite(values)
+def _summary(values):
+    """Mean, population std and median of the finite values (nan if none)."""
+    vals = [float(v) for v in values if math.isfinite(v)]
     if not vals:
-        return (math.nan, math.nan)
-    if len(vals) == 1:
-        return (vals[0], 0.0)
-    return (statistics.fmean(vals), statistics.pstdev(vals))
+        return (math.nan, math.nan, math.nan)
+    return (statistics.fmean(vals), statistics.pstdev(vals), statistics.median(vals))
 
 
 def _run_one(scene_class: SceneClass, seed: int, spec: PlannerSpec, stall_speed: float | None):
@@ -146,11 +162,14 @@ def _run_one(scene_class: SceneClass, seed: int, spec: PlannerSpec, stall_speed:
 
 
 def default_workers() -> int:
-    """Worker count from GEOPF_THREADS (default 1)."""
+    """Worker count from GEOPF_THREADS (default 1); ValueError naming
+    GEOPF_THREADS when it is not an integer >= 1."""
+    text = os.environ.get("GEOPF_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GEOPF_THREADS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = text
+    return positive_int(value, "GEOPF_THREADS")
 
 
 def run_suite(
@@ -166,12 +185,13 @@ def run_suite(
     also keeps each completed trial's metrics and seed.
 
     Results are aggregated in seed order regardless of the worker pool, so a
-    report is reproducible except for the wall-clock fields.
+    report is reproducible except for the wall-clock fields.  A count that
+    is not an integer >= 1 raises ValueError naming ``n_trials``, ``workers``
+    or, when ``workers`` is None, GEOPF_THREADS.
     """
     scene_class = SceneClass(scene_class)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    workers = default_workers() if workers is None else max(1, int(workers))
+    n_trials = positive_int(n_trials, "n_trials")
+    workers = default_workers() if workers is None else positive_int(workers, "workers")
 
     run_one = functools.partial(_run_one, scene_class, spec=spec, stall_speed=stall_speed)
     seed_range = range(seed0, seed0 + n_trials)
@@ -187,91 +207,69 @@ def run_suite(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, seed_range, chunksize=chunksize))
 
-    metrics = []
-    seeds = []
-    n_obs = []
-    excluded = 0
-    successes = 0
-    for seed, m, count in results:
-        if m is None:
-            excluded += 1
-            continue
-        metrics.append(m)
-        seeds.append(seed)
-        n_obs.append(count)
-        if m.success:
-            successes += 1
+    completed = [(seed, m, count) for seed, m, count in results if m is not None]
+    seeds = [seed for seed, _, _ in completed]
+    metrics = [m for _, m, _ in completed]
+    n_obs = [count for _, _, count in completed]
+    rate = sum(m.success for m in metrics) / len(metrics) if metrics else math.nan
 
-    completed = len(metrics)
-    rate = successes / completed if completed else math.nan
-    ct_values = _finite([m.ct_per_step for m in metrics])
-    full_values = _finite([m.full_step for m in metrics])
-    report = SuiteReport(
+    stats = {}
+    medians = {}
+    for name, attr, median in _STATS:
+        mean, std, med = _summary(n_obs if attr is None else [getattr(m, attr) for m in metrics])
+        stats[name] = (mean, std)
+        if median:
+            medians[f"{name}_median"] = med
+    return SuiteReport(
         scene_class=scene_class.value,
         planner=spec.label,
         rsp=None if spec.kind == "geopf" else spec.rsp,
         ksp=None if spec.kind == "geopf" else spec.ksp,
-        trials=completed,
-        excluded=excluded,
+        trials=len(metrics),
+        excluded=len(results) - len(metrics),
         success_rate=rate,
         seed_start=seed0,
         seed_end=seed0 + n_trials - 1,
-        stats={
-            "n_obs": _mean_std([float(c) for c in n_obs]),
-            "steps": _mean_std([float(m.steps) for m in metrics]),
-            "ct_step_ms": _mean_std([m.ct_per_step for m in metrics]),
-            "full_step_ms": _mean_std([m.full_step for m in metrics]),
-            "path_len": _mean_std([m.path_length for m in metrics]),
-            "min_dist": _mean_std([m.min_dist for m in metrics]),
-            "avg_dist": _mean_std([m.avg_dist for m in metrics]),
-        },
-        ct_step_ms_median=statistics.median(ct_values) if ct_values else math.nan,
-        full_step_ms_median=statistics.median(full_values) if full_values else math.nan,
+        stats=stats,
+        **medians,
         trial_metrics=metrics,
         trial_seeds=seeds,
     )
-    return report
 
 
-CSV_HEADER = (
-    "scene_class,planner,rsp,ksp,trials,excluded,success_rate,"
-    "n_obs_mean,n_obs_std,steps_mean,steps_std,"
-    "ct_step_ms_mean,ct_step_ms_std,ct_step_ms_median,"
-    "full_step_ms_mean,full_step_ms_std,full_step_ms_median,"
-    "path_len_mean,path_len_std,min_dist_mean,min_dist_std,"
-    "avg_dist_mean,avg_dist_std,seed_start,seed_end"
+# The CSV columns: SuiteReport fields, and each statistic's mean, std and
+# median (if reported) in table order.
+_CSV_COLUMNS = (
+    *("scene_class", "planner", "rsp", "ksp", "trials", "excluded", "success_rate"),
+    *(
+        f"{name}_{part}"
+        for name, _, median in _STATS
+        for part in (("mean", "std", "median") if median else ("mean", "std"))
+    ),
+    *("seed_start", "seed_end"),
 )
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
-def _cell(value) -> str:
+def _cell(value, digits: int = 9) -> str:
+    """A value as a report cell: empty for None, ``n/a`` for a non-finite
+    float, a float at ``digits`` significant digits."""
     if value is None:
         return ""
     if isinstance(value, float):
         if not math.isfinite(value):
             return "n/a"
-        return f"{value:.9g}"
+        return f"{value:.{digits}g}"
     return str(value)
 
 
 def report_csv_row(report: SuiteReport) -> str:
-    cells = [
-        report.scene_class,
-        report.planner,
-        report.rsp,
-        report.ksp,
-        report.trials,
-        report.excluded,
-        report.success_rate,
-    ]
-    for name in ("n_obs", "steps", "ct_step_ms"):
-        cells.extend(report.stats[name])
-    cells.append(report.ct_step_ms_median)
-    cells.extend(report.stats["full_step_ms"])
-    cells.append(report.full_step_ms_median)
-    for name in ("path_len", "min_dist", "avg_dist"):
-        cells.extend(report.stats[name])
-    cells.extend([report.seed_start, report.seed_end])
-    return ",".join(_cell(c) for c in cells)
+    cells = vars(report) | {
+        f"{name}_{part}": value
+        for name, pair in report.stats.items()
+        for part, value in zip(("mean", "std"), pair)
+    }
+    return ",".join(_cell(cells[column]) for column in _CSV_COLUMNS)
 
 
 def write_csv(reports, path):
@@ -285,33 +283,23 @@ def write_csv(reports, path):
 
 
 def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    """``value`` with every non-finite float, however deep, as None (null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
     return value
 
 
 def write_json(report: SuiteReport, path):
-    """Write the full per-trial mirror of a suite report."""
-    doc = {
-        "scene_class": report.scene_class,
-        "planner": report.planner,
-        "rsp": report.rsp,
-        "ksp": report.ksp,
-        "trials": report.trials,
-        "excluded": report.excluded,
-        "success_rate": _json_safe(report.success_rate),
-        "seed_start": report.seed_start,
-        "seed_end": report.seed_end,
-        "stats": {
-            k: [_json_safe(v) for v in pair] for k, pair in report.stats.items()
-        },
-        "ct_step_ms_median": _json_safe(report.ct_step_ms_median),
-        "full_step_ms_median": _json_safe(report.full_step_ms_median),
-        "trials_detail": [
-            {"seed": seed, **{k: _json_safe(v) for k, v in asdict(m).items()}}
-            for seed, m in zip(report.trial_seeds, report.trial_metrics)
-        ],
-    }
+    """Write the full per-trial mirror of a suite report: its fields in
+    order, with ``trials_detail`` (each trial's seed and metrics) in place of
+    ``trial_metrics`` and ``trial_seeds``."""
+    doc = asdict(report)
+    trials = zip(doc.pop("trial_seeds"), doc.pop("trial_metrics"))
+    doc["trials_detail"] = [{"seed": seed, **m} for seed, m in trials]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(_json_safe(doc), fh, indent=2)
         fh.write("\n")

@@ -6,15 +6,16 @@ Subcommands:
     maze   -- run a planner on the fixed maze scene
     gen    -- generate a scene file for a class and seed
 
-Exit codes: 0 on completion, 2 on a scene-schema error, 3 on generation
-failure.  GEOPF_THREADS caps the benchmark worker pool.
+Exit codes: 0 on completion, 2 on a usage or scene-schema error, 3 on
+generation failure.  GEOPF_THREADS, an integer of at least 1, caps the
+benchmark worker pool.
 """
 
 import argparse
-import math
 import sys
 
-from .bench import PlannerSpec, compute_metrics, run_suite, write_csv, write_json
+from .bench import PlannerSpec, _cell, compute_metrics, default_workers, run_suite
+from .bench import write_csv, write_json
 from .errors import GenerationFailure, SceneSchemaError
 from .primitives import positive
 from .scenes import SceneClass, _check_seed, generate, load_scene, maze_scene, save_scene
@@ -47,14 +48,6 @@ def _spec(args) -> PlannerSpec:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float) and not math.isfinite(value):
-        return "n/a"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def _run_and_report(scene, spec, traj_path=None, stall_speed=None):
     planner = spec.build()
     record = run_trial(scene, planner, stall_speed=stall_speed)
@@ -67,11 +60,11 @@ def _run_and_report(scene, spec, traj_path=None, stall_speed=None):
         what += f" ({verdict.obstacle_id})"
     print(f"verdict:    {what}")
     print(f"steps:      {metrics.steps}")
-    print(f"ct/step:    {_fmt(metrics.ct_per_step)} ms (force-only)")
-    print(f"full step:  {_fmt(metrics.full_step)} ms")
-    print(f"path:       {_fmt(metrics.path_length)} m")
-    print(f"min dist:   {_fmt(metrics.min_dist)} m")
-    print(f"avg dist:   {_fmt(metrics.avg_dist)} m")
+    print(f"ct/step:    {_cell(metrics.ct_per_step, 6)} ms (force-only)")
+    print(f"full step:  {_cell(metrics.full_step, 6)} ms")
+    print(f"path:       {_cell(metrics.path_length, 6)} m")
+    print(f"min dist:   {_cell(metrics.min_dist, 6)} m")
+    print(f"avg dist:   {_cell(metrics.avg_dist, 6)} m")
     if traj_path:
         write_trajectory(record, traj_path)
         print(f"trajectory: {traj_path}")
@@ -106,6 +99,10 @@ def _cmd_maze(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
+        workers = default_workers()
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    try:
         scene_class = SceneClass(args.scene_class)
     except ValueError:
         print(f"unknown scene class: {args.scene_class}", file=sys.stderr)
@@ -120,6 +117,7 @@ def _cmd_bench(args) -> int:
         n_trials=args.trials,
         seed0=args.seed,
         stall_speed=args.stall_exit,
+        workers=workers,
     )
     if report.trials == 0:
         print("all trials failed to generate", file=sys.stderr)
@@ -132,8 +130,8 @@ def _cmd_bench(args) -> int:
         f"{report.scene_class} {report.planner}: "
         f"SR {100 * sr:.1f}% over {report.trials} trials "
         f"({report.excluded} excluded), "
-        f"ct/step {_fmt(report.stats['ct_step_ms'][0])} ms force-only, "
-        f"full step {_fmt(report.stats['full_step_ms'][0])} ms -> {args.out}"
+        f"ct/step {_cell(report.stats['ct_step_ms'][0], 6)} ms force-only, "
+        f"full step {_cell(report.stats['full_step_ms'][0], 6)} ms -> {args.out}"
     )
     return EXIT_OK
 
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=seed, default=0)
     p_bench.add_argument("--out", required=True, help="CSV report path")
     p_bench.add_argument("--json", help="also write the full per-trial JSON mirror")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, usage_error=p_bench.error)
 
     p_maze = sub.add_parser("maze", help="run a planner on the fixed maze scene")
     _add_trial_args(p_maze)

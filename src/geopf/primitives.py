@@ -15,7 +15,7 @@ both read; the derived records are float tuples too, free of numpy overhead.
 
 from dataclasses import dataclass, fields
 import math
-from operator import add
+from operator import add, index
 import typing
 
 import numpy as np
@@ -39,6 +39,22 @@ def positive(value, name: str = "value", zero_ok: bool = False) -> float:
     v = float(value)
     if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v}")
+    return v
+
+
+def positive_int(value, name: str = "value") -> int:
+    """``value`` as an int, checked to be an integer (by ``operator.index``,
+    so 2.0 and "3" are rejected) of at least 1: the one rule for every count.
+
+    Raises:
+        ValueError: naming ``name`` when the value breaks the rule.
+    """
+    try:
+        v = index(value)
+    except TypeError:
+        v = 0
+    if v < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return v
 
 

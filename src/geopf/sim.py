@@ -45,11 +45,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 import math
-import operator
 import time
 from typing import NamedTuple
 
-from .primitives import DEGENERACY_EPS, RectPlane, positive
+from .primitives import DEGENERACY_EPS, RectPlane, positive, positive_int
 from .queries import _kernel_for, _pierce, _plane_contains, _plane_offset
 from .seeding import trial_rng
 
@@ -72,13 +71,7 @@ class SimParams:
         for name in ("mass", "dt", "max_speed", "goal_radius"):
             object.__setattr__(self, name, positive(getattr(self, name), name))
         object.__setattr__(self, "damping", positive(self.damping, "damping", zero_ok=True))
-        try:
-            max_steps = operator.index(self.max_steps)
-        except TypeError:
-            max_steps = 0
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "max_steps", positive_int(self.max_steps, "max_steps"))
 
 
 class VerdictKind(Enum):

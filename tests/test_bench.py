@@ -15,6 +15,8 @@ from geopf import (
     SphereCFPlanner,
     SpherePFPlanner,
     SpherizationParams,
+    SuiteReport,
+    TrialMetrics,
     VerdictKind,
     compute_metrics,
     distance,
@@ -24,7 +26,7 @@ from geopf import (
     write_csv,
     write_json,
 )
-from geopf.bench import CSV_HEADER
+from geopf.bench import CSV_HEADER, default_workers
 
 
 def _replayed(record, scene):
@@ -199,3 +201,74 @@ def test_json_mirror_keys(tmp_path):
         }
     ]
     assert (doc["planner"], doc["rsp"], doc["ksp"]) == ("pf(0.1,1)", 0.1, 1.0)
+
+
+def test_non_finite_statistics_are_n_a_cells_and_null_values(tmp_path):
+    report = SuiteReport(
+        scene_class="line_easy",
+        planner="geopf",
+        rsp=None,
+        ksp=None,
+        trials=2,
+        excluded=1,
+        success_rate=math.nan,
+        seed_start=3,
+        seed_end=5,
+        stats={
+            "n_obs": (4.0, 0.0),
+            "steps": (10060.0, 9940.0),
+            "ct_step_ms": (math.nan, math.nan),
+            "full_step_ms": (0.175, 0.025),
+            "path_len": (2.375, 1.125),
+            "min_dist": (math.inf, -math.inf),
+            "avg_dist": (0.3, 0.0),
+        },
+        ct_step_ms_median=math.nan,
+        full_step_ms_median=math.inf,
+        trial_metrics=[
+            TrialMetrics(True, 120, 0.04, 0.15, 1.25, 0.05, 0.3),
+            TrialMetrics(False, 20000, math.nan, 0.2, 3.5, math.inf, math.inf),
+        ],
+        trial_seeds=[3, 5],
+    )
+    write_csv(report, tmp_path / "bench.csv")
+    write_json(report, tmp_path / "bench.json")
+    header, row = (line.split(",") for line in (tmp_path / "bench.csv").read_text().splitlines())
+    cells = dict(zip(header, row))
+    for column in (
+        "success_rate",
+        "ct_step_ms_mean",
+        "ct_step_ms_std",
+        "ct_step_ms_median",
+        "full_step_ms_median",
+        "min_dist_mean",
+        "min_dist_std",
+    ):
+        assert cells[column] == "n/a", column
+    assert (cells["rsp"], cells["ksp"], cells["path_len_mean"]) == ("", "", "2.375")
+    doc = json.loads((tmp_path / "bench.json").read_text())
+    assert doc["success_rate"] is None
+    assert doc["stats"]["ct_step_ms"] == [None, None]
+    assert doc["stats"]["min_dist"] == [None, None]
+    assert (doc["ct_step_ms_median"], doc["full_step_ms_median"]) == (None, None)
+    assert doc["stats"]["path_len"] == [2.375, 1.125]
+    detail = doc["trials_detail"][1]
+    assert (detail["seed"], detail["ct_per_step"], detail["min_dist"]) == (5, None, None)
+    # The CSV's mean columns and the JSON's statistics are one list.
+    means = [c.removesuffix("_mean") for c in header if c.endswith("_mean")]
+    assert means == list(doc["stats"])
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.0"])
+def test_a_bad_geopf_threads_is_rejected_by_name(monkeypatch, value):
+    monkeypatch.setenv("GEOPF_THREADS", value)
+    with pytest.raises(ValueError, match="GEOPF_THREADS"):
+        default_workers()
+    with pytest.raises(ValueError, match="GEOPF_THREADS"):
+        run_suite("line_easy", PlannerSpec("geopf"), 1)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0])
+def test_a_bad_worker_count_is_rejected_by_name(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_suite("line_easy", PlannerSpec("geopf"), 1, workers=workers)

@@ -102,3 +102,17 @@ def test_negative_seed_in_scene_file(tmp_path, capsys):
     scene.write_text(json.dumps(doc))
     assert main(["run", "--scene", str(scene)]) == EXIT_SCHEMA
     assert "(field: seed)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bench_rejects_a_bad_geopf_threads_before_any_trial(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("GEOPF_THREADS", value)
+    monkeypatch.setattr("geopf.cli.run_suite", None)  # no suite may start
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--class", "line_easy", "--trials", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "GEOPF_THREADS" in capsys.readouterr().err
+    assert not out.exists()
