@@ -17,7 +17,7 @@ import sys
 from .bench import PlannerSpec, _cell, compute_metrics, default_workers, run_suite
 from .bench import write_csv, write_json
 from .errors import GenerationFailure, SceneSchemaError
-from .primitives import positive
+from .primitives import positive, positive_int
 from .scenes import SceneClass, _check_seed, generate, load_scene, maze_scene, save_scene
 from .sim import run_trial, write_trajectory
 
@@ -77,11 +77,15 @@ def seed(text) -> int:
 
 
 def trials(text) -> int:
-    """A trial count: at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {value}")
-    return value
+    """A trial count: an integer of at least 1, by ``positive_int``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        return positive_int(value, "trials")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_run(args) -> int:

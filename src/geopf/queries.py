@@ -13,11 +13,14 @@ values.  ``_kernel_for`` maps each primitive type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
-A rectangle tests whether the robot's foot lies inside it in its own frame
-(``_plane_contains``); outside, the nearest boundary edge or corner is the
-closest feature.  ``_pierce`` finds where a straight move crosses a plane;
-with the frame test it tells the simulator's crossing check and the trap
-correction whether a rectangle was pierced.
+A rectangle takes the robot's foot's coordinates (s, t) in its own frame
+(``_plane_frame``).  Inside, the foot is the closest point.  Outside, (s, t)
+pick the one nearest edge, whose segment query gives the closest edge point
+or corner, as in Ericson, *Real-Time Collision Detection*, 2004, section
+5.1.  ``_plane_contains`` is the same frame test.  ``_pierce`` finds where
+a straight move crosses a plane; with the frame test it tells the
+simulator's crossing check and the trap correction whether a rectangle was
+pierced.
 
 A box is one clamp in its own frame (``Cube._frame``): the robot's
 coordinates along the three edge axes from corner v1 are clamped to the
@@ -179,24 +182,26 @@ def _plane_offset(rx, ry, rz, plane: RectPlane):
     return (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
 
 
-def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
-    """Whether a point on the supporting plane lies in the closed rectangle.
-
-    The test runs in the rectangle's own frame: with v1 the first corner and
-    u1, u2 the unit directions of the first two edges (lengths L1, L2), the
-    point is inside iff s = (f - v1).u1 lies in [0, L1] and t = (f - v1).u2
-    in [0, L2].  The boundary is inclusive.
+def _plane_frame(fx, fy, fz, plane: RectPlane):
+    """Coordinates (s, t) of a point on the supporting plane in the
+    rectangle's own frame: with v1 the first corner and u1, u2 the unit
+    directions of the first two edges, s = (f - v1).u1 and t = (f - v1).u2.
     """
     e1, e2 = plane.edges[0], plane.edges[1]
     ax, ay, az = e1.p1
     wx, wy, wz = fx - ax, fy - ay, fz - az
     ux, uy, uz = e1._u
-    s = wx * ux + wy * uy + wz * uz
-    if s < 0.0 or s > e1.length:
-        return False
-    ux, uy, uz = e2._u
-    t = wx * ux + wy * uy + wz * uz
-    return 0.0 <= t <= e2.length
+    vx, vy, vz = e2._u
+    return wx * ux + wy * uy + wz * uz, wx * vx + wy * vy + wz * vz
+
+
+def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
+    """Whether a point on the supporting plane lies in the closed rectangle:
+    its frame coordinates (``_plane_frame``) lie in [0, L1] x [0, L2], L1
+    and L2 being the first two edges' lengths.  The boundary is inclusive.
+    """
+    s, t = _plane_frame(fx, fy, fz, plane)
+    return 0.0 <= s <= plane.edges[0].length and 0.0 <= t <= plane.edges[1].length
 
 
 def _pierce(px, py, pz, qx, qy, qz, origin, normal):
@@ -220,34 +225,31 @@ def _pierce(px, py, pz, qx, qy, qz, origin, normal):
 _RECT_EDGE_IDS = ((1, 2), (2, 3), (3, 4), (4, 1))
 
 
-def _plane_side_kernel(rx, ry, rz, plane: RectPlane):
-    """Minimum over the four boundary edges, with corner ids in the payload."""
-    best = None
-    best_k = 0
-    for k, edge in enumerate(plane.edges):
-        res = _segment_kernel(rx, ry, rz, edge)
-        if best is None or res[0] < best[0]:
-            best = res
-            best_k = k
-    ids = _RECT_EDGE_IDS[best_k]
-    kind = best[7]
-    if kind is _ORTHOGONAL:
-        return best[:7] + (_EDGE, ids)
-    if kind is _SIDE_VERTEX_1:
-        return best[:7] + (_SIDE_VERTEX_1, (ids[0],))
-    return best[:7] + (_SIDE_VERTEX_2, (ids[1],))
-
-
 def _plane_kernel(rx, ry, rz, plane: RectPlane):
     off = _plane_offset(rx, ry, rz, plane)
     nx, ny, nz = plane._n
     fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-    if _plane_contains(fx, fy, fz, plane):
-        if off >= 0.0:  # sign(0) defaults to the stored normal
-            return (off, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
+    s, t = _plane_frame(fx, fy, fz, plane)
+    edges = plane.edges
+    # Outside, the foot's frame coordinates name the one nearest edge
+    # (Ericson, *Real-Time Collision Detection*, 2004, section 5.1).  At a
+    # corner both its edges give the same floats from the same corner tuple;
+    # the lower-numbered edge is taken, as a minimum over edges 0..3 that
+    # keeps the first of equal distances takes it.
+    if t < 0.0:
+        k = 0
+    elif t > edges[1].length:
+        k = 1 if s > edges[0].length else 2
+    elif s < 0.0:
+        k = 3
+    elif s > edges[0].length:
+        k = 1
+    elif off >= 0.0:  # sign(0) defaults to the stored normal
+        return (off, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
+    else:
         return (-off, -nx, -ny, -nz, fx, fy, fz, _ORTHOGONAL, ())
     try:
-        return _plane_side_kernel(rx, ry, rz, plane)
+        res = _segment_kernel(rx, ry, rz, edges[k])
     except DegenerateVector:
         # The robot touches an edge, but rounding put its foot just outside
         # the rectangle: report the contact at distance zero, along the
@@ -255,6 +257,13 @@ def _plane_kernel(rx, ry, rz, plane: RectPlane):
         if off < 0.0:
             nx, ny, nz = -nx, -ny, -nz
         return (0.0, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
+    ids = _RECT_EDGE_IDS[k]
+    kind = res[7]
+    if kind is _ORTHOGONAL:
+        return res[:7] + (_EDGE, ids)
+    if kind is _SIDE_VERTEX_1:
+        return res[:7] + (_SIDE_VERTEX_1, (ids[0],))
+    return res[:7] + (_SIDE_VERTEX_2, (ids[1],))
 
 
 # The box's frame axes are v1->v2, v1->v4 and v1->v5 (``Cube._frame``).
@@ -423,7 +432,8 @@ def closest_feature(robot, prim: Primitive) -> ClosestFeature:
     - Segment: the orthogonal foot when the robot's projection onto the
       segment lies within it, otherwise the nearer vertex.
     - Rectangle: the perpendicular foot when it passes the frame test
-      (ORTHOGONAL), otherwise the nearest boundary EDGE or corner.
+      (ORTHOGONAL), otherwise the EDGE or corner of the one edge that the
+      foot's frame coordinates pick as the nearest.
     - Box: one clamp in the box's frame, a FACE, an EDGE or a corner
       (SIDE_VERTEX_1), with the negative depth to the nearest face inside.
       A robot within 1e-12 m outside the box is a contact at distance 0.

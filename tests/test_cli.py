@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from geopf.cli import EXIT_GENERATION, EXIT_OK, EXIT_SCHEMA, main
+from geopf.cli import EXIT_GENERATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 
 
 def test_gen_then_run(tmp_path, capsys):
@@ -46,6 +46,8 @@ def test_unknown_class(tmp_path, capsys):
         (["gen", "--class", "line_easy", "--seed", "-1"], "--seed"),
         (["bench", "--class", "line_easy", "--seed", "-1"], "--seed"),
         (["bench", "--class", "line_easy", "--trials", "0"], "--trials"),
+        (["bench", "--class", "line_easy", "--trials", "-3"], "--trials"),
+        (["bench", "--class", "line_easy", "--trials", "1.5"], "--trials"),
         (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "0"], "--rsp"),
         (["bench", "--class", "line_easy", "--planner", "pf", "--rsp", "nan"], "--rsp"),
         (["bench", "--class", "line_easy", "--planner", "pf", "--ksp", "-1"], "--ksp"),
@@ -60,6 +62,8 @@ def test_unknown_class(tmp_path, capsys):
         "gen_negative_seed",
         "bench_negative_seed",
         "bench_zero_trials",
+        "bench_negative_trials",
+        "bench_fractional_trials",
         "bench_zero_rsp",
         "bench_nan_rsp",
         "bench_negative_ksp",
@@ -79,6 +83,11 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "unknown scene class" not in err
     assert not out.exists()
+
+
+def test_a_trial_count_of_two_is_accepted():
+    argv = ["bench", "--class", "line_easy", "--trials", "2", "--out", "bench.csv"]
+    assert build_parser().parse_args(argv).trials == 2
 
 
 def test_bench_seeds_past_64_bits(tmp_path, capsys):

@@ -19,10 +19,12 @@ from geopf import (
     DegenerateVector,
     FeatureKind,
     RectPlane,
+    SceneClass,
     Segment,
     Sphere,
     closest_feature,
     distance,
+    generate,
     translated,
 )
 from geopf import queries
@@ -224,17 +226,64 @@ def _four_indicator_inside(fx, fy, fz, plane):
     return True
 
 
-def _four_indicator_plane_kernel(rx, ry, rz, plane):
-    """The paper's rectangle query: the perpendicular foot when the
-    four-indicator test puts it inside, else the nearest boundary feature."""
+# Corner-id pairs (1-based) of rectangle edge k = 0..3.
+_RECT_EDGE_IDS = ((1, 2), (2, 3), (3, 4), (4, 1))
+
+
+def _plane_side_kernel(rx, ry, rz, plane):
+    """The nearest boundary feature as the minimum over the four edges'
+    segment queries, keeping the first of equal distances, with corner ids
+    in the payload: the four-edge reference for ``queries._plane_kernel``,
+    which queries only the edge the foot's frame coordinates pick."""
+    best = None
+    best_k = 0
+    for k, edge in enumerate(plane.edges):
+        res = queries._segment_kernel(rx, ry, rz, edge)
+        if best is None or res[0] < best[0]:
+            best = res
+            best_k = k
+    ids = _RECT_EDGE_IDS[best_k]
+    kind = best[7]
+    if kind is FeatureKind.ORTHOGONAL:
+        return best[:7] + (FeatureKind.EDGE, ids)
+    if kind is FeatureKind.SIDE_VERTEX_1:
+        return best[:7] + (FeatureKind.SIDE_VERTEX_1, (ids[0],))
+    return best[:7] + (FeatureKind.SIDE_VERTEX_2, (ids[1],))
+
+
+def _rect_query(inside, rx, ry, rz, plane):
+    """The rectangle query with containment test ``inside``: the
+    perpendicular foot inside, else the four-edge minimum, which raises
+    ``DegenerateVector`` when the robot touches an edge."""
     off = queries._plane_offset(rx, ry, rz, plane)
     nx, ny, nz = plane._n
     fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-    if _four_indicator_inside(fx, fy, fz, plane):
+    if inside(fx, fy, fz, plane):
         if off >= 0.0:
             return (off, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         return (-off, -nx, -ny, -nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
-    return queries._plane_side_kernel(rx, ry, rz, plane)
+    return _plane_side_kernel(rx, ry, rz, plane)
+
+
+def _four_indicator_plane_kernel(rx, ry, rz, plane):
+    """The paper's rectangle query: the perpendicular foot when the
+    four-indicator test puts it inside, else the nearest boundary feature."""
+    return _rect_query(_four_indicator_inside, rx, ry, rz, plane)
+
+
+def _four_edge_plane_kernel(rx, ry, rz, plane):
+    """``queries._plane_kernel`` with the four-edge minimum outside, as it
+    ran before the foot's frame coordinates picked one edge: a touched edge
+    is a contact at distance 0 along the normal on the robot's side."""
+    try:
+        return _rect_query(queries._plane_contains, rx, ry, rz, plane)
+    except DegenerateVector:
+        off = queries._plane_offset(rx, ry, rz, plane)
+        nx, ny, nz = plane._n
+        fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
+        if off < 0.0:
+            nx, ny, nz = -nx, -ny, -nz
+        return (0.0, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
 
 
 def test_plane_inside_examples():
@@ -311,6 +360,109 @@ def test_plane_in_plane_near_edges_never_raises():
             assert abs(d - (delta if side > 0.0 else 0.0)) <= 1e-12, (delta, side, d)
             contacts += delta <= 1e-12
     assert contacts > 0
+
+
+def _frame_rects():
+    """The rectangles of plane_hard seeds 0-2 and the faces of 12 seeded
+    boxes (axis-aligned, rotated and thin)."""
+    rects = [
+        ob.primitive
+        for seed in range(3)
+        for ob in generate(SceneClass.PLANE_HARD, seed).obstacles
+        if isinstance(ob.primitive, RectPlane)
+    ]
+    for cube, *_ in _seeded_boxes(np.random.default_rng(59), 12):
+        rects.extend(cube.faces)
+    return rects
+
+
+def _frame_probes(rng, rect):
+    """Probe points ``(region, point, gap)`` of a rectangle, placed by their
+    frame coordinates s = (p - v1).u1 and t = (p - v1).u2 and offset along
+    the normal.  ``region`` is (i, j), i and j being 0 below, 1 within and 2
+    above [0, L1] and [0, L2]: one point on the plane and two off it in each
+    of the nine regions.  Then 1e-16 to 1e-9 m from a region line (s or t at
+    0 or at its edge's length), by the lines and at the corners, on the
+    plane and off it, with ``region`` None.  ``gap`` is the distance from
+    the nearest region line."""
+    e1, e2 = rect.edges[0], rect.edges[1]
+    L1, L2 = e1.length, e2.length
+    v1, u1, u2, n = (np.array(v) for v in (e1.p1, e1._u, e2._u, rect._n))
+    size = max(L1, L2)
+
+    def coord(region, L):
+        if region == 0:
+            return -rng.uniform(0.01, 2.0) * size
+        if region == 1:
+            return rng.uniform(0.01, 0.99) * L
+        return L + rng.uniform(0.01, 2.0) * size
+
+    def near(L):
+        return rng.choice((0.0, L)) + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-16, -9)
+
+    def off(on_plane):
+        return 0.0 if on_plane else rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 2.0) * size
+
+    coords = [((i, j), coord(i, L1), coord(j, L2), off(k == 0))
+              for i, j in np.ndindex(3, 3) for k in range(3)]
+    for k in range(12):
+        s, t = coord(rng.integers(3), L1), coord(rng.integers(3), L2)
+        if k % 3 != 1:
+            s = near(L1)
+        if k % 3 != 0:
+            t = near(L2)
+        coords.append((None, s, t, off(k < 6)))
+    return [
+        (region, (v1 + s * u1 + t * u2 + h * n).tolist(),
+         min(abs(s), abs(s - L1), abs(t), abs(t - L2)))
+        for region, s, t, h in coords
+    ]
+
+
+def test_plane_kernel_is_the_four_edge_minimum_bit_for_bit():
+    """Outside a 1e-9 m band around the region lines of the foot's frame,
+    in all nine regions, on the plane and off it, the rectangle query returns
+    the four-edge reference's seven floats bit for bit, and its kind and
+    index.  In the band, where rounding may pick the neighbouring edge, the
+    distances agree to 1e-15 m."""
+    rng = np.random.default_rng(61)
+    rects = _frame_rects()
+    kinds = set()
+    compared = banded = 0
+    for rect in rects:
+        for region, (x, y, z), gap in _frame_probes(rng, rect):
+            got = queries._plane_kernel(x, y, z, rect)
+            ref = _four_edge_plane_kernel(x, y, z, rect)
+            if gap <= 1e-9:
+                assert abs(got[0] - ref[0]) <= 1e-15, (got, ref)
+                banded += 1
+                continue
+            assert [v.hex() for v in got[:7]] == [v.hex() for v in ref[:7]], (got, ref)
+            assert got[7] is ref[7] and got[8] == ref[8], (got, ref)
+            kinds.add(got[7])
+            compared += 1
+    assert compared == 27 * len(rects) and banded == 12 * len(rects)
+    assert kinds == {FeatureKind.ORTHOGONAL, FeatureKind.EDGE,
+                     FeatureKind.SIDE_VERTEX_1, FeatureKind.SIDE_VERTEX_2}
+
+
+def test_plane_kernel_queries_one_edge_outside_and_none_inside(monkeypatch):
+    calls = []
+    segment_kernel = queries._segment_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return segment_kernel(*args)
+
+    monkeypatch.setattr(queries, "_segment_kernel", counted)
+    rng = np.random.default_rng(67)
+    for rect in _frame_rects()[::7]:
+        for region, (x, y, z), _ in _frame_probes(rng, rect):
+            if region is None:
+                continue
+            calls.clear()
+            queries._plane_kernel(x, y, z, rect)
+            assert len(calls) == (0 if region == (1, 1) else 1), (region, calls)
 
 
 # -- cube ---------------------------------------------------------------
@@ -513,7 +665,7 @@ def test_cube_kernel_calls_no_rectangle_or_segment_kernel(monkeypatch, outside):
 
         return wrapper
 
-    for name in ("_plane_kernel", "_plane_side_kernel", "_segment_kernel"):
+    for name in ("_plane_kernel", "_segment_kernel"):
         monkeypatch.setattr(queries, name, counted(getattr(queries, name)))
     rng = np.random.default_rng(47)
     regions = [np.array(s) - 1 for s in np.ndindex(3, 3, 3)]
