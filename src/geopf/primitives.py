@@ -14,6 +14,7 @@ both read; the derived records are float tuples too, free of numpy overhead.
 """
 
 from dataclasses import dataclass, fields
+import functools
 import math
 from operator import add, index
 import typing
@@ -62,10 +63,21 @@ def as_vec3(value, name: str = "value") -> tuple:
     """An (x, y, z) array-like as a tuple of three finite Python floats: the
     one form in which the program stores a point.
 
+    Fast case: a tuple of three finite Python floats (``float`` itself, not
+    a subclass such as ``numpy.float64``) is already that form and is
+    returned as it is, with no numpy round trip.  Any other value goes
+    through ``numpy.asarray(value, dtype=float)``.
+
     Raises:
         ValueError: naming ``name`` when the shape is not (3,) or a
             coordinate is nan or infinite.
     """
+    if type(value) is tuple and len(value) == 3:
+        x, y, z = value
+        if type(x) is type(y) is type(z) is float:
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError(f"{name} must be a finite 3-vector, got {[x, y, z]}")
+            return value
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a finite 3-vector, got shape {v.shape}")
@@ -110,14 +122,21 @@ def axis_frame(axis) -> tuple:
     return b1, cross3(axis, b1)
 
 
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    """``(name, is_float)`` for each dataclass field of a primitive class,
+    in declaration order; read once per class."""
+    return tuple((f.name, f.type is float) for f in fields(cls))
+
+
 def _coerce(prim) -> list:
     """Coerce the dataclass fields of ``prim`` in place, scalars to float and
     points by :func:`as_vec3`; returns them in field order."""
     values = []
-    for f in fields(prim):
-        value = getattr(prim, f.name)
-        value = float(value) if f.type is float else as_vec3(value, f.name)
-        object.__setattr__(prim, f.name, value)
+    for name, is_float in _field_kinds(type(prim)):
+        value = getattr(prim, name)
+        value = float(value) if is_float else as_vec3(value, name)
+        object.__setattr__(prim, name, value)
         values.append(value)
     return values
 
@@ -142,12 +161,30 @@ def _span(a: tuple, b: tuple, degenerate: str) -> tuple:
     return n, (ex / n, ey / n, ez / n)
 
 
-def _enclosing(points) -> tuple:
-    """Bounding sphere ``(cx, cy, cz, r)`` of corner tuples: their centroid
-    and the largest distance from it to one of them."""
+# Bounding spheres ``(cx, cy, cz, r)`` from a primitive's point fields.  Each
+# is the one statement of its class's arithmetic: ``__post_init__`` stores
+# it, and scene generation tests a candidate's sphere before building it.
+
+
+def _enclosing(*points) -> tuple:
+    """Rectangle or box: the centroid of the corner tuples and the largest
+    distance from it to one of them."""
     n = len(points)
     cx, cy, cz = (sum(p[k] for p in points) / n for k in range(3))
     return (cx, cy, cz, max(norm3(x - cx, y - cy, z - cz) for x, y, z in points))
+
+
+def _segment_sphere(a: tuple, b: tuple) -> tuple:
+    """Segment: the midpoint of ``a`` and ``b`` and half their distance."""
+    ex, ey, ez = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2, norm3(ex, ey, ez) / 2)
+
+
+def _cylinder_sphere(a: tuple, b: tuple, radius: float) -> tuple:
+    """Capped cylinder: the midpoint of the axis ends ``a`` and ``b`` and
+    the distance from it to a rim point."""
+    cx, cy, cz, half = _segment_sphere(a, b)
+    return (cx, cy, cz, math.sqrt(half**2 + radius**2))
 
 
 @dataclass(frozen=True)
@@ -177,8 +214,7 @@ class Segment:
     def __post_init__(self):
         a, b = _coerce(self)
         length, u = _span(a, b, "segment endpoints must be distinct")
-        center = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
-        _derive(self, _u=u, length=length, bounding_sphere=(*center, length / 2))
+        _derive(self, _u=u, length=length, bounding_sphere=_segment_sphere(a, b))
 
 
 class Edge:
@@ -228,7 +264,7 @@ class RectPlane:
         off = abs((v4[0] - v1[0]) * n[0] + (v4[1] - v1[1]) * n[1] + (v4[2] - v1[2]) * n[2])
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
-        _derive(self, _n=n, edges=edges, bounding_sphere=_enclosing(vs))
+        _derive(self, _n=n, edges=edges, bounding_sphere=_enclosing(*vs))
 
     @property
     def corners(self) -> list:
@@ -286,7 +322,7 @@ class Cube:
         for k in (1, 3, 4):
             length, u = _span(vs[0], vs[k], "box has a zero-length edge")
             frame += (length, *u)
-        _derive(self, faces=faces, _frame=frame, bounding_sphere=_enclosing(vs))
+        _derive(self, faces=faces, _frame=frame, bounding_sphere=_enclosing(*vs))
 
 
 @dataclass(frozen=True)
@@ -303,9 +339,8 @@ class Cylinder:
         p1, p2, radius = _coerce(self)
         positive(radius, "radius")
         length, axis = _span(p1, p2, "cylinder axis endpoints must be distinct")
-        center = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (p1[2] + p2[2]) / 2)
-        r = math.sqrt((length / 2) ** 2 + radius**2)
-        _derive(self, _axis=axis, length=length, bounding_sphere=(*center, r))
+        bound = _cylinder_sphere(p1, p2, radius)
+        _derive(self, _axis=axis, length=length, bounding_sphere=bound)
 
 
 Primitive = Sphere | Segment | RectPlane | Cube | Cylinder

@@ -9,17 +9,22 @@ The randomized benchmark classes place obstacles in the transit corridor
 between start (0, 1, 0) and goal (0, -1, 0); "longer" variants move the goal
 50% farther out.  Drifting obstacles translate at constant velocity and
 reflect off a containment box so they never reach the start/goal regions.
+
+Each candidate obstacle is sampled as its class and float-tuple fields and
+then tested in this order: its bounding sphere, computed by the class's own
+arithmetic, must lie in the obstacle band; only then is the primitive
+built, and it must keep the generation clearance from start and goal.
+Both kinds of rejection count toward ``MAX_REJECTIONS``.
 """
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields
 from enum import Enum
+import functools
 import json
 import math
 import operator
 import sys
-
-import numpy as np
 
 from .errors import GenerationFailure, SceneSchemaError
 from .forces import Gains
@@ -30,6 +35,9 @@ from .primitives import (
     Primitive,
     RectPlane,
     Segment,
+    _cylinder_sphere,
+    _enclosing,
+    _segment_sphere,
     as_vec3,
     cross3,
     positive,
@@ -216,7 +224,7 @@ class Scene:
         self._drifts = {}
         for i in drifting:
             obs, (lo, hi) = self.obstacles[i], self.drift_bounds
-            if not _inside_box(obs.primitive, lo, hi):
+            if not _inside_box(obs.primitive.bounding_sphere, lo, hi):
                 message = "drifting obstacle's bounding sphere must lie inside drift_bounds"
                 raise SceneSchemaError(message, f"obstacles[{i}].drift")
             *centre, r = obs.primitive.bounding_sphere
@@ -259,18 +267,30 @@ class Scene:
 
 
 def corridor_boundary(y_min: float, y_max: float) -> list:
-    """Six rectangle walls enclosing the corridor box."""
+    """Six rectangle walls enclosing the corridor box.
+
+    Walls of one extent are built once and shared: each call returns a new
+    list holding the same six ``RectPlane`` objects, which never change
+    after construction.  ``generate`` and ``maze_scene`` use two extents.
+    """
+    return list(_corridor_walls(float(y_min).hex(), float(y_max).hex()))
+
+
+@functools.lru_cache(maxsize=8)
+def _corridor_walls(y_min: str, y_max: str) -> tuple:
+    """The walls of one extent, keyed by its exact bits (``float.hex``, so
+    that 0.0 and -0.0 stay two keys)."""
+    y0, y1 = float.fromhex(y_min), float.fromhex(y_max)
     x0, x1 = -WALL_XZ, WALL_XZ
     z0, z1 = -WALL_XZ, WALL_XZ
-    y0, y1 = y_min, y_max
-    return [
+    return (
         RectPlane((x0, y0, z0), (x0, y0, z1), (x0, y1, z1), (x0, y1, z0)),  # x = -WALL_XZ
         RectPlane((x1, y0, z0), (x1, y0, z1), (x1, y1, z1), (x1, y1, z0)),  # x = +WALL_XZ
         RectPlane((x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0)),  # z = -WALL_XZ
         RectPlane((x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1)),  # z = +WALL_XZ
         RectPlane((x0, y0, z0), (x1, y0, z0), (x1, y0, z1), (x0, y0, z1)),  # y = y_min
         RectPlane((x0, y1, z0), (x1, y1, z0), (x1, y1, z1), (x0, y1, z1)),  # y = y_max
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,64 +299,97 @@ def corridor_boundary(y_min: float, y_max: float) -> list:
 
 
 def _random_basis(rng) -> tuple:
-    """Uniformly random right-handed orthonormal basis."""
+    """Uniformly random right-handed orthonormal basis, as float tuples.
+
+    The draws, the projection and the dot products are numpy's; a norm is
+    ``math.sqrt(x.dot(x))``, which is how ``numpy.linalg.norm`` defines the
+    norm of a vector.
+    """
     while True:
         a = rng.normal(size=3)
         b = rng.normal(size=3)
-        na = np.linalg.norm(a)
+        na = math.sqrt(a.dot(a))
         if na < 1e-9:
             continue
         e1 = a / na
         b = b - (b @ e1) * e1
-        nb = np.linalg.norm(b)
+        nb = math.sqrt(b.dot(b))
         if nb < 1e-9:
             continue
-        e2 = b / nb
-        return e1, e2, np.array(cross3(e1, e2))
+        e1, e2 = tuple(e1.tolist()), tuple((b / nb).tolist())
+        return e1, e2, cross3(e1, e2)
 
 
-def _sample_center(rng, y_lo, y_hi):
-    return np.array(
-        (
-            rng.uniform(-OBSTACLE_BAND_XZ, OBSTACLE_BAND_XZ),
-            rng.uniform(y_lo, y_hi),
-            rng.uniform(-OBSTACLE_BAND_XZ, OBSTACLE_BAND_XZ),
-        )
+def _scaled(k: float, v: tuple) -> tuple:
+    return (k * v[0], k * v[1], k * v[2])
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _minus(a: tuple, b: tuple) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _sample_center(rng, y_lo, y_hi) -> tuple:
+    return (
+        rng.uniform(-OBSTACLE_BAND_XZ, OBSTACLE_BAND_XZ),
+        rng.uniform(y_lo, y_hi),
+        rng.uniform(-OBSTACLE_BAND_XZ, OBSTACLE_BAND_XZ),
     )
 
 
-def _sample_primitive(rng, kind: str, center) -> Primitive:
+def _sample_primitive(rng, kind: str, center: tuple) -> tuple:
+    """A candidate's class and its fields, the points as float tuples.
+
+    The arithmetic is numpy's elementwise arithmetic on 3-vectors, one float
+    operation per coordinate in the same order, so every field keeps its bits.
+    """
     e1, e2, e3 = _random_basis(rng)
     if kind == "segment":
-        length = rng.uniform(0.2, 0.4)
-        return Segment(center - 0.5 * length * e1, center + 0.5 * length * e1)
+        half = _scaled(0.5 * rng.uniform(0.2, 0.4), e1)
+        return Segment, (_minus(center, half), _plus(center, half))
     if kind == "plane":
         a = rng.uniform(0.1, 0.3)
         b = rng.uniform(0.1, 0.3)
-        ha, hb = 0.5 * a * e1, 0.5 * b * e2
-        return RectPlane(center + ha + hb, center - ha + hb, center - ha - hb, center + ha - hb)
+        ha, hb = _scaled(0.5 * a, e1), _scaled(0.5 * b, e2)
+        up, down = _plus(center, ha), _minus(center, ha)
+        return RectPlane, (_plus(up, hb), _plus(down, hb), _minus(down, hb), _minus(up, hb))
     if kind == "cube":
         a = rng.uniform(0.08, 0.2)
         b = rng.uniform(0.08, 0.2)
         c = rng.uniform(0.08, 0.2)
-        ha, hb, hc = 0.5 * a * e1, 0.5 * b * e2, 0.5 * c * e3
+        ha, hb, hc = _scaled(0.5 * a, e1), _scaled(0.5 * b, e2), _scaled(0.5 * c, e3)
+        up, down = _plus(center, ha), _minus(center, ha)
         bottom = [
-            center + ha + hb - hc,
-            center - ha + hb - hc,
-            center - ha - hb - hc,
-            center + ha - hb - hc,
+            _minus(_plus(up, hb), hc),
+            _minus(_plus(down, hb), hc),
+            _minus(_minus(down, hb), hc),
+            _minus(_minus(up, hb), hc),
         ]
-        top = [v + 2.0 * hc for v in bottom]
-        return Cube(*bottom, *top)
+        rise = _scaled(2.0, hc)
+        return Cube, (*bottom, *(_plus(v, rise) for v in bottom))
     if kind == "cylinder":
         radius = rng.uniform(0.03, 0.08)
-        length = rng.uniform(0.1, 0.3)
-        return Cylinder(center - 0.5 * length * e1, center + 0.5 * length * e1, radius)
+        half = _scaled(0.5 * rng.uniform(0.1, 0.3), e1)
+        return Cylinder, (_minus(center, half), _plus(center, half), radius)
     raise ValueError(f"unknown primitive kind {kind!r}")
 
 
-def _inside_box(prim: Primitive, lo, hi) -> bool:
-    cx, cy, cz, r = prim.bounding_sphere
+# A candidate's bounding sphere from its class and fields, by the arithmetic
+# its ``__post_init__`` stores, so the band test runs before anything is built.
+_BOUNDING = {
+    Segment: _segment_sphere,
+    RectPlane: _enclosing,
+    Cube: _enclosing,
+    Cylinder: _cylinder_sphere,
+}
+
+
+def _inside_box(sphere: tuple, lo, hi) -> bool:
+    """Whether the bounding sphere ``(cx, cy, cz, r)`` lies in the box."""
+    cx, cy, cz, r = sphere
     return (
         lo[0] + r <= cx <= hi[0] - r
         and lo[1] + r <= cy <= hi[1] - r
@@ -361,6 +414,11 @@ _MIX = ("segment", "segment", "plane", "cube", "cylinder")
 def generate(scene_class: SceneClass, seed: int) -> Scene:
     """Deterministically generate a randomized scene of the given class.
 
+    Each candidate is tested in order: the band test on its bounding sphere
+    (``_inside_box``), computed from the sampled fields before anything is
+    built; then the primitive is built; then the clearance test from start
+    and goal.  A candidate that fails either test is one rejection.
+
     The maze class is the exception: it returns the fixed geometry of
     :func:`maze_scene` for every seed, and the seed only seeds the trial's
     tie-breaks, so a suite of n maze seeds reruns one scene n times.
@@ -373,10 +431,9 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
         return maze_scene(seed=seed)
 
     rng = generation_rng(seed)
-    start = np.array(START)
-    goal = np.array(GOAL)
+    start, goal = START, GOAL
     if scene_class in _LONGER:
-        goal = start + 1.5 * (goal - start)
+        goal = _plus(start, _scaled(1.5, _minus(goal, start)))
 
     band_lo = (-OBSTACLE_BAND_XZ, -OBSTACLE_BAND_Y, -OBSTACLE_BAND_XZ)
     band_hi = (OBSTACLE_BAND_XZ, OBSTACLE_BAND_Y, OBSTACLE_BAND_XZ)
@@ -403,15 +460,15 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
     for kind in kinds:
         while True:
             center = _sample_center(rng, -OBSTACLE_BAND_Y + 0.1, OBSTACLE_BAND_Y - 0.1)
-            prim = _sample_primitive(rng, kind, center)
-            ok = (
-                _inside_box(prim, band_lo, band_hi)
-                and distance(start, prim) >= GENERATION_CLEARANCE
-                and distance(goal, prim) >= GENERATION_CLEARANCE
-            )
-            if ok:
-                primitives.append(prim)
-                break
+            cls, values = _sample_primitive(rng, kind, center)
+            if _inside_box(_BOUNDING[cls](*values), band_lo, band_hi):
+                prim = cls(*values)
+                if (
+                    distance(start, prim) >= GENERATION_CLEARANCE
+                    and distance(goal, prim) >= GENERATION_CLEARANCE
+                ):
+                    primitives.append(prim)
+                    break
             rejections += 1
             if rejections >= MAX_REJECTIONS:
                 raise GenerationFailure(
@@ -432,11 +489,11 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
         drift = None
         if i in drifting:
             direction = _random_basis(rng)[0]
-            drift = rng.uniform(0.01, MAX_DRIFT_SPEED) * direction
+            drift = _scaled(rng.uniform(0.01, MAX_DRIFT_SPEED), direction)
         obstacles.append(Obstacle(prim, drift=drift))
 
-    y_min = min(float(goal[1]), float(start[1])) - WALL_Y_MARGIN
-    y_max = max(float(goal[1]), float(start[1])) + WALL_Y_MARGIN
+    y_min = min(goal[1], start[1]) - WALL_Y_MARGIN
+    y_max = max(goal[1], start[1]) + WALL_Y_MARGIN
     return Scene(
         start=start,
         goal=goal,

@@ -30,8 +30,10 @@ obstacle it did not cull, and the instrumentation after the force call
 takes those values instead of querying again: each is the same kernel at
 the same shifted point, so the recorded distances keep every bit.  The
 crossing test then skips every rectangle and wall farther from the move's
-start than the move is long: a pierced closed rectangle holds a point of
-the move, and every point of the move lies within its length of the start.
+start than the move's reach, its length plus a small margin: a pierced
+closed rectangle holds a point of the move, and every point of the move
+lies within its length of the start.  The margin covers rounding and
+rectangles whose corners are off a right angle within tolerance.
 
 A wall is measured by its plane first.  A rectangle is never nearer than
 its supporting plane, so a wall whose plane lies beyond the move's reach
@@ -48,7 +50,14 @@ import math
 import time
 from typing import NamedTuple
 
-from .primitives import DEGENERACY_EPS, RectPlane, positive, positive_int
+from .primitives import (
+    COPLANAR_TOL,
+    DEGENERACY_EPS,
+    ORTHO_TOL,
+    RectPlane,
+    positive,
+    positive_int,
+)
 from .queries import _kernel_for, _pierce, _plane_contains, _plane_offset
 from .seeding import trial_rng
 
@@ -176,6 +185,14 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     return hit if _plane_contains(cx, cy, cz, plane) else None
 
 
+def _skew_margin(rects) -> float:
+    """How far the frame test of ``_crossing`` may accept a point beyond the
+    distance the rectangle's kernel measures, for the largest of ``rects``:
+    2 ``ORTHO_TOL`` (L1 + L2) + ``COPLANAR_TOL`` (see ``run_trial``)."""
+    size = max((r.edges[0].length + r.edges[1].length for r in rects), default=0.0)
+    return 2.0 * ORTHO_TOL * size + COPLANAR_TOL
+
+
 def run_trial(
     scene,
     planner=None,
@@ -228,12 +245,16 @@ def run_trial(
     the other obstacles; the goal step and a crossing point are measured
     afresh.  A move of length m can pierce only a rectangle within m of its
     start, so ``_crossing`` runs only for the rectangles and walls whose
-    distance there is at most m + ``DEGENERACY_EPS``, a margin for rounding
-    in the kernel and in the crossing point.  The margin assumes right
-    corners to rounding: on a rectangle whose corners are off by up to
-    ``ORTHO_TOL``, the frame test of ``_crossing`` accepts points up to that
-    skew times the rectangle's size outside the edges the kernel measures
-    to, and the skip drops such a crossing.
+    distance there is at most the reach, m + ``DEGENERACY_EPS`` + the skew
+    margin.  ``DEGENERACY_EPS`` covers rounding in the kernel and in the
+    crossing point.  The skew margin covers rectangles whose corners are off
+    a right angle by up to ``ORTHO_TOL`` and whose fourth corner is off the
+    plane by up to ``COPLANAR_TOL``, which ``RectPlane`` accepts: there the
+    frame test of ``_crossing`` accepts points outside the edges the kernel
+    measures to.  Each side of the frame region lies within 2 ``ORTHO_TOL``
+    (L1 + L2) of its edge in the plane, and an edge through the fourth
+    corner lies within ``COPLANAR_TOL`` of the plane, so the margin is
+    ``_skew_margin``, computed once per trial from the largest rectangle.
     """
     stall_speed = None if stall_speed is None else positive(stall_speed, "stall_speed")
     if planner is None:
@@ -253,6 +274,7 @@ def run_trial(
     kernels = [_kernel_for(prim) for prim, *_ in bodies[:n]]
     walls = [(_kernel_for(prim), prim) for prim, *_ in bodies[n:]]
     rects = [(k, prim) for k, (prim, *_, is_rect) in enumerate(bodies) if is_rect]
+    pad = DEGENERACY_EPS + _skew_margin(rect for _, rect in rects)
 
     record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
     states = record.states
@@ -303,7 +325,7 @@ def run_trial(
         push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
         move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
-        reach = move + DEGENERACY_EPS
+        reach = move + pad
         # Contact: the nearest body at a distance of at most zero, the first
         # in body order on a tie.  A wall whose plane lies beyond the reach
         # stands in at its plane distance, and its kernel does not run.

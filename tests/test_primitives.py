@@ -21,7 +21,7 @@ from geopf import (
     Sphere,
     translated,
 )
-from geopf import queries
+from geopf import primitives, queries
 from geopf.primitives import unit3
 from geopf.scenes import _decode_primitive, _encode_primitive, _Reader
 
@@ -142,7 +142,7 @@ _VALID = {
     Scene: {"start": (0, 1, 0), "goal": (0, -1, 0), "obstacles": [], "boundary": []},
 }
 _NUMBERS = (math.nan, math.inf, -1.0)
-_VECTORS = ((math.nan, 0, 0), (0, math.inf, 0), (0, 0))
+_VECTORS = ((math.nan, 0, 0), (0, math.inf, 0), (0, 0), (0.0, 0.0, -math.inf), (0.0, math.nan, 0.0))
 _BAD_INPUTS = [
     *((Gains, f, v) for f in ("k_attr", "k_rep", "activation_radius") for v in _NUMBERS),
     *((SimParams, f, v) for f in ("mass", "dt", "damping", "max_speed", "goal_radius") for v in _NUMBERS),
@@ -186,6 +186,16 @@ def test_zero_damping_and_a_point_sphere_stay_valid():
     assert Sphere((0, 0, 0), 0).radius == 0.0
     for cls, kwargs in _VALID.items():
         cls(**kwargs)
+
+
+def test_as_vec3_returns_a_tuple_of_three_floats_as_it_is():
+    point = (0.5, -1.0, 2.0)
+    assert primitives.as_vec3(point) is point
+    # Anything else, numpy floats included, goes through numpy.
+    for value in ([0.5, -1.0, 2.0], np.array(point), (0.5, -1, 2.0), tuple(np.array(point))):
+        got = primitives.as_vec3(value)
+        assert got == point and type(got) is tuple
+        assert [type(c) for c in got] == [float] * 3
 
 
 def test_a_numpy_integer_seed_is_taken_as_an_int():

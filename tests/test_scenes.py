@@ -28,6 +28,7 @@ from geopf import (
     save_scene,
     translated,
 )
+from geopf import scenes
 from geopf.scenes import MIN_CLEARANCE, _drift_offset, document_to_scene, scene_to_document
 
 
@@ -196,6 +197,35 @@ def test_generation_failure_is_reported():
                 generate(SceneClass.PLANE_HARD, seed)
     finally:
         sc.MAX_REJECTIONS = old
+
+
+# Rejection counts of dynamic_hard seed 0, recorded on the generator that
+# built each candidate before it tested the band: 27 candidates fail the band
+# test and none the clearance test; with a clearance of 0.6 m, 39 fail the
+# band and 7 the clearance.  At that many rejections the seed fails, and one
+# more allowed rejection lets it through.
+@pytest.mark.parametrize("clearance, rejections", [(None, 27), (0.6, 46)])
+def test_band_and_clearance_rejections_count_toward_the_limit(monkeypatch, clearance, rejections):
+    if clearance is not None:
+        monkeypatch.setattr(scenes, "GENERATION_CLEARANCE", clearance)
+    monkeypatch.setattr(scenes, "MAX_REJECTIONS", rejections)
+    with pytest.raises(GenerationFailure, match=f"^dynamic_hard seed 0: {rejections} rejected"):
+        generate(SceneClass.DYNAMIC_HARD, 0)
+    monkeypatch.setattr(scenes, "MAX_REJECTIONS", rejections + 1)
+    generate(SceneClass.DYNAMIC_HARD, 0)
+
+
+def test_walls_of_one_extent_are_shared():
+    walls = corridor_boundary(-1.2, 1.2)
+    again = corridor_boundary(-1.2, 1.2)
+    assert walls is not again and walls == again
+    assert all(a is b for a, b in zip(walls, again))
+    assert corridor_boundary(0.0, 1.0)[0] is not corridor_boundary(-0.0, 1.0)[0]
+    line, longer = generate(SceneClass.LINE_EASY, 0), generate(SceneClass.PLANE_HARD_LONGER, 0)
+    assert all(a is b for a, b in zip(line.boundary, generate(SceneClass.DYNAMIC_HARD, 1).boundary))
+    assert all(a is b for a, b in zip(line.boundary, maze_scene().boundary))
+    assert longer.boundary[4] is not line.boundary[4]
+    assert longer.boundary[4].v1 == (-0.5, -2.2, -0.5)
 
 
 # -- maze -------------------------------------------------------------------

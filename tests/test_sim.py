@@ -244,8 +244,11 @@ def test_contact_by_distance_names_the_nearest_body(case, kind):
 
 
 class _FallingPlanner:
-    """A constant unit pull along -y that feels no obstacle; its context has
-    no distance slots."""
+    """A constant force, by default a unit pull along -y, that feels no
+    obstacle; its context has no distance slots."""
+
+    def __init__(self, force=(0.0, -1.0, 0.0)):
+        self.fx, self.fy, self.fz = force
 
     def prepare(self, scene):
         return None
@@ -254,7 +257,7 @@ class _FallingPlanner:
         pass
 
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
-        return 0.0, -1.0, 0.0
+        return self.fx, self.fy, self.fz
 
 
 @pytest.mark.parametrize("role", ["obstacle", "boundary"])
@@ -282,6 +285,36 @@ def test_crossing_at_the_end_of_the_moves_reach_is_found(role):
     record = run_trial(scene([wall]), _FallingPlanner())
     assert record.verdict == Verdict(VerdictKind.COLLISION, f"{role}[0]", k + 1)
     assert record.states[-1].position[1] == pytest.approx(y, abs=1e-15)
+
+
+@pytest.mark.parametrize("role", ["obstacle", "boundary"])
+def test_crossing_of_a_skewed_rectangle_is_found(role):
+    """A rectangle whose corners are off a right angle by nearly
+    ``ORTHO_TOL`` (``RectPlane`` accepts it).  The move from (-1e-4, 0.5,
+    1e-9) to (1e-12, 0.5, -1e-18) crosses its plane at x = 9e-13, which the
+    frame test of ``_crossing`` puts inside, while its kernel puts the start
+    4.5e-10 m farther away than the move is long.  The trial still ends at
+    the crossing."""
+    rect = RectPlane((0, 0, 0), (1, 0, 0), (1 + 9e-10, 1, 0), (9e-10, 1, 0))
+    p, q = (-1e-4, 0.5, 1e-9), (1e-12, 0.5, -1e-18)
+    move = math.dist(p, q)
+    assert _kernel_for(rect)(*p, rect)[0] > move + 4e-10
+    assert _crossing(*p, *q, rect) is not None
+    scene = Scene(
+        start=p,
+        goal=(0, -1, 0),
+        obstacles=[Obstacle(rect)] if role == "obstacle" else [],
+        boundary=[rect] if role == "boundary" else [],
+        # With dt = 1, no damping and no velocity, the first move is half the
+        # force: exactly q - p before it is added to p.
+        sim=SimParams(dt=1.0, damping=0.0, max_speed=1.0, max_steps=3),
+        seed=0,
+    )
+    force = tuple(2.0 * (b - a) for a, b in zip(p, q))
+    record = run_trial(scene, _FallingPlanner(force))
+    assert record.verdict == Verdict(VerdictKind.COLLISION, f"{role}[0]", 1)
+    assert record.states[0].position == p
+    assert record.states[-1].position[0] == pytest.approx(9e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("at", ["start", "crossing"])
@@ -513,14 +546,18 @@ def test_crossing_hits_lie_within_the_moves_reach():
 
 def test_step_loop_tests_crossings_only_within_reach(monkeypatch):
     """``_crossing`` runs only for the rectangles and walls that the step's
-    distances put within the move's reach."""
+    distances put within the move's reach: its length plus
+    ``DEGENERACY_EPS`` and the skew margin of the scene's rectangles."""
     scene = generate(SceneClass.PLANE_HARD, 0)
+    rects = [prim for prim, *_, is_rect in scene.bodies if is_rect]
+    pad = DEGENERACY_EPS + sim._skew_margin(rects)
+    assert 0.0 < pad < 1e-8
     crossing = sim._crossing
     reached = []
 
     def checked(px, py, pz, qx, qy, qz, plane):
         d = _kernel_for(plane)(px, py, pz, plane)[0]
-        reached.append(d <= _move_length(px, py, pz, qx, qy, qz) + DEGENERACY_EPS)
+        reached.append(d <= _move_length(px, py, pz, qx, qy, qz) + pad)
         return crossing(px, py, pz, qx, qy, qz, plane)
 
     monkeypatch.setattr(sim, "_crossing", checked)

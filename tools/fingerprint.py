@@ -11,7 +11,8 @@ verdict leaves unchanged.
 
 - ``trajectory``: 97 capped trials: ``maze_scene()``, then seeds 0-7 of
   every scene class (class by class) under GeoPF capped at 3,000 steps, then
-  plane_easy seeds 0-7 under PF and CF (seed by seed) capped at 300 steps.
+  plane_easy seeds 0-7 under PF and CF (seed by seed) capped at 1,500
+  steps, so that each PF/CF trial runs past its first contact.
 - ``full-length``: trials where the rectangle trap correction fires, run
   under GeoPF to the scene's own step cap: ``maze_scene()``, then
   plane_hard seeds 3 and 4.
@@ -48,9 +49,9 @@ the Python and numpy versions it was recorded under: ``clouds`` depends on
 the platform's ``math.cos``.  A change that moves a hash on purpose records
 the new line there and says why.
 
-Run from the repository root (about two and a half minutes on one core,
-most of it in ``drift``; ``cloud-drift`` takes about 30 s, ``kernels``
-about 5 s)::
+Run from the repository root (about two minutes on one core of a 2-core
+x86-64 VM: ``drift`` takes about a minute, ``cloud-drift`` about 30 s,
+``trajectory`` about 20 s, ``kernels`` about 5 s)::
 
     PYTHONPATH=src python tools/fingerprint.py
 """
@@ -104,7 +105,7 @@ def capped_trials():
     for seed in range(8):
         scene = generate(SceneClass.PLANE_EASY, seed)
         for kind in ("pf", "cf"):
-            yield scene, kind, 300
+            yield scene, kind, 1500
 
 
 def full_length_trials():
