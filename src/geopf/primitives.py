@@ -219,7 +219,10 @@ class Segment:
 
 class Edge:
     """A rectangle edge as the record ``_segment_kernel`` reads, under a
-    segment's names: ends ``p1`` and ``p2``, unit direction ``_u``, ``length``."""
+    segment's names: ends ``p1`` and ``p2``, unit direction ``_u``, ``length``.
+
+    The trap correction (``forces._nearest_edge``) queries the four edges;
+    the rectangle's own query reads ``RectPlane._frame`` instead."""
 
     __slots__ = ("p1", "p2", "_u", "length")
 
@@ -234,7 +237,10 @@ class RectPlane:
 
     Corners must be coplanar and consecutive edges orthogonal; both are
     checked on construction.  ``edges`` runs in corner order: (v1, v2),
-    (v2, v3), (v3, v4), (v4, v1).
+    (v2, v3), (v3, v4), (v4, v1).  ``_frame`` is the rectangle's own frame
+    as one float record: corner v1, the unit normal ``_n``, then the length
+    and unit direction of ``edges[0]`` (v1->v2) and ``edges[1]`` (v2->v3),
+    ``(ox, oy, oz, nx, ny, nz, L1, u1x, u1y, u1z, L2, u2x, u2y, u2z)``.
     """
 
     scene_type: typing.ClassVar[str] = "plane"
@@ -264,7 +270,9 @@ class RectPlane:
         off = abs((v4[0] - v1[0]) * n[0] + (v4[1] - v1[1]) * n[1] + (v4[2] - v1[2]) * n[2])
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
-        _derive(self, _n=n, edges=edges, bounding_sphere=_enclosing(*vs))
+        e1, e2 = edges[0], edges[1]
+        frame = v1 + n + (e1.length,) + e1._u + (e2.length,) + e2._u
+        _derive(self, _n=n, edges=edges, _frame=frame, bounding_sphere=_enclosing(*vs))
 
     @property
     def corners(self) -> list:

@@ -13,10 +13,12 @@ values.  ``_kernel_for`` maps each primitive type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
-A rectangle takes the robot's foot's coordinates (s, t) in its own frame
-(``_plane_frame``).  Inside, the foot is the closest point.  Outside, (s, t)
-pick the one nearest edge, whose segment query gives the closest edge point
-or corner, as in Ericson, *Real-Time Collision Detection*, 2004, section
+A rectangle is one clamp in its own frame (``RectPlane._frame``), the box
+clamp in two dimensions: the robot's foot's coordinates (s, t) along the
+first two edges from corner v1 (``_plane_frame``) are clamped to
+[0, L1] x [0, L2], and the distance is measured to the clamped point.  None
+clamped, the foot is the closest point (ORTHOGONAL); one, an EDGE; both, a
+corner.  Reference: Ericson, *Real-Time Collision Detection*, 2004, section
 5.1.  ``_plane_contains`` is the same frame test.  ``_pierce`` finds where
 a straight move crosses a plane; with the frame test it tells the
 simulator's crossing check and the trap correction whether a rectangle was
@@ -184,24 +186,24 @@ def _plane_offset(rx, ry, rz, plane: RectPlane):
 
 def _plane_frame(fx, fy, fz, plane: RectPlane):
     """Coordinates (s, t) of a point on the supporting plane in the
-    rectangle's own frame: with v1 the first corner and u1, u2 the unit
-    directions of the first two edges, s = (f - v1).u1 and t = (f - v1).u2.
+    rectangle's own frame (``RectPlane._frame``): with v1 the first corner
+    and u1, u2 the unit directions of the first two edges, s = (f - v1).u1
+    and t = (f - v1).u2.
     """
-    e1, e2 = plane.edges[0], plane.edges[1]
-    ax, ay, az = e1.p1
-    wx, wy, wz = fx - ax, fy - ay, fz - az
-    ux, uy, uz = e1._u
-    vx, vy, vz = e2._u
+    ox, oy, oz, _, _, _, _, ux, uy, uz, _, vx, vy, vz = plane._frame
+    wx, wy, wz = fx - ox, fy - oy, fz - oz
     return wx * ux + wy * uy + wz * uz, wx * vx + wy * vy + wz * vz
 
 
 def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
     """Whether a point on the supporting plane lies in the closed rectangle:
     its frame coordinates (``_plane_frame``) lie in [0, L1] x [0, L2], L1
-    and L2 being the first two edges' lengths.  The boundary is inclusive.
+    and L2 being the first two edges' lengths (``_frame[6]`` and
+    ``_frame[10]``).  The boundary is inclusive.
     """
     s, t = _plane_frame(fx, fy, fz, plane)
-    return 0.0 <= s <= plane.edges[0].length and 0.0 <= t <= plane.edges[1].length
+    frame = plane._frame
+    return 0.0 <= s <= frame[6] and 0.0 <= t <= frame[10]
 
 
 def _pierce(px, py, pz, qx, qy, qz, origin, normal):
@@ -221,49 +223,58 @@ def _pierce(px, py, pz, qx, qy, qz, origin, normal):
     return (px + t * (qx - px), py + t * (qy - py), pz + t * (qz - pz))
 
 
-# Corner-id pairs (1-based) of rectangle edge k = 0..3.
-_RECT_EDGE_IDS = ((1, 2), (2, 3), (3, 4), (4, 1))
+# Feature kind and payload of the nearest boundary point outside a rectangle,
+# by i + 3 j, i and j being 0 below, 1 within and 2 above [0, L1] and [0, L2]
+# for s and t; (1, 1) is the inside.  An edge carries its corner-id pair
+# (1-based), and a corner is the end of the lower-numbered edge through it,
+# SIDE_VERTEX_1 at its first corner and SIDE_VERTEX_2 at its second.
+_RECT_FEATURES = (
+    (_SIDE_VERTEX_1, (1,)), (_EDGE, (1, 2)), (_SIDE_VERTEX_2, (2,)),
+    (_EDGE, (4, 1)), None, (_EDGE, (2, 3)),
+    (_SIDE_VERTEX_2, (4,)), (_EDGE, (3, 4)), (_SIDE_VERTEX_2, (3,)),
+)
 
 
 def _plane_kernel(rx, ry, rz, plane: RectPlane):
-    off = _plane_offset(rx, ry, rz, plane)
-    nx, ny, nz = plane._n
+    # ``_plane_offset`` and ``_plane_frame`` inlined, in their order: calling
+    # them cost about half of the clamp's gain in the p95 step.
+    ox, oy, oz, nx, ny, nz, l1, ax, ay, az, l2, bx, by, bz = plane._frame
+    off = (rx - ox) * nx + (ry - oy) * ny + (rz - oz) * nz
     fx, fy, fz = rx - off * nx, ry - off * ny, rz - off * nz
-    s, t = _plane_frame(fx, fy, fz, plane)
-    edges = plane.edges
-    # Outside, the foot's frame coordinates name the one nearest edge
-    # (Ericson, *Real-Time Collision Detection*, 2004, section 5.1).  At a
-    # corner both its edges give the same floats from the same corner tuple;
-    # the lower-numbered edge is taken, as a minimum over edges 0..3 that
-    # keeps the first of equal distances takes it.
-    if t < 0.0:
-        k = 0
-    elif t > edges[1].length:
-        k = 1 if s > edges[0].length else 2
-    elif s < 0.0:
-        k = 3
-    elif s > edges[0].length:
-        k = 1
-    elif off >= 0.0:  # sign(0) defaults to the stored normal
-        return (off, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
+    wx, wy, wz = fx - ox, fy - oy, fz - oz
+    s = wx * ax + wy * ay + wz * az
+    t = wx * bx + wy * by + wz * bz
+    # Clamp (s, t) to [0, L1] x [0, L2]; i + j indexes ``_RECT_FEATURES``.
+    if s < 0.0:
+        cs, i = 0.0, 0
+    elif s > l1:
+        cs, i = l1, 2
     else:
+        cs, i = s, 1
+    if t < 0.0:
+        ct, j = 0.0, 0
+    elif t > l2:
+        ct, j = l2, 6
+    elif i == 1:
+        # Inside: the foot itself.
+        if off >= 0.0:  # sign(0) defaults to the stored normal
+            return (off, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
         return (-off, -nx, -ny, -nz, fx, fy, fz, _ORTHOGONAL, ())
-    try:
-        res = _segment_kernel(rx, ry, rz, edges[k])
-    except DegenerateVector:
-        # The robot touches an edge, but rounding put its foot just outside
-        # the rectangle: report the contact at distance zero, along the
-        # normal on the robot's side.
+    else:
+        ct, j = t, 3
+    qx = ox + cs * ax + ct * bx
+    qy = oy + cs * ay + ct * by
+    qz = oz + cs * az + ct * bz
+    dx, dy, dz = rx - qx, ry - qy, rz - qz
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d <= DEGENERACY_EPS:
+        # The robot touches the boundary, its foot outside: a contact at
+        # distance zero, along the normal on the robot's side.
         if off < 0.0:
             nx, ny, nz = -nx, -ny, -nz
         return (0.0, nx, ny, nz, fx, fy, fz, _ORTHOGONAL, ())
-    ids = _RECT_EDGE_IDS[k]
-    kind = res[7]
-    if kind is _ORTHOGONAL:
-        return res[:7] + (_EDGE, ids)
-    if kind is _SIDE_VERTEX_1:
-        return res[:7] + (_SIDE_VERTEX_1, (ids[0],))
-    return res[:7] + (_SIDE_VERTEX_2, (ids[1],))
+    kind, index = _RECT_FEATURES[i + j]
+    return (d, dx / d, dy / d, dz / d, qx, qy, qz, kind, index)
 
 
 # The box's frame axes are v1->v2, v1->v4 and v1->v5 (``Cube._frame``).
@@ -431,9 +442,11 @@ def closest_feature(robot, prim: Primitive) -> ClosestFeature:
     - Sphere: the radial surface point.
     - Segment: the orthogonal foot when the robot's projection onto the
       segment lies within it, otherwise the nearer vertex.
-    - Rectangle: the perpendicular foot when it passes the frame test
-      (ORTHOGONAL), otherwise the EDGE or corner of the one edge that the
-      foot's frame coordinates pick as the nearest.
+    - Rectangle: one clamp in the rectangle's frame, the perpendicular foot
+      when it passes the frame test (ORTHOGONAL), otherwise an EDGE or a
+      corner (SIDE_VERTEX_1/2, as the lower-numbered edge through it names
+      it).  A robot within 1e-12 m of the boundary, its foot outside, is a
+      contact at distance 0 along the normal.
     - Box: one clamp in the box's frame, a FACE, an EDGE or a corner
       (SIDE_VERTEX_1), with the negative depth to the nearest face inside.
       A robot within 1e-12 m outside the box is a contact at distance 0.

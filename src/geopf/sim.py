@@ -33,7 +33,11 @@ crossing test then skips every rectangle and wall farther from the move's
 start than the move's reach, its length plus a small margin: a pierced
 closed rectangle holds a point of the move, and every point of the move
 lies within its length of the start.  The margin covers rounding and
-rectangles whose corners are off a right angle within tolerance.
+rectangles whose corners are off a right angle within tolerance.  The
+rectangle kernel clamps the same frame coordinates that the crossing's frame
+test reads, but in a frame skewed within ``ORTHO_TOL`` the clamped point is
+not the rectangle's exact nearest point: the kernel may put a pierced
+rectangle slightly beyond the move's length, so the margin stays.
 
 A wall is measured by its plane first.  A rectangle is never nearer than
 its supporting plane, so a wall whose plane lies beyond the move's reach
@@ -248,13 +252,17 @@ def run_trial(
     distance there is at most the reach, m + ``DEGENERACY_EPS`` + the skew
     margin.  ``DEGENERACY_EPS`` covers rounding in the kernel and in the
     crossing point.  The skew margin covers rectangles whose corners are off
-    a right angle by up to ``ORTHO_TOL`` and whose fourth corner is off the
-    plane by up to ``COPLANAR_TOL``, which ``RectPlane`` accepts: there the
-    frame test of ``_crossing`` accepts points outside the edges the kernel
-    measures to.  Each side of the frame region lies within 2 ``ORTHO_TOL``
-    (L1 + L2) of its edge in the plane, and an edge through the fourth
-    corner lies within ``COPLANAR_TOL`` of the plane, so the margin is
-    ``_skew_margin``, computed once per trial from the largest rectangle.
+    a right angle by up to ``ORTHO_TOL``, which ``RectPlane`` accepts.  The
+    kernel clamps the frame coordinates (s, t) that the frame test of
+    ``_crossing`` reads, but in a skewed frame they are projections onto
+    the axes u1 and u2, not coordinates along them: the clamped point
+    v1 + s' u1 + t' u2 lies up to about ``ORTHO_TOL`` (L1 + L2) from the
+    point whose projections are (s', t'), so the kernel may measure a point
+    that the frame test accepts as farther than it is.  The margin is
+    ``_skew_margin``, 2 ``ORTHO_TOL`` (L1 + L2) + ``COPLANAR_TOL`` of the
+    largest rectangle, computed once per trial.  Its ``COPLANAR_TOL`` term
+    covered an edge through a fourth corner off the plane; neither the
+    kernel nor the frame test reads that corner now, so it is slack.
     """
     stall_speed = None if stall_speed is None else positive(stall_speed, "stall_speed")
     if planner is None:

@@ -234,7 +234,7 @@ def _plane_side_kernel(rx, ry, rz, plane):
     """The nearest boundary feature as the minimum over the four edges'
     segment queries, keeping the first of equal distances, with corner ids
     in the payload: the four-edge reference for ``queries._plane_kernel``,
-    which queries only the edge the foot's frame coordinates pick."""
+    which clamps the foot's frame coordinates instead."""
     best = None
     best_k = 0
     for k, edge in enumerate(plane.edges):
@@ -272,9 +272,9 @@ def _four_indicator_plane_kernel(rx, ry, rz, plane):
 
 
 def _four_edge_plane_kernel(rx, ry, rz, plane):
-    """``queries._plane_kernel`` with the four-edge minimum outside, as it
-    ran before the foot's frame coordinates picked one edge: a touched edge
-    is a contact at distance 0 along the normal on the robot's side."""
+    """The rectangle query with the four-edge minimum outside, the
+    reference for ``queries._plane_kernel``'s clamp: a touched edge is a
+    contact at distance 0 along the normal on the robot's side."""
     try:
         return _rect_query(queries._plane_contains, rx, ry, rz, plane)
     except DegenerateVector:
@@ -419,16 +419,19 @@ def _frame_probes(rng, rect):
     ]
 
 
-def test_plane_kernel_is_the_four_edge_minimum_bit_for_bit():
-    """Outside a 1e-9 m band around the region lines of the foot's frame,
-    in all nine regions, on the plane and off it, the rectangle query returns
-    the four-edge reference's seven floats bit for bit, and its kind and
-    index.  In the band, where rounding may pick the neighbouring edge, the
+def test_plane_kernel_agrees_with_the_four_edge_minimum():
+    """The clamp in the rectangle's frame against the four-edge reference.
+    Inside, region (1, 1), every bit agrees.  In the eight outside regions,
+    off a 1e-9 m band around the region lines of the foot's frame, on the
+    plane and off it, the distances agree to 1e-15 m, the directions and
+    feet to 1e-13, and the kinds and indices exactly: the clamped point and
+    the edge query's foot are the same point, rounded differently.  In the
+    band, where rounding may put the foot in the neighbouring region, the
     distances agree to 1e-15 m."""
     rng = np.random.default_rng(61)
     rects = _frame_rects()
     kinds = set()
-    compared = banded = 0
+    inside = outside = banded = 0
     for rect in rects:
         for region, (x, y, z), gap in _frame_probes(rng, rect):
             got = queries._plane_kernel(x, y, z, rect)
@@ -437,16 +440,22 @@ def test_plane_kernel_is_the_four_edge_minimum_bit_for_bit():
                 assert abs(got[0] - ref[0]) <= 1e-15, (got, ref)
                 banded += 1
                 continue
-            assert [v.hex() for v in got[:7]] == [v.hex() for v in ref[:7]], (got, ref)
+            if region == (1, 1):
+                assert [v.hex() for v in got[:7]] == [v.hex() for v in ref[:7]], (got, ref)
+                inside += 1
+            else:
+                assert abs(got[0] - ref[0]) <= 1e-15, (got, ref)
+                assert max(abs(g - r) for g, r in zip(got[1:7], ref[1:7])) <= 1e-13, (got, ref)
+                outside += 1
             assert got[7] is ref[7] and got[8] == ref[8], (got, ref)
             kinds.add(got[7])
-            compared += 1
-    assert compared == 27 * len(rects) and banded == 12 * len(rects)
+    assert inside == 3 * len(rects) and outside == 24 * len(rects)
+    assert banded == 12 * len(rects)
     assert kinds == {FeatureKind.ORTHOGONAL, FeatureKind.EDGE,
                      FeatureKind.SIDE_VERTEX_1, FeatureKind.SIDE_VERTEX_2}
 
 
-def test_plane_kernel_queries_one_edge_outside_and_none_inside(monkeypatch):
+def test_plane_kernel_makes_no_segment_query(monkeypatch):
     calls = []
     segment_kernel = queries._segment_kernel
 
@@ -456,13 +465,41 @@ def test_plane_kernel_queries_one_edge_outside_and_none_inside(monkeypatch):
 
     monkeypatch.setattr(queries, "_segment_kernel", counted)
     rng = np.random.default_rng(67)
+    regions = set()
     for rect in _frame_rects()[::7]:
         for region, (x, y, z), _ in _frame_probes(rng, rect):
-            if region is None:
-                continue
-            calls.clear()
             queries._plane_kernel(x, y, z, rect)
-            assert len(calls) == (0 if region == (1, 1) else 1), (region, calls)
+            regions.add(region)
+    assert calls == [] and len(regions) == 10
+
+
+def test_plane_kernel_reads_one_frame_record():
+    """``RectPlane._frame`` is corner v1, the normal, and the length and
+    unit direction of the first two edges.  On every probe the kernel
+    returns the foot result, the offset of ``_plane_offset`` along the
+    normal on the robot's side at the foot, bit for bit, when
+    ``_plane_contains`` accepts the foot.  Otherwise it returns no
+    ORTHOGONAL result at d != 0: off the boundary it names an edge or a
+    corner, and on it a contact at distance 0."""
+    rng = np.random.default_rng(71)
+    feet = others = 0
+    for rect in _frame_rects():
+        e1, e2 = rect.edges[0], rect.edges[1]
+        assert rect._frame == (*e1.p1, *rect._n, e1.length, *e1._u, e2.length, *e2._u)
+        nx, ny, nz = rect._n
+        for _, (x, y, z), _ in _frame_probes(rng, rect):
+            got = queries._plane_kernel(x, y, z, rect)
+            off = queries._plane_offset(x, y, z, rect)
+            f = (x - off * nx, y - off * ny, z - off * nz)
+            if queries._plane_contains(*f, rect):
+                ref = (off, nx, ny, nz) if off >= 0.0 else (-off, -nx, -ny, -nz)
+                assert [v.hex() for v in got[:7]] == [v.hex() for v in ref + f], (got, off)
+                assert got[7] is FeatureKind.ORTHOGONAL and got[8] == ()
+                feet += 1
+            else:
+                assert got[7] is not FeatureKind.ORTHOGONAL or got[0] == 0.0, got
+                others += 1
+    assert feet > 0 and others > 0
 
 
 # -- cube ---------------------------------------------------------------
