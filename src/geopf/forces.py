@@ -29,9 +29,9 @@ from .queries import (
     _CAP_BOTTOM,
     _CAP_TOP,
     _FACE,
+    _KERNELS,
     _cube_kernel,
     _cylinder_kernel,
-    _kernel_for,
     _pierce,
     _plane_contains,
     _plane_kernel,
@@ -205,9 +205,10 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
     ``correction`` on and the robot-goal stretch piercing the primitive's
     trap (a rectangle, a box face or a cap disk), along the surface-parallel
     corrected direction.  The kernel's ``DegenerateVector`` is the one
-    exception it raises.
+    exception it raises.  ``prim``'s type is not checked here: it was
+    checked once, where its ``Obstacle`` or ``Scene`` wall was built.
     """
-    kernel = _kernel_for(prim)
+    kernel = _KERNELS[type(prim)]
     kern = kernel(rx, ry, rz, prim)
     d = kern[0]
     if d <= 0.0 or d >= activation:

@@ -55,18 +55,9 @@ from .baselines import SpherizationParams, _cf_terms, _sphere_terms
 # Imported as ``spherize``: the benchmark's tracer patches that name to time set-up.
 from .baselines import sphere_cloud as spherize
 from .forces import ForceBreakdown, _attraction, obstacle_force_term
-from .primitives import as_vec3
+from .primitives import _REACH, SKIN, as_vec3
 from .queries import _plane_offset
 from .scenes import ZERO_OFFSET
-
-# Skin of the candidate lists (m), chosen by a sweep on the benchmark's GeoPF
-# workloads.  A list holds every body within its cull distance plus SKIN of
-# where it was built, and stays valid while the robot's move since then plus
-# the fastest drift over the time since then stays below _REACH: the skin
-# less a guard against the rounding of positions, offsets and plane offsets,
-# each far below a micrometre in the scenes' sizes and times.
-SKIN = 0.05
-_REACH = SKIN - 1e-6
 
 
 class _Ctx:

@@ -28,6 +28,15 @@ DEGENERACY_EPS = 1e-12
 # Geometric validation tolerances (coplanarity in metres, orthogonality in radians).
 COPLANAR_TOL = 1e-9
 ORTHO_TOL = 1e-9
+# Skin of the candidate lists that the planners and the simulator keep
+# between steps (m), chosen by a sweep on the benchmark's GeoPF workloads.  A
+# list holds every body within its reach plus SKIN of where it was built, and
+# stays valid while the robot's move since then, plus whatever else moved a
+# body nearer (drift, a longer reach), stays below _REACH: the skin less a
+# guard against the rounding of positions, offsets and plane offsets, each
+# far below a micrometre in the scenes' sizes and times.
+SKIN = 0.05
+_REACH = SKIN - 1e-6
 
 
 def positive(value, name: str = "value", zero_ok: bool = False) -> float:

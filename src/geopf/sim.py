@@ -29,22 +29,28 @@ Each obstacle is measured once per step.  The geometric planner's
 obstacle it did not cull, and the instrumentation after the force call
 takes those values instead of querying again: each is the same kernel at
 the same shifted point, so the recorded distances keep every bit.  The
-crossing test then skips every rectangle and wall farther from the move's
-start than the move's reach, its length plus a small margin: a pierced
-closed rectangle holds a point of the move, and every point of the move
-lies within its length of the start.  The margin covers rounding and
-rectangles whose corners are off a right angle within tolerance.  The
-rectangle kernel clamps the same frame coordinates that the crossing's frame
-test reads, but in a frame skewed within ``ORTHO_TOL`` the clamped point is
-not the rectangle's exact nearest point: the kernel may put a pierced
-rectangle slightly beyond the move's length, so the margin stays.
+contact test starts from their minimum.  The crossing test then skips every
+rectangle and wall farther from the move's start than the move's reach, its
+length plus a small margin: a pierced closed rectangle holds a point of the
+move, and every point of the move lies within its length of the start.  The
+margin covers rounding and rectangles whose corners are off a right angle
+within tolerance.  The rectangle kernel clamps the same frame coordinates
+that the crossing's frame test reads, but in a frame skewed within
+``ORTHO_TOL`` the clamped point is not the rectangle's exact nearest point:
+the kernel may put a pierced rectangle slightly beyond the move's length, so
+the margin stays.
 
-A wall is measured by its plane first.  A rectangle is never nearer than
-its supporting plane, so a wall whose plane lies beyond the move's reach
-can be neither touched nor crossed; it enters the contact test at its plane
-distance, and its kernel runs only when the plane is within reach.  The
-corridor walls lie beyond the reach on almost every step, so most steps run
-no wall kernel.
+A wall is measured only when it can be touched or crossed.  A rectangle is
+never nearer than its supporting plane, so a wall whose plane lies beyond
+the move's reach can be neither.  The step loop keeps a candidate list of
+walls, the neighbour list of Verlet (Phys. Rev. 159, 98, 1967) with the
+planners' ``SKIN``: built at a robot position, it holds every wall whose
+plane lies within the step's reach plus ``SKIN`` of it, and it is rebuilt
+once the robot's move since then, plus the growth of the reach, comes to
+``SKIN`` less a rounding guard.  Only a listed wall has its plane offset
+taken, and its kernel runs only when that plane is within the reach.  The
+corridor walls lie beyond the reach on almost every step, so most steps
+read no wall at all.
 """
 
 from dataclasses import dataclass, field
@@ -55,9 +61,11 @@ import time
 from typing import NamedTuple
 
 from .primitives import (
+    _REACH,
     COPLANAR_TOL,
     DEGENERACY_EPS,
     ORTHO_TOL,
+    SKIN,
     RectPlane,
     positive,
     positive_int,
@@ -193,7 +201,7 @@ def _skew_margin(rects) -> float:
     """How far the frame test of ``_crossing`` may accept a point beyond the
     distance the rectangle's kernel measures, for the largest of ``rects``:
     2 ``ORTHO_TOL`` (L1 + L2) + ``COPLANAR_TOL`` (see ``run_trial``)."""
-    size = max((r.edges[0].length + r.edges[1].length for r in rects), default=0.0)
+    size = max((r._frame[6] + r._frame[10] for r in rects), default=0.0)
     return 2.0 * ORTHO_TOL * size + COPLANAR_TOL
 
 
@@ -212,8 +220,10 @@ def run_trial(
             gains, sim params and the seed for the trial RNG).
         planner: planner instance; default is the geometric planner.
         params: overrides ``scene.sim`` when given.
-        keep_states: when False only the final state is retained (the
-            aggregates still cover the full run).
+        keep_states: when False no state is built per step: the record
+            holds one state, the final one, built once at the end and equal
+            to the last state of the same trial run with True.  The verdict
+            and the aggregates still cover the full run.
         stall_speed: optional early-timeout threshold, a speed checked by
             ``positive``; the trial ends with a timeout verdict once the
             speed stays below it for ``STALL_WINDOW`` consecutive steps.
@@ -227,22 +237,29 @@ def run_trial(
         DegenerateVector: when the robot lies on a segment, its end, a
             cylinder rim or a point sphere's centre.
 
-    After each force call one ``min`` runs over the step's obstacle
-    distances followed by its wall distances; at or below zero the trial
-    ends at that body, labelled ``obstacle[i]`` or ``boundary[j]``, the
-    first in that order on a tie.  Walls are rectangles, whose distance is
-    never negative, so this is the deepest obstacle touched, or else the
-    first wall touched.  Then one loop looks for a crossing, over the
-    obstacle rectangles and then the walls.
+    After each force call the contact test takes the minimum of the step's
+    obstacle distances, which the instrumentation already took, and then
+    the walls within the move's reach (below), in scene order; at or below
+    zero the trial ends at that body, labelled ``obstacle[i]`` or
+    ``boundary[j]``, the first in that order on a tie.  Walls are
+    rectangles, whose distance is never negative, so this is the deepest
+    obstacle touched, or else the first wall touched.  A body's row is
+    looked up only when it is touched.  Then one loop looks for a crossing,
+    over the obstacle rectangles and then the walls within the reach.
 
-    A wall whose plane lies farther from the robot than the move's reach
-    (below) enters the ``min`` at its plane distance, and its kernel does
-    not run.  That stand-in moves no verdict: it is above zero, so the wall
-    is not touched, and the wall's true distance, never below the plane's,
-    is above zero too; it is above the reach, so the crossing loop skips the
-    wall, as it would at the true distance, and the move cannot cross a
-    plane farther from its start than it is long.  The ``min`` and the
-    index of a touched body are therefore those of the true distances.
+    The walls come from a candidate list kept across steps.  Built at the
+    robot position r_a on a step of reach m_a, it holds, in scene order,
+    every wall whose plane offset from r_a is below m_a + ``SKIN``; it is
+    rebuilt unless |r - r_a| + m < m_a + ``SKIN`` less the planners'
+    rounding guard, for the step's robot r and reach m.  The list is exact:
+    a plane offset changes by at most the robot's move, so a wall off a
+    valid list has a plane offset above m plus the guard.  Its distance,
+    never below its plane offset, is then above zero, so the wall is not
+    touched, and above the reach, so it cannot be crossed; it could affect
+    neither test.  Each listed wall is then measured by its plane offset
+    first, and its kernel runs only when that offset is at most the reach,
+    by the same argument.  The verdict, its step and its label are
+    therefore those of the true distances of every wall.
 
     The distances recorded after a force call reuse the ones the planner
     left in ``ctx.dists``, when its context has that field, and query only
@@ -280,20 +297,15 @@ def run_trial(
 
     bodies, n = scene.bodies, len(scene.obstacles)
     kernels = [_kernel_for(prim) for prim, *_ in bodies[:n]]
-    walls = [(_kernel_for(prim), prim) for prim, *_ in bodies[n:]]
-    rects = [(k, prim) for k, (prim, *_, is_rect) in enumerate(bodies) if is_rect]
-    pad = DEGENERACY_EPS + _skew_margin(rect for _, rect in rects)
+    walls = [(j, _kernel_for(prim), prim) for j, (prim, *_) in enumerate(bodies[n:], n)]
+    obstacle_rects = [(k, prim) for k, (prim, *_, is_rect) in enumerate(bodies[:n]) if is_rect]
+    pad = DEGENERACY_EPS + _skew_margin(prim for prim, *_, is_rect in bodies if is_rect)
+    near_walls, wall_anchor, wall_limit = [], (math.inf, 0.0, 0.0), 0.0
 
     record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
     states = record.states
     perf = time.perf_counter
     stall_count = 0
-
-    def push(state):
-        if keep_states:
-            states.append(state)
-        else:
-            states[:] = [state]
 
     def instrument(x, y, z, placed, known=None):
         dists = _distances(kernels, x, y, z, placed, known)
@@ -317,7 +329,7 @@ def run_trial(
         dgx, dgy, dgz = px - gx, py - gy, pz - gz
         if dgx * dgx + dgy * dgy + dgz * dgz <= goal_r2:
             _, md = instrument(px, py, pz, placed)
-            push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (0.0, 0.0, 0.0), md))
+            states.append(TrajState(step_index, (px, py, pz), (vx, vy, vz), (0.0, 0.0, 0.0), md))
             record.verdict = Verdict(VerdictKind.REACHED_GOAL, step=step_index)
             break
 
@@ -330,22 +342,33 @@ def run_trial(
         record.step_times.append(t1 - t0)
 
         dists, md = instrument(px, py, pz, placed, getattr(ctx, "dists", None))
-        push(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
+        if keep_states:
+            states.append(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
         move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
         reach = move + pad
+        # The wall candidate list (see above), rebuilt once the robot's move
+        # since it was built, plus the reach, comes to its limit.
+        ax, ay, az = wall_anchor
+        if not math.hypot(px - ax, py - ay, pz - az) + reach < wall_limit:
+            cutoff = reach + SKIN
+            near_walls = [w for w in walls if not abs(_plane_offset(px, py, pz, w[2])) >= cutoff]
+            wall_anchor, wall_limit = (px, py, pz), reach + _REACH
         # Contact: the nearest body at a distance of at most zero, the first
-        # in body order on a tie.  A wall whose plane lies beyond the reach
-        # stands in at its plane distance, and its kernel does not run.
-        body_dists = dists + [
-            off if (off := abs(_plane_offset(px, py, pz, wall))) > reach
-            else kern(px, py, pz, wall)[0]
-            for kern, wall in walls
-        ]
-        nearest = min(body_dists, default=math.inf)
-        if nearest <= 0.0:
-            label = bodies[body_dists.index(nearest)][1]
-            record.verdict = Verdict(VerdictKind.COLLISION, label, step_index)
+        # in body order on a tie.  Walls follow the obstacles and are never
+        # at a negative distance.  ``reached`` keeps the walls that can be
+        # touched or crossed.
+        touched = dists.index(md) if md <= 0.0 else None
+        reached = []
+        for j, kern, wall in near_walls:
+            if not abs(_plane_offset(px, py, pz, wall)) > reach:
+                d = kern(px, py, pz, wall)[0]
+                if d <= reach:
+                    reached.append((j, wall))
+                    if d <= 0.0 and touched is None:
+                        touched = j
+        if touched is not None:
+            record.verdict = Verdict(VerdictKind.COLLISION, bodies[touched][1], step_index)
             break
 
         if step_index >= params.max_steps:
@@ -356,29 +379,30 @@ def run_trial(
         # pierced rectangle (obstacle or wall) as a contact at distance zero.
         # Only rectangles within the move's reach can be pierced.
         crossed = None
-        for k, rect in rects:
-            if body_dists[k] > reach:
+        for k, rect in obstacle_rects:
+            if dists[k] > reach:
                 continue
-            ox, oy, oz = placed.offsets[k] if k < n else (0.0, 0.0, 0.0)
+            ox, oy, oz = placed.offsets[k]
             hit = _crossing(px - ox, py - oy, pz - oz, nx - ox, ny - oy, nz - oz, rect)
             if hit is not None:
                 crossed = k
                 cx, cy, cz = hit[0] + ox, hit[1] + oy, hit[2] + oz
                 break
+        else:
+            for j, wall in reached:
+                hit = _crossing(px, py, pz, nx, ny, nz, wall)
+                if hit is not None:
+                    crossed = j
+                    cx, cy, cz = hit
+                    break
         if crossed is not None:
             next_placed = scene.primitives_at_step(step_index + 1)
-            dists, md = instrument(cx, cy, cz, next_placed)
+            _, md = instrument(cx, cy, cz, next_placed)
             if crossed < n:
                 md = 0.0
                 record.min_dist = min(record.min_dist, 0.0)
-            push(
-                TrajState(
-                    step_index + 1,
-                    (cx, cy, cz),
-                    (nvx, nvy, nvz),
-                    (0.0, 0.0, 0.0),
-                    md,
-                )
+            states.append(
+                TrajState(step_index + 1, (cx, cy, cz), (nvx, nvy, nvz), (0.0, 0.0, 0.0), md)
             )
             record.path_length += math.sqrt(
                 (cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2
@@ -387,10 +411,11 @@ def run_trial(
             break
 
         record.path_length += move
-        px, py, pz, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
 
+        # The stall test reads the new velocity before the state advances, so
+        # that a stalled trial ends on this step's state.
         if stall_speed is not None:
-            if math.sqrt(vx * vx + vy * vy + vz * vz) < stall_speed:
+            if math.sqrt(nvx * nvx + nvy * nvy + nvz * nvz) < stall_speed:
                 stall_count += 1
                 if stall_count >= STALL_WINDOW:
                     record.verdict = Verdict(VerdictKind.TIMEOUT, step=step_index)
@@ -398,9 +423,14 @@ def run_trial(
             else:
                 stall_count = 0
 
+        px, py, pz, vx, vy, vz = nx, ny, nz, nvx, nvy, nvz
         step_index += 1
 
     record.full_step_time = (perf() - loop_start) / (step_index + 1)
+    if not states:
+        # Without keep_states a trial that ended on a contact, the step cap or
+        # a stall has kept no state: its final state is this step's.
+        states.append(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
     return record
 
 

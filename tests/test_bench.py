@@ -8,6 +8,7 @@ import math
 import pytest
 
 from geopf import (
+    GenerationFailure,
     GeoPFPlanner,
     PlannerSpec,
     SceneClass,
@@ -26,6 +27,7 @@ from geopf import (
     write_csv,
     write_json,
 )
+from geopf import bench
 from geopf.bench import CSV_HEADER, default_workers
 
 
@@ -136,6 +138,25 @@ def test_worker_pool_gives_the_serial_report():
     pooled = run_suite("line_easy", spec, 2, seed0=3, workers=2, **kw)
     assert serial.trials == 2
     assert _without_step_times(serial) == _without_step_times(pooled)
+
+
+def test_a_seed_that_fails_to_generate_is_excluded_and_the_suite_goes_on(monkeypatch):
+    spec, kw = PlannerSpec("geopf"), dict(stall_speed=0.01, workers=1)
+    whole = run_suite("line_easy", spec, 3, **kw)
+    real_generate = bench.generate
+
+    def failing_generate(scene_class, seed):
+        if seed == 1:
+            raise GenerationFailure("no placement")
+        return real_generate(scene_class, seed)
+
+    monkeypatch.setattr(bench, "generate", failing_generate)
+    report = run_suite("line_easy", spec, 3, **kw)
+    assert (report.trials, report.excluded) == (2, 1)
+    assert (report.seed_start, report.seed_end) == (0, 2)
+    assert report.trial_seeds == [0, 2]
+    kept = _without_step_times(whole)["trial_metrics"]
+    assert _without_step_times(report)["trial_metrics"] == [kept[0], kept[2]]
 
 
 def test_csv_has_the_header_and_one_row_per_suite(tmp_path):

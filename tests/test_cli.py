@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from geopf.bench import CSV_HEADER, _cell
 from geopf.cli import EXIT_GENERATION, EXIT_OK, EXIT_SCHEMA, build_parser, main
 
 
@@ -83,6 +84,35 @@ def test_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "unknown scene class" not in err
     assert not out.exists()
+
+
+def test_bench_writes_the_csv_report_and_its_json_mirror(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GEOPF_THREADS", raising=False)
+    csv, mirror = tmp_path / "bench.csv", tmp_path / "bench.json"
+    argv = ["bench", "--class", "line_easy", "--trials", "2", "--stall-exit", "0.01"]
+    assert main([*argv, "--out", str(csv), "--json", str(mirror)]) == EXIT_OK
+    header, row = csv.read_text().splitlines()
+    assert header == CSV_HEADER
+    columns, row_cells = header.split(","), row.split(",")
+    assert len(row_cells) == len(columns)
+    cells = dict(zip(columns, row_cells))
+    doc = json.loads(mirror.read_text())
+    assert [t["seed"] for t in doc["trials_detail"]] == [0, 1]
+    # Every CSV cell is the mirror's value in the report's cell format.
+    values = {k: doc[k] for k in cells if k in doc}
+    for name, (mean, std) in doc["stats"].items():
+        values |= {f"{name}_mean": mean, f"{name}_std": std}
+        if f"{name}_median" in doc:
+            values[f"{name}_median"] = doc[f"{name}_median"]
+    assert set(values) == set(cells)
+    # Both trials reach the goal, so every statistic is finite and a null is
+    # a geopf suite's empty rsp or ksp.
+    assert cells == {k: _cell(v) for k, v in values.items()}
+    assert (cells["scene_class"], cells["planner"], cells["trials"]) == ("line_easy", "geopf", "2")
+    assert cells["success_rate"] == "1"
+    out = capsys.readouterr().out
+    assert out.startswith("line_easy geopf: SR ") and "over 2 trials (0 excluded)" in out
+    assert out.rstrip().endswith(f"-> {csv}")
 
 
 def test_a_trial_count_of_two_is_accepted():

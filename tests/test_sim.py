@@ -21,9 +21,11 @@ from geopf import (
     SimParams,
     Segment,
     Sphere,
+    TrajState,
     Verdict,
     VerdictKind,
     corridor_boundary,
+    distance,
     generate,
     integrate_step,
     run_trial,
@@ -32,7 +34,7 @@ from geopf import (
     write_trajectory,
 )
 from geopf import forces, primitives, scenes, sim
-from geopf.primitives import DEGENERACY_EPS
+from geopf.primitives import DEGENERACY_EPS, SKIN
 from geopf.queries import _kernel_for, _plane_offset
 from geopf.scenes import document_to_scene, scene_to_document
 from geopf.seeding import trial_rng
@@ -409,28 +411,83 @@ def _fall_through_a_wall():
     )
 
 
-# One trial per way to end: (scene, planner, params, verdict kind and body).
-KEEP_STATES_TRIALS = [
-    (demo_scene, GeoPFPlanner, None, (VerdictKind.REACHED_GOAL, None)),
-    (lambda: contact_scene("wall"), GeoPFPlanner, None, (VerdictKind.COLLISION, "boundary[1]")),
-    (_fall_through_a_wall, _FallingPlanner, None, (VerdictKind.COLLISION, "boundary[0]")),
-    (demo_scene, GeoPFPlanner, SimParams(max_steps=300), (VerdictKind.TIMEOUT, None)),
-]
+def _falling_onto_a_sphere():
+    """A sphere across the fall of ``_FallingPlanner``, entered by distance."""
+    scene = _fall_through_a_wall()
+    return dataclasses.replace(scene, obstacles=[Obstacle(Sphere((0, 0, 0), 0.1))], boundary=[])
 
 
-def test_keep_states_false_keeps_aggregates():
-    for make_scene, make_planner, params, ending in KEEP_STATES_TRIALS:
-        scene = make_scene()
-        full = run_trial(scene, make_planner(), params)
-        lean = run_trial(scene, make_planner(), params, keep_states=False)
-        assert (full.verdict.kind, full.verdict.obstacle_id) == ending
-        assert len(lean.states) == 1
-        assert lean.states[-1] == full.states[-1]
-        assert lean.verdict == full.verdict
-        assert lean.path_length == full.path_length
-        assert lean.min_dist == full.min_dist
-        assert lean.dist_sum == full.dist_sum
-        assert lean.dist_count == full.dist_count
+def _fall_through_an_obstacle():
+    """The wall of ``_fall_through_a_wall`` as an obstacle rectangle."""
+    scene = _fall_through_a_wall()
+    return dataclasses.replace(scene, obstacles=[Obstacle(scene.boundary[0])], boundary=[])
+
+
+def _sliding_onto_a_wall():
+    """A wall in the plane x = 0.5 that the fall of ``_FallingPlanner`` from
+    (0.5, 1, 0) slides into along its plane, at a distance of exactly zero."""
+    wall = RectPlane((0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (0.5, -0.5, -0.5), (0.5, 0.5, -0.5))
+    return dataclasses.replace(_fall_through_a_wall(), start=(0.5, 1.0, 0.0), boundary=[wall])
+
+
+def _stalling_scene():
+    """A symmetric wall that GeoPF without correction stalls in front of."""
+    wall = RectPlane((1, 0, 1), (-1, 0, 1), (-1, 0, -1), (1, 0, -1))
+    return Scene(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[Obstacle(wall)], boundary=[])
+
+
+# One trial per way to end: (scene, planner, params, stall speed, verdict kind
+# and body).
+KEEP_STATES_TRIALS = {
+    "goal": (demo_scene, GeoPFPlanner, None, None, (VerdictKind.REACHED_GOAL, None)),
+    "obstacle_touch": (
+        _falling_onto_a_sphere, _FallingPlanner, None, None, (VerdictKind.COLLISION, "obstacle[0]")
+    ),
+    "wall_touch": (
+        _sliding_onto_a_wall, _FallingPlanner, None, None, (VerdictKind.COLLISION, "boundary[0]")
+    ),
+    "obstacle_crossing": (
+        _fall_through_an_obstacle, _FallingPlanner, None, None,
+        (VerdictKind.COLLISION, "obstacle[0]"),
+    ),
+    "wall_crossing": (
+        _fall_through_a_wall, _FallingPlanner, None, None, (VerdictKind.COLLISION, "boundary[0]")
+    ),
+    "step_cap": (
+        demo_scene, GeoPFPlanner, SimParams(max_steps=300), None, (VerdictKind.TIMEOUT, None)
+    ),
+    "stall": (
+        _stalling_scene, lambda: GeoPFPlanner(correction=False), None, 1e-4,
+        (VerdictKind.TIMEOUT, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(KEEP_STATES_TRIALS))
+def test_keep_states_false_ends_on_the_last_state_and_keeps_the_aggregates(ending, monkeypatch):
+    """Without ``keep_states`` a trial builds one state, once, and it is the
+    last state of the same trial with ``keep_states``; the verdict and the
+    aggregates are the same, whichever way the trial ends."""
+    make_scene, make_planner, params, stall_speed, (kind, body) = KEEP_STATES_TRIALS[ending]
+    scene = make_scene()
+    full = run_trial(scene, make_planner(), params, stall_speed=stall_speed)
+    built = []
+    monkeypatch.setattr(sim, "TrajState", lambda *a: built.append(a) or TrajState(*a))
+    lean = run_trial(scene, make_planner(), params, keep_states=False, stall_speed=stall_speed)
+    assert (full.verdict.kind, full.verdict.obstacle_id) == (kind, body)
+    assert len(full.states) > 1
+    # A trial that ends at the goal or at a crossing records a zero force.
+    assert (full.states[-1].force == (0.0, 0.0, 0.0)) == (
+        ending in ("goal", "obstacle_crossing", "wall_crossing")
+    )
+    assert len(built) == 1
+    assert lean.states == [full.states[-1]]
+    assert lean.verdict == full.verdict
+    assert len(lean.step_times) == len(full.step_times)
+    for name in ("path_length", "min_dist", "dist_sum", "dist_count"):
+        assert getattr(lean, name) == getattr(full, name), name
+    if ending == "stall":
+        assert full.verdict.step < scene.sim.max_steps
 
 
 # -- trajectory export --------------------------------------------------------
@@ -598,6 +655,45 @@ def test_walls_are_measured_only_within_the_moves_reach(monkeypatch):
     )
     assert nearest_plane > 100 * longest_move
     assert wall_calls[0] == 0
+
+
+@pytest.mark.parametrize(
+    "pull",
+    [
+        pytest.param((1.0, 0.2, 0.1), id="side"),
+        pytest.param((0.6, 0.1, 0.8), id="corner"),
+        pytest.param((0.1, -1.0, 0.3), id="end"),
+    ],
+)
+def test_the_wall_candidate_list_misses_no_wall(pull):
+    """A long trial pulled into the corridor walls, far past many rebuilds
+    of the step loop's wall list, ends where the walls' own distances say:
+    no recorded state lies on a wall and no move between them crosses one,
+    until the last move, which crosses the first wall whose crossing point
+    the last state records."""
+    scene = Scene(
+        start=(0, 0, 0),
+        goal=(-0.4, 0.9, -0.4),
+        obstacles=[],
+        boundary=corridor_boundary(-1.2, 1.2),
+        seed=0,
+    )
+    record = run_trial(scene, _FallingPlanner(pull))
+    states, walls = record.states, scene.boundary
+    assert record.path_length > 8 * SKIN
+    *kept, last = states
+    assert all(distance(s.position, wall) > 0.0 for s in kept for wall in walls)
+    for a, b in zip(kept, kept[1:]):
+        assert all(_crossing(*a.position, *b.position, wall) is None for wall in walls)
+    before, verdict = kept[-1], record.verdict
+    assert verdict.kind is VerdictKind.COLLISION and verdict.step == last.step == before.step + 1
+    # The crossing is found from the last kept state's own move.
+    (nx, ny, nz), _ = integrate_step(before.position, before.velocity, before.force, scene.sim)
+    hits = [_crossing(*before.position, nx, ny, nz, wall) for wall in walls]
+    j = next(i for i, hit in enumerate(hits) if hit is not None)
+    assert verdict.obstacle_id == f"boundary[{j}]"
+    assert last.position == hits[j]
+    assert distance(last.position, walls[j]) < 1e-12
 
 
 @pytest.mark.parametrize(
