@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="scene_class",
         required=True,
-        help="scene class name (maze is one fixed geometry: its seeds only "
-        "break ties, so an n-seed maze suite reruns one scene n times)",
+        help="scene class name (maze is one fixed geometry: its seed changes "
+        "nothing, so an n-seed maze suite reruns one scene n times)",
     )
     _add_trial_args(p_bench)
     p_bench.add_argument("--trials", type=trials, default=100)

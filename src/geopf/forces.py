@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame, positive
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, _span, axis_frame, cross3, positive
 from .queries import (
     _CAP_BOTTOM,
     _CAP_TOP,
@@ -34,16 +34,13 @@ from .queries import (
     _cylinder_kernel,
     _pierce,
     _plane_contains,
+    _plane_frame,
     _plane_kernel,
-    _segment_kernel,
+    _plane_offset,
 )
 
 # Repulsion magnitude is clamped to k / D_MIN below this distance.
 D_MIN = 1e-4
-# Two feature distances within this margin count as an exact tie.
-TIE_EPS = 1e-12
-# Magnitude of the random nudge used to break exact ties.
-TIE_NOISE = 1e-9
 
 
 def _repulsion(k: float, d: float) -> float:
@@ -94,35 +91,44 @@ def _attraction(rx, ry, rz, gx, gy, gz, k_attr):
 # ---------------------------------------------------------------------------
 
 
-def _nearest_edge(rx, ry, rz, plane: RectPlane, rng):
-    """Index and query result of the rectangle edge nearest to the robot.
+def _nearest_edge(rx, ry, rz, plane: RectPlane):
+    """Index of the rectangle edge nearest to the robot, and the robot's
+    side of it.
 
-    Exact ties (within TIE_EPS) are broken by nudging the evaluation point by
-    TIE_NOISE toward an RNG-chosen corner and re-measuring.
+    Edge k runs from corner k + 1 to corner k + 2 (1-based, corner 4 to
+    corner 1 for k = 3).  With h the robot's plane offset, (s, t) its foot's
+    frame coordinates (the arithmetic of ``queries._plane_kernel``) and
+    e_s, e_t the excess of s and t outside [0, L1] and [0, L2], the four
+    distances are sqrt(h^2 + (t^2 + e_s^2)), sqrt(h^2 + ((s - L1)^2 + e_t^2)),
+    sqrt(h^2 + ((t - L2)^2 + e_s^2)) and sqrt(h^2 + (s^2 + e_t^2)).  The
+    inner parentheses make the two edges through a corner measure the same
+    float, as their segment queries do; a tie goes to the lower-numbered
+    edge.  The side is t, L1 - s, L2 - t or s for edge k: below zero when
+    the foot lies beyond the edge's line, away from the rectangle.
     """
-    results = [_segment_kernel(rx, ry, rz, e) for e in plane.edges]
-    order = sorted(range(4), key=lambda i: results[i][0])
-    if results[order[1]][0] - results[order[0]][0] >= TIE_EPS or rng is None:
-        return order[0], results[order[0]]
-    vx, vy, vz = plane.corners[int(rng.integers(0, 4))]
-    dx, dy, dz = vx - rx, vy - ry, vz - rz
-    m = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if m <= DEGENERACY_EPS:
-        return order[0], results[order[0]]
-    nx = rx + TIE_NOISE * dx / m
-    ny = ry + TIE_NOISE * dy / m
-    nz = rz + TIE_NOISE * dz / m
-    nudged = [_segment_kernel(nx, ny, nz, e) for e in plane.edges]
-    k = min(range(4), key=lambda i: nudged[i][0])
-    return k, results[k]
+    h = _plane_offset(rx, ry, rz, plane)
+    nx, ny, nz = plane._n
+    s, t = _plane_frame(rx - h * nx, ry - h * ny, rz - h * nz, plane)
+    l1, l2 = plane._frame[6], plane._frame[10]
+    a, b = s - l1, t - l2
+    es, et = max(-s, a, 0.0), max(-t, b, 0.0)
+    hh, ee, ff = h * h, es * es, et * et
+    d = (
+        math.sqrt(hh + (t * t + ee)),
+        math.sqrt(hh + (a * a + ff)),
+        math.sqrt(hh + (b * b + ee)),
+        math.sqrt(hh + (s * s + ff)),
+    )
+    k = min(range(4), key=d.__getitem__)
+    return k, (t, l1 - s, l2 - t, s)[k]
 
 
-def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane, rng):
+def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane):
     """Surface-parallel corrected direction of a rectangle, or None when the
     robot-goal stretch does not pierce it.
 
-    The returned unit direction is parallel to the rectangle, perpendicular
-    to the nearest edge, signed toward it.
+    The returned unit direction is n x u, n the rectangle's normal and u the
+    nearest edge's unit direction from its corners, signed toward that edge.
     """
     hit = _pierce(rx, ry, rz, gx, gy, gz, plane.v1, plane._n)
     if hit is None:
@@ -130,29 +136,26 @@ def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane, rng):
     px, py, pz = hit
     if not _plane_contains(px, py, pz, plane):
         return None
-    k, edge_res = _nearest_edge(rx, ry, rz, plane, rng)
-    nx, ny, nz = plane._n
-    ex, ey, ez = plane.edges[k]._u
-    cx = ny * ez - nz * ey
-    cy = nz * ex - nx * ez
-    cz = nx * ey - ny * ex
-    # Robot-to-edge direction decides the sign toward the nearest edge.
-    tx, ty, tz = edge_res[4] - rx, edge_res[5] - ry, edge_res[6] - rz
-    s = cx * tx + cy * ty + cz * tz
-    if s < 0.0:
+    k, side = _nearest_edge(rx, ry, rz, plane)
+    corners = plane.corners
+    # From the edge's own corners: for edges 2 and 3, minus the frame axes
+    # differs from that in the last bits, which moves trajectories.
+    _, u = _span(corners[k], corners[(k + 1) % 4], "zero-length edge")
+    cx, cy, cz = cross3(plane._n, u)
+    if side < 0.0:
         return (-cx, -cy, -cz)
     return (cx, cy, cz)
 
 
-def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
+def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind):
     """Surface-parallel corrected direction over a cylinder cap, or None
     when the robot-goal stretch does not pierce the cap disk.
 
     It applies when the closest feature is the cap ``kind``.  The direction
     is the unit radial direction from the axis to the robot, which points at
     the rim point nearest to the robot; the repulsion keeps its magnitude
-    k/d.  On the axis the direction is undefined, and an in-plane direction
-    at an RNG-drawn angle (angle 0 without an RNG) is used instead.
+    k/d.  On the axis the direction is undefined, and the first in-plane
+    axis of ``axis_frame`` (angle 0) is used instead.
     """
     center = cyl.a2 if kind is _CAP_TOP else cyl.a1
     axis = cyl._axis
@@ -171,31 +174,28 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind, rng):
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
     if qn > DEGENERACY_EPS:
         return (qx / qn, qy / qn, qz / qn)
-    b1, b2 = axis_frame(axis)
-    ang = float(rng.uniform(0.0, 2.0 * math.pi)) if rng is not None else 0.0
-    ca, sa = math.cos(ang), math.sin(ang)
-    return (ca * b1[0] + sa * b2[0], ca * b1[1] + sa * b2[1], ca * b1[2] + sa * b2[2])
+    return axis_frame(axis)[0]
 
 
 _CAPS = (_CAP_TOP, _CAP_BOTTOM)
 
 
-def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz, rng):
+def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz):
     """Trap-corrected direction of a primitive's repulsion, or None.
 
     A rectangle's trap is the rectangle itself, a box's is the face realizing
     a FACE feature, and a cylinder's is the cap disk realizing a cap feature.
     """
     if kernel is _plane_kernel:
-        return _rect_correction(rx, ry, rz, gx, gy, gz, prim, rng)
+        return _rect_correction(rx, ry, rz, gx, gy, gz, prim)
     if kernel is _cube_kernel and kind is _FACE:
-        return _rect_correction(rx, ry, rz, gx, gy, gz, prim.faces[index[0] - 1], rng)
+        return _rect_correction(rx, ry, rz, gx, gy, gz, prim.faces[index[0] - 1])
     if kernel is _cylinder_kernel and kind in _CAPS:
-        return _cap_correction(rx, ry, rz, gx, gy, gz, prim, kind, rng)
+        return _cap_correction(rx, ry, rz, gx, gy, gz, prim, kind)
     return None
 
 
-def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correction):
+def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, correction):
     """Scalar repulsion of one primitive, obstacle or boundary wall.
 
     Returns (fx, fy, fz, distance).  The force is zero at or beyond the
@@ -215,7 +215,7 @@ def obstacle_force_term(rx, ry, rz, gx, gy, gz, prim, k, activation, rng, correc
         return 0.0, 0.0, 0.0, d
     ux, uy, uz = kern[1], kern[2], kern[3]
     if correction:
-        corr = _correction_direction(kernel, prim, kern[7], kern[8], rx, ry, rz, gx, gy, gz, rng)
+        corr = _correction_direction(kernel, prim, kern[7], kern[8], rx, ry, rz, gx, gy, gz)
         if corr is not None:
             ux, uy, uz = corr
     mag = _repulsion(k, d)

@@ -36,8 +36,14 @@ validity first and rebuilds a stale list at the robot it is given, so
 that passes the per-step cull at (r, t) lies within its cull distance plus
 the distance that r minus its offset moved since (r_a, t_a), so it is in
 the list; each entry in the list still runs the per-step tests, in scene
-order, so the same terms are summed in the same order, the same
-``ctx.dists`` slots are written and the same random draws are made.
+order, so the same terms are summed in the same order and the same
+``ctx.dists`` slots are written.
+
+No planner draws a random number.  Each planner's ``force`` still takes a
+trailing positional ``rng``, which it ignores and ``run_trial`` passes as
+None: the benchmark's stub planner (``perfbench/test_perfbench.py``) has
+that signature, and the argument goes with the next change to the
+benchmark.
 
 No planner decides contact.  A touched or penetrated obstacle or wall adds
 a zero term (``obstacle_force_term``), ``force`` returns the sum as usual,
@@ -144,7 +150,7 @@ def _near_obstacles(ctx, rx, ry, rz):
     return ctx.near_obstacles
 
 
-def _wall_terms(ctx, rx, ry, rz, rng, correction):
+def _wall_terms(ctx, rx, ry, rz, correction):
     """Boundary-wall repulsion; a touched wall adds a zero term."""
     gx, gy, gz = ctx.goal
     wx = wy = wz = 0.0
@@ -156,7 +162,7 @@ def _wall_terms(ctx, rx, ry, rz, rng, correction):
         # Called through its home module: this module's name is the
         # obstacle loop's, which the benchmark's tracer counts per obstacle.
         fx, fy, fz, _ = forces.obstacle_force_term(
-            rx, ry, rz, gx, gy, gz, wall, ctx.k_rep, act, rng, correction
+            rx, ry, rz, gx, gy, gz, wall, ctx.k_rep, act, correction
         )
         wx += fx
         wy += fy
@@ -196,7 +202,8 @@ class GeoPFPlanner(_Planner):
         attraction, for each obstacle within its activation radius, and for
         the summed boundary walls, in summation order.  Each obstacle term's
         distance goes into ``ctx.dists``.  A touched obstacle or wall adds a
-        zero term; the simulator decides contact.
+        zero term; the simulator decides contact.  ``rng`` is ignored (see
+        the module docstring).
 
         Raises:
             DegenerateVector: when the robot lies on a segment, its end, a
@@ -226,7 +233,7 @@ class GeoPFPlanner(_Planner):
                 if off >= act or off <= -act:
                     continue
             tx, ty, tz, d = obstacle_force_term(
-                sx, sy, sz, gx - ox, gy - oy, gz - oz, prim, k, act, rng, correction
+                sx, sy, sz, gx - ox, gy - oy, gz - oz, prim, k, act, correction
             )
             dists[i] = d
             fx += tx
@@ -234,19 +241,23 @@ class GeoPFPlanner(_Planner):
             fz += tz
             if terms is not None and d < act:
                 terms.append((label, tx, ty, tz))
-        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, correction)
+        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, correction)
         if terms is not None:
             terms.append(("boundary", wx, wy, wz))
         return fx + wx, fy + wy, fz + wz
 
 
-def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreakdown:
+def resultant_force(robot, goal, scene, correction=True) -> ForceBreakdown:
     """Attractive, per-obstacle and boundary forces of a scene, and their sum.
 
     Runs :meth:`GeoPFPlanner.force`, so the resultant is bit-for-bit the one
     the simulator integrates.  Obstacles are evaluated in scene order,
     boundary walls last; the breakdown lists one term per obstacle within
     its activation radius, a zero term for a touched or penetrated one.
+    The trap correction draws nothing: a tie between rectangle edges goes
+    to the lower-numbered edge, and on a cylinder's axis the cap correction
+    turns along ``axis_frame(axis)[0]``, so the same arguments give the
+    same bits.
 
     Raises:
         DegenerateVector: when the robot lies on a segment, its end, a
@@ -257,7 +268,7 @@ def resultant_force(robot, goal, scene, rng=None, correction=True) -> ForceBreak
     ctx.goal = as_vec3(goal)
     rx, ry, rz = as_vec3(robot)
     terms = []
-    resultant = planner.force(ctx, rx, ry, rz, 0.0, 0.0, 0.0, rng, terms)
+    resultant = planner.force(ctx, rx, ry, rz, 0.0, 0.0, 0.0, None, terms)
     (_, *attractive), *per_obstacle, (_, *boundary) = terms
     return ForceBreakdown(
         attractive=np.array(attractive),
@@ -300,7 +311,7 @@ class SpherePFPlanner(_SphereCloudPlanner):
     def force(self, ctx, rx, ry, rz, vx, vy, vz, rng):
         fx, fy, fz = _attraction(rx, ry, rz, *ctx.goal, ctx.k_attr)
         tx, ty, tz = _sphere_terms(rx, ry, rz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act)
-        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
+        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz
 
 
@@ -312,5 +323,5 @@ class SphereCFPlanner(_SphereCloudPlanner):
         tx, ty, tz = _cf_terms(
             rx, ry, rz, vx, vy, vz, ctx.cloud, ctx.offsets, self.params.k_rep, ctx.act
         )
-        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, rng, False)
+        wx, wy, wz = _wall_terms(ctx, rx, ry, rz, False)
         return fx + tx + wx, fy + ty + wy, fz + tz + wz

@@ -5,7 +5,7 @@ line segments, rectangles ("planes" with four corners), rectangular boxes
 ("cubes" with eight corners) and capped cylinders.  Each type validates its
 defining points on construction and computes there, once, the derived
 records that the proximity queries and the simulator read (unit axes,
-normals, rectangle edges, box faces, bounding spheres); a primitive never
+normals, rectangle frames, box faces, bounding spheres); a primitive never
 changes after construction.
 
 Positions are metres.  A point is a tuple of three floats, made by
@@ -226,29 +226,15 @@ class Segment:
         _derive(self, _u=u, length=length, bounding_sphere=_segment_sphere(a, b))
 
 
-class Edge:
-    """A rectangle edge as the record ``_segment_kernel`` reads, under a
-    segment's names: ends ``p1`` and ``p2``, unit direction ``_u``, ``length``.
-
-    The trap correction (``forces._nearest_edge``) queries the four edges;
-    the rectangle's own query reads ``RectPlane._frame`` instead."""
-
-    __slots__ = ("p1", "p2", "_u", "length")
-
-    def __init__(self, p1: tuple, p2: tuple):
-        self.p1, self.p2 = p1, p2
-        self.length, self._u = _span(p1, p2, "rectangle has a zero-length edge")
-
-
 @dataclass(frozen=True)
 class RectPlane:
     """Rectangle given by four consecutively ordered corners.
 
     Corners must be coplanar and consecutive edges orthogonal; both are
-    checked on construction.  ``edges`` runs in corner order: (v1, v2),
+    checked on construction.  Edge k runs in corner order: (v1, v2),
     (v2, v3), (v3, v4), (v4, v1).  ``_frame`` is the rectangle's own frame
     as one float record: corner v1, the unit normal ``_n``, then the length
-    and unit direction of ``edges[0]`` (v1->v2) and ``edges[1]`` (v2->v3),
+    and unit direction (``_span``) of edge 0 (v1->v2) and edge 1 (v2->v3),
     ``(ox, oy, oz, nx, ny, nz, L1, u1x, u1y, u1z, L2, u2x, u2y, u2z)``.
     """
 
@@ -261,9 +247,11 @@ class RectPlane:
 
     def __post_init__(self):
         vs = _coerce(self)
-        edges = tuple(Edge(vs[i], vs[(i + 1) % 4]) for i in range(4))
+        spans = [
+            _span(vs[i], vs[(i + 1) % 4], "rectangle has a zero-length edge") for i in range(4)
+        ]
         for i in range(4):
-            (ax, ay, az), (bx, by, bz) = edges[i]._u, edges[(i + 1) % 4]._u
+            (ax, ay, az), (bx, by, bz) = spans[i][1], spans[(i + 1) % 4][1]
             cos = abs(ax * bx + ay * by + az * bz)
             # |cos| of the corner angle equals the deviation from 90 degrees
             # for small deviations.
@@ -279,9 +267,9 @@ class RectPlane:
         off = abs((v4[0] - v1[0]) * n[0] + (v4[1] - v1[1]) * n[1] + (v4[2] - v1[2]) * n[2])
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
-        e1, e2 = edges[0], edges[1]
-        frame = v1 + n + (e1.length,) + e1._u + (e2.length,) + e2._u
-        _derive(self, _n=n, edges=edges, _frame=frame, bounding_sphere=_enclosing(*vs))
+        (l1, u1), (l2, u2) = spans[:2]
+        frame = v1 + n + (l1, *u1, l2, *u2)
+        _derive(self, _n=n, _frame=frame, bounding_sphere=_enclosing(*vs))
 
     @property
     def corners(self) -> list:

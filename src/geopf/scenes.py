@@ -10,11 +10,13 @@ between start (0, 1, 0) and goal (0, -1, 0); "longer" variants move the goal
 50% farther out.  Drifting obstacles translate at constant velocity and
 reflect off a containment box so they never reach the start/goal regions.
 
-Each candidate obstacle is sampled as its class and float-tuple fields and
-then tested in this order: its bounding sphere, computed by the class's own
-arithmetic, must lie in the obstacle band; only then is the primitive
-built, and it must keep the generation clearance from start and goal.
-Both kinds of rejection count toward ``MAX_REJECTIONS``.
+Each candidate obstacle is sampled as its class and float-tuple fields.
+Its bounding sphere, computed by the class's own arithmetic, must lie in
+the obstacle band, and only then is the primitive built; each rejection
+counts toward ``MAX_REJECTIONS``.  The band is the whole clearance rule: it
+keeps every bounding sphere within |y| <= ``OBSTACLE_BAND_Y``, so every
+obstacle lies at least 1 - ``OBSTACLE_BAND_Y`` (0.4 m) from the start and
+the goal.
 """
 
 from collections.abc import Sequence
@@ -44,7 +46,6 @@ from .primitives import (
     primitive_fields,
     translated,
 )
-from .queries import distance
 from .seeding import generation_rng
 from .sim import SimParams
 
@@ -57,9 +58,6 @@ WALL_XZ = 0.5
 WALL_Y_MARGIN = 0.2
 OBSTACLE_BAND_XZ = 0.45
 OBSTACLE_BAND_Y = 0.6
-# Clearance used while sampling (the guaranteed invariant is >= 0.05 m).
-GENERATION_CLEARANCE = 0.2
-MIN_CLEARANCE = 0.05
 MAX_DRIFT_SPEED = 0.05
 MAX_REJECTIONS = 10_000
 
@@ -414,14 +412,14 @@ _MIX = ("segment", "segment", "plane", "cube", "cylinder")
 def generate(scene_class: SceneClass, seed: int) -> Scene:
     """Deterministically generate a randomized scene of the given class.
 
-    Each candidate is tested in order: the band test on its bounding sphere
-    (``_inside_box``), computed from the sampled fields before anything is
-    built; then the primitive is built; then the clearance test from start
-    and goal.  A candidate that fails either test is one rejection.
+    Each candidate's bounding sphere, computed from the sampled fields
+    before anything is built, is tested against the band (``_inside_box``);
+    a candidate outside it is one rejection, and one inside it is built.
 
     The maze class is the exception: it returns the fixed geometry of
-    :func:`maze_scene` for every seed, and the seed only seeds the trial's
-    tie-breaks, so a suite of n maze seeds reruns one scene n times.
+    :func:`maze_scene` for every seed.  The seed is stored on the scene and
+    changes nothing else, so a suite of n maze seeds reruns one scene n
+    times.
 
     Raises:
         GenerationFailure: when placement constraints reject 10^4 candidates.
@@ -462,13 +460,8 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
             center = _sample_center(rng, -OBSTACLE_BAND_Y + 0.1, OBSTACLE_BAND_Y - 0.1)
             cls, values = _sample_primitive(rng, kind, center)
             if _inside_box(_BOUNDING[cls](*values), band_lo, band_hi):
-                prim = cls(*values)
-                if (
-                    distance(start, prim) >= GENERATION_CLEARANCE
-                    and distance(goal, prim) >= GENERATION_CLEARANCE
-                ):
-                    primitives.append(prim)
-                    break
+                primitives.append(cls(*values))
+                break
             rejections += 1
             if rejections >= MAX_REJECTIONS:
                 raise GenerationFailure(
@@ -513,7 +506,7 @@ def maze_scene(seed: int = 0) -> Scene:
     The straight start-goal line pierces the central wall; the only passage
     is the rectangular duct between x = 0.15 and the x = +0.5 boundary wall.
     The geometry does not depend on ``seed``; the seed is stored on the
-    scene and only seeds the trial's tie-breaks.
+    scene and changes nothing else.
     """
     x_in, x_out = 0.15, WALL_XZ
     z_half = 0.15

@@ -1,7 +1,7 @@
 """Deterministic RNG derivation.
 
-A scene seed deterministically spawns two independent generators: one
-consumed by scene generation, one owned by each trial for tie-breaking.
+A scene seed deterministically spawns the one generator that scene
+generation consumes.  Nothing after generation draws a random number.
 """
 
 import numpy as np
@@ -10,8 +10,3 @@ import numpy as np
 def generation_rng(seed: int) -> np.random.Generator:
     """Generator used while sampling a scene's obstacles."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0,)))
-
-
-def trial_rng(seed: int) -> np.random.Generator:
-    """Per-trial generator used for force-evaluation tie-breaks."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(1,)))

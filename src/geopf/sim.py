@@ -71,7 +71,6 @@ from .primitives import (
     positive_int,
 )
 from .queries import _kernel_for, _pierce, _plane_contains, _plane_offset
-from .seeding import trial_rng
 
 # With a stall speed set, a trial times out after this many slow steps in a row.
 STALL_WINDOW = 500
@@ -217,7 +216,7 @@ def run_trial(
 
     Args:
         scene: the scene to run (provides start/goal, obstacles, walls,
-            gains, sim params and the seed for the trial RNG).
+            gains and sim params).
         planner: planner instance; default is the geometric planner.
         params: overrides ``scene.sim`` when given.
         keep_states: when False no state is built per step: the record
@@ -287,7 +286,6 @@ def run_trial(
 
         planner = GeoPFPlanner()
     params = scene.sim if params is None else params
-    rng = trial_rng(scene.seed)
     ctx = planner.prepare(scene)
 
     px, py, pz = scene.start
@@ -334,7 +332,7 @@ def run_trial(
             break
 
         t0 = perf()
-        fx, fy, fz = planner.force(ctx, px, py, pz, vx, vy, vz, rng)
+        fx, fy, fz = planner.force(ctx, px, py, pz, vx, vy, vz, None)
         (nx, ny, nz), (nvx, nvy, nvz) = integrate_step(
             (px, py, pz), (vx, vy, vz), (fx, fy, fz), params
         )

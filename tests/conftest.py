@@ -157,6 +157,13 @@ def rect_distance_frame(points, rect: RectPlane):
     return np.linalg.norm(pts - closest, axis=1)
 
 
+def rect_edges(rect: RectPlane) -> list:
+    """The four edges of a rectangle as segments, edge k from corner k + 1
+    to corner k + 2 (1-based, corner 4 to corner 1 for k = 3)."""
+    corners = rect.corners
+    return [Segment(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+
+
 def rect_inside_frame(point, rect: RectPlane, tol=0.0) -> bool:
     """Containment of an on-plane point via projected coordinates."""
     p = np.asarray(point, dtype=float)

@@ -333,7 +333,7 @@ def test_cloud_forces_under_drift_query_each_block_at_the_robot_minus_its_offset
             fx, fy, fz = _attraction(rx, ry, rz, *map(float, scene.goal), scene.gains.k_attr)
             for planner, ctx in ctxs:
                 planner.update(ctx, placed)
-                wall = _wall_terms(ctx, rx, ry, rz, None, False)
+                wall = _wall_terms(ctx, rx, ry, rz, False)
                 near = [
                     list(f(rx, ry, rz, scene, params, placed, ctx.act))
                     for f in (_shifted_near, _translated_near)

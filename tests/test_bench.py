@@ -17,7 +17,9 @@ from geopf import (
     SpherePFPlanner,
     SpherizationParams,
     SuiteReport,
+    TrajectoryRecord,
     TrialMetrics,
+    Verdict,
     VerdictKind,
     compute_metrics,
     distance,
@@ -103,6 +105,33 @@ def test_the_full_step_covers_the_force_only_step():
     metrics = compute_metrics(record, scene)
     assert metrics.full_step == 1e3 * record.full_step_time
     assert metrics.full_step > metrics.ct_per_step
+
+
+_METRICS = dict(
+    success=True, steps=1, ct_per_step=0.1, full_step=0.2, path_length=0.0, min_dist=0.1,
+    avg_dist=0.1,
+)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("path_length", -1e-9, "path_length must be >= 0"),
+        ("steps", 0, "steps must be >= 1"),
+        ("min_dist", 0.1 + 1e-9, "min_dist cannot exceed avg_dist"),
+    ],
+)
+def test_trial_metrics_reject_a_broken_invariant(name, value, message):
+    TrialMetrics(**_METRICS)
+    with pytest.raises(ValueError, match=message):
+        TrialMetrics(**{**_METRICS, name: value})
+
+
+def test_compute_metrics_rejects_a_record_without_states():
+    # ``run_trial`` always records a final state; a hand-built record may not.
+    record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
+    with pytest.raises(ValueError, match="^record has no states$"):
+        compute_metrics(record, None)
 
 
 def _without_step_times(report):

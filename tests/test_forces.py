@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_primitive, rect_edges
 
 from geopf import (
     Cylinder,
@@ -14,14 +15,18 @@ from geopf import (
     RectPlane,
     Scene,
     SceneClass,
+    SimParams,
     Sphere,
     closest_feature,
     generate,
     resultant_force,
+    run_trial,
 )
+from geopf import forces
 from geopf.forces import obstacle_force_term
 from geopf.planners import SKIN
-from geopf.seeding import trial_rng
+from geopf.primitives import axis_frame, cross3
+from geopf.queries import _CAP_TOP, _segment_kernel
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 
@@ -40,7 +45,7 @@ def scene_of(obstacles, boundary=(), gains=GAINS, seed=0):
     )
 
 
-def term(robot, goal, prim, gains=GAINS, rng=None, correction=True):
+def term(robot, goal, prim, gains=GAINS, correction=True):
     """``obstacle_force_term`` of one primitive as a vector, with gain
     ``gains.k_rep``."""
     fx, fy, fz, _ = obstacle_force_term(
@@ -49,7 +54,6 @@ def term(robot, goal, prim, gains=GAINS, rng=None, correction=True):
         prim,
         gains.k_rep,
         gains.activation_radius,
-        rng,
         correction,
     )
     return np.array((fx, fy, fz))
@@ -100,7 +104,7 @@ def test_repulsive_penetration_is_a_zero_term():
     # Inside a volume the term is zero, and the breakdown lists it: the
     # planner leaves the contact to the simulator.
     ball = Sphere((0, 0, 0), 0.5)
-    inside = obstacle_force_term(0.0, 0.1, 0.0, 0.0, 2.0, 0.0, ball, 0.1, 1.0, None, True)
+    inside = obstacle_force_term(0.0, 0.1, 0.0, 0.0, 2.0, 0.0, ball, 0.1, 1.0, True)
     assert inside == (0.0, 0.0, 0.0, -0.4)
     bd = resultant_force((0, 0.1, 0), (0, 2, 0), scene_of([ball]))
     assert [(label, term.tolist()) for label, term in bd.per_obstacle] == [
@@ -126,7 +130,7 @@ def test_plane_correction_redirects_toward_nearest_edge():
     # edge, with the ordinary k/d magnitude (d = 1).
     robot = (0.5, 1.0, 0.0)
     goal = (0.5, -1.0, 0.0)
-    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    f = term(robot, goal, WALL, CORR_GAINS)
     assert np.allclose(f, (0.1, 0, 0), atol=1e-12)
 
 
@@ -135,7 +139,7 @@ def test_plane_correction_sign_flips_past_midline():
     # to the far edge, so the sign rule flips it.
     robot = (-0.5, 1.0, 0.0)
     goal = (-0.5, -1.0, 0.0)
-    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    f = term(robot, goal, WALL, CORR_GAINS)
     assert np.allclose(f, (-0.1, 0, 0), atol=1e-12)
 
 
@@ -144,7 +148,7 @@ def test_plane_correction_inert_when_line_misses():
     # plane outside the rectangle: ordinary (side) repulsion applies.
     robot = (0.5, 1.0, 1.8)
     goal = (0.5, -1.0, 1.8)
-    f = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(0))
+    f = term(robot, goal, WALL, CORR_GAINS)
     cf = closest_feature(robot, WALL)
     expected = (0.1 / cf.distance) * np.asarray(cf.direction)
     assert np.allclose(f, expected)
@@ -157,11 +161,11 @@ def test_plane_correction_inert_when_goal_on_same_side():
 
 
 def test_plane_correction_orthogonal_to_normal():
-    rng = trial_rng(7)
+    rng = np.random.default_rng(7)
     for _ in range(50):
         robot = np.array([rng.uniform(-0.9, 0.9), rng.uniform(0.05, 0.9), rng.uniform(-0.9, 0.9)])
         goal = np.array([rng.uniform(-0.9, 0.9), -rng.uniform(0.05, 0.9), rng.uniform(-0.9, 0.9)])
-        f = term(robot, goal, WALL, CORR_GAINS, rng=rng)
+        f = term(robot, goal, WALL, CORR_GAINS)
         # Either corrected (parallel to the wall) or plain repulsion; the
         # corrected case must be orthogonal to the normal within 1e-9.
         n = WALL.normal
@@ -171,15 +175,76 @@ def test_plane_correction_orthogonal_to_normal():
 
 
 def test_plane_correction_symmetric_tiebreak_deterministic():
-    # Dead-center approach: both parallel edges tie; the RNG nudge picks one,
-    # and the same seed picks the same edge.
+    # Dead-centre approach: all four edges lie at the same distance, and the
+    # tie goes to the lower-numbered edge, edge 0 from (1, 0, 1) to
+    # (-1, 0, 1), so the force turns along +z, with magnitude k/d (d = 0.5).
     robot = (0.0, 0.5, 0.0)
     goal = (0.0, -1.0, 0.0)
-    f1 = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
-    f2 = term(robot, goal, WALL, CORR_GAINS, rng=trial_rng(42))
-    assert np.array_equal(f1, f2)
-    assert np.linalg.norm(f1) == pytest.approx(0.1 / 0.5)
-    assert abs(float(f1 @ WALL.normal)) < 1e-9
+    assert forces._nearest_edge(*robot, WALL) == (0, 1.0)
+    assert term(robot, goal, WALL, CORR_GAINS).tolist() == [0.0, 0.0, 0.1 / 0.5]
+
+
+def _four_edge_nearest(rx, ry, rz, rect):
+    """Reference for ``forces._nearest_edge``: the minimum over the four
+    edges' segment queries, the first of equal distances, and whether n x u,
+    u the edge's unit direction, points away from the edge's closest point
+    (the side that flips the correction).  Also whether the minimum is an
+    exact tie."""
+    edges = rect_edges(rect)
+    results = [_segment_kernel(rx, ry, rz, e) for e in edges]
+    k = min(range(4), key=lambda i: results[i][0])
+    cx, cy, cz = cross3(rect._n, edges[k]._u)
+    fx, fy, fz = results[k][4:7]
+    away = cx * (fx - rx) + cy * (fy - ry) + cz * (fz - rz) < 0.0
+    tie = sum(r[0] == results[k][0] for r in results) > 1
+    return k, away, tie
+
+
+def _region_probes(rng, rect):
+    """``(region, point)`` probes of a rectangle: in each of the nine
+    regions (i, j) of its frame coordinates, i and j being 0 below, 1 within
+    and 2 above [0, L1] and [0, L2], one point on the plane and one on each
+    side of it, at least 1% of the rectangle's size from a region line."""
+    f = rect._frame
+    v1, n, u1, u2 = (np.array(v) for v in (f[0:3], f[3:6], f[7:10], f[11:14]))
+    l1, l2 = f[6], f[10]
+    size = max(l1, l2)
+
+    def coord(region, length):
+        if region == 0:
+            return -rng.uniform(0.01, 2.0) * size
+        if region == 1:
+            return rng.uniform(0.01, 0.99) * length
+        return length + rng.uniform(0.01, 2.0) * size
+
+    for i, j in np.ndindex(3, 3):
+        for h in (0.0, rng.uniform(0.01, 2.0) * size, -rng.uniform(0.01, 2.0) * size):
+            yield (i, j), (v1 + coord(i, l1) * u1 + coord(j, l2) * u2 + h * n).tolist()
+
+
+def test_nearest_edge_matches_the_four_edge_minimum():
+    """The edge and side from the frame coordinates in closed form against
+    the four edges' segment queries, on random rectangles and box faces: the
+    same edge and the same side in all nine regions.  In the four corner
+    regions both edges through the corner measure the same float, and the
+    exact tie goes to the lower-numbered edge in both."""
+    rng = np.random.default_rng(29)
+    rects = [random_primitive(rng, "plane") for _ in range(40)]
+    for _ in range(10):
+        rects.extend(random_primitive(rng, "cube").faces)
+    regions = set()
+    ties = 0
+    for rect in rects:
+        for region, (x, y, z) in _region_probes(rng, rect):
+            k, side = forces._nearest_edge(x, y, z, rect)
+            ref_k, ref_away, tie = _four_edge_nearest(x, y, z, rect)
+            assert (k, side < 0.0) == (ref_k, ref_away), (region, k, side, ref_k)
+            corner = region[0] != 1 and region[1] != 1
+            assert tie == corner, region
+            ties += tie
+            regions.add(region)
+    assert len(regions) == 9
+    assert ties == 4 * 3 * len(rects)
 
 
 # -- cylinder cap correction ------------------------------------------------
@@ -191,7 +256,7 @@ CYL = Cylinder((0, 0, 0), (0, 0, 2), 0.5)
 def test_cap_correction_lateral_when_goal_below():
     # Above the top cap with the goal underneath: intersection at the cap
     # center (inside), so the force turns lateral toward the rim.
-    f = term((0, 0, 3), (0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0, 0, 3), (0, 0, -3), CYL, CORR_GAINS)
     assert np.linalg.norm(f) == pytest.approx(0.1 / 1.0)
     assert abs(f[2]) < 1e-9  # perpendicular to the axis
 
@@ -204,24 +269,36 @@ def test_cap_correction_turns_radially_toward_the_rim(x, y, z, goal_z):
     # Off the axis, one unit beyond a cap, with the goal across the cylinder:
     # the stretch passes through the cap disk, and the force turns to the
     # radial direction, toward the nearest rim point, with magnitude k/d
-    # (d = 1).  No RNG is drawn.
-    rng = trial_rng(3)
-    state = rng.bit_generator.state
-    f = term((x, y, z), (x, y, goal_z), CYL, CORR_GAINS, rng=rng)
+    # (d = 1).
+    f = term((x, y, z), (x, y, goal_z), CYL, CORR_GAINS)
     radial = np.array((x, y, 0.0)) / math.hypot(x, y)
     assert np.allclose(f, 0.1 * radial, rtol=0.0, atol=1e-15)
-    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("cyl", [CYL, Cylinder((0.1, -0.2, 0.3), (0.5, 0.4, -0.2), 0.2)])
+def test_cap_correction_on_the_axis_turns_along_angle_zero(cyl):
+    # On the axis the radial direction is undefined: the correction turns
+    # along the first in-plane axis of ``axis_frame``, angle 0, with the
+    # ordinary magnitude k/d.
+    (ax, ay, az), (bx, by, bz) = cyl.a1, cyl.a2
+    ux, uy, uz = cyl._axis
+    robot = (bx + 0.5 * ux, by + 0.5 * uy, bz + 0.5 * uz)
+    goal = (ax - ux, ay - uy, az - uz)
+    b1 = axis_frame(cyl._axis)[0]
+    assert forces._cap_correction(*robot, *goal, cyl, _CAP_TOP) == b1
+    mag = 0.1 / closest_feature(robot, cyl).distance
+    assert term(robot, goal, cyl, CORR_GAINS).tolist() == [mag * c for c in b1]
 
 
 def test_cap_correction_inert_when_goal_above():
-    f = term((0, 0, 3), (0, 0, 5), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0, 0, 3), (0, 0, 5), CYL, CORR_GAINS)
     assert np.allclose(f, (0, 0, 0.1))
 
 
 def test_cap_correction_inert_when_intersection_outside_disc():
     # Goal below but far to the side: the line crosses the cap plane well
     # outside the disc, so plain axial repulsion applies.
-    f = term((0.2, 0, 3), (4.0, 0, -3), CYL, CORR_GAINS, rng=trial_rng(3))
+    f = term((0.2, 0, 3), (4.0, 0, -3), CYL, CORR_GAINS)
     assert np.allclose(f, (0, 0, 0.1))
 
 
@@ -250,12 +327,11 @@ def test_resultant_hand_summed_example():
 
 
 def test_resultant_superposition_bitexact():
-    rng = trial_rng(11)
     scene = scene_of(
         [Sphere((0.05, 0.4, 0.1), 0.1), Sphere((-0.2, 0.1, 0.0), 0.15)],
         boundary=[RectPlane((1, -1, -1), (1, 1, -1), (1, 1, 1), (1, -1, 1))],
     )
-    bd = resultant_force((0, 0.65, 0), (0, -1, 0), scene, rng=rng)
+    bd = resultant_force((0, 0.65, 0), (0, -1, 0), scene)
     total = bd.attractive
     for _, term in bd.per_obstacle:
         total = total + term
@@ -281,12 +357,12 @@ def test_a_gain_override_sets_its_own_term_and_its_neighbour_keeps_k_rep():
 def test_resultant_direction_away_from_foot():
     # Repulsion points from the closest point toward the robot except in
     # correction branches.
-    rng = trial_rng(5)
+    rng = np.random.default_rng(5)
     prims = [Sphere((0.1, 0.2, -0.1), 0.1), Sphere((-0.2, -0.3, 0.2), 0.12)]
     scene = scene_of(prims)
     for _ in range(50):
         robot = rng.uniform(-0.6, 0.6, size=3)
-        bd = resultant_force(robot, (0, -1, 0), scene, rng=rng)
+        bd = resultant_force(robot, (0, -1, 0), scene)
         for oid, term in bd.per_obstacle:
             idx = int(oid.split("[")[1].rstrip("]"))
             cf = closest_feature(robot, prims[idx])
@@ -302,9 +378,9 @@ def test_resultant_correction_trigger_lateral_kick():
     scene = scene_of([WALL], gains=gains)
     robot = (0.0, 0.1, 0.0)  # k/d = 1 = k_attr at d = 0.1: exact balance
     goal = (0.0, -1.0, 0.0)
-    bd_off = resultant_force(robot, goal, scene, rng=trial_rng(1), correction=False)
+    bd_off = resultant_force(robot, goal, scene, correction=False)
     assert np.linalg.norm(bd_off.resultant) < 1e-9
-    bd_on = resultant_force(robot, goal, scene, rng=trial_rng(1), correction=True)
+    bd_on = resultant_force(robot, goal, scene, correction=True)
     lateral = np.array([bd_on.resultant[0], 0.0, bd_on.resultant[2]])
     assert np.linalg.norm(lateral) >= 0.1 / 0.1 - 1e-9
 
@@ -325,10 +401,8 @@ def test_resultant_is_the_planner_force_bit_for_bit(scene_class):
             for correction in (True, False):
                 planner = GeoPFPlanner(correction)
                 ctx = planner.prepare(scene)
-                got = resultant_force(
-                    robot, scene.goal, scene, rng=trial_rng(n), correction=correction
-                ).resultant
-                want = planner.force(ctx, *robot.tolist(), 0, 0, 0, trial_rng(n))
+                got = resultant_force(robot, scene.goal, scene, correction=correction).resultant
+                want = planner.force(ctx, *robot.tolist(), 0, 0, 0, None)
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
@@ -396,10 +470,10 @@ def test_a_long_lived_context_forces_as_a_fresh_one_bit_for_bit(scene_class):
             robot = robot.tolist()
             anchor = ctx.obstacle_anchor
             planner.update(ctx, placed)
-            got = planner.force(ctx, *robot, 0.0, 0.0, 0.0, trial_rng(n))
+            got = planner.force(ctx, *robot, 0.0, 0.0, 0.0, None)
             fresh = planner.prepare(scene)
             planner.update(fresh, placed)
-            want = planner.force(fresh, *robot, 0.0, 0.0, 0.0, trial_rng(n))
+            want = planner.force(fresh, *robot, 0.0, 0.0, 0.0, None)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (seed, n)
             assert _hexes(ctx.dists) == _hexes(fresh.dists), (seed, n)
             visits += 1
@@ -407,3 +481,23 @@ def test_a_long_lived_context_forces_as_a_fresh_one_bit_for_bit(scene_class):
             active += any(d is not None and d < scene.gains.activation_radius for d in ctx.dists)
     assert reused >= visits // 2
     assert active >= visits // 4
+
+
+def test_a_trial_draws_no_random_number(monkeypatch):
+    # Plane_hard seed 3 turns the trap correction toward rectangle edges in
+    # its first 1,600 steps; the trial runs with numpy's generator
+    # constructor disabled.
+    scene = generate(SceneClass.PLANE_HARD, 3)
+    nearest_edge = forces._nearest_edge
+    corrections = []
+    monkeypatch.setattr(
+        forces, "_nearest_edge", lambda *a: corrections.append(a) or nearest_edge(*a)
+    )
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a trial built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    record = run_trial(scene, GeoPFPlanner(), SimParams(max_steps=1600), keep_states=False)
+    assert record.verdict.step == 1600
+    assert len(corrections) > 0

@@ -1,5 +1,7 @@
 """The package's public surface: one name per query, force and planner path."""
 
+import inspect
+
 import geopf
 
 PUBLIC = [
@@ -58,3 +60,11 @@ def test_the_public_names_are_the_pinned_list_and_all_resolve():
     assert sorted(geopf.__all__) == PUBLIC
     for name in geopf.__all__:
         assert getattr(geopf, name) is not None, name
+
+
+def test_resultant_force_takes_no_generator():
+    # The trap correction is a fixed rule, so the public force breakdown
+    # takes no random generator.
+    signature = inspect.signature(geopf.resultant_force)
+    parameters = signature.replace(return_annotation=inspect.Signature.empty)
+    assert str(parameters) == "(robot, goal, scene, correction=True)"

@@ -10,6 +10,7 @@ from conftest import (
     point_inside,
     random_basis,
     random_primitive,
+    rect_edges,
     rect_inside_frame,
 )
 
@@ -237,7 +238,7 @@ def _plane_side_kernel(rx, ry, rz, plane):
     which clamps the foot's frame coordinates instead."""
     best = None
     best_k = 0
-    for k, edge in enumerate(plane.edges):
+    for k, edge in enumerate(rect_edges(plane)):
         res = queries._segment_kernel(rx, ry, rz, edge)
         if best is None or res[0] < best[0]:
             best = res
@@ -348,7 +349,7 @@ def test_plane_in_plane_near_edges_never_raises():
         rect = random_primitive(rng, "plane")
         center = rect.center
         for _ in range(50):
-            edge = rect.edges[int(rng.integers(4))]
+            edge = rect_edges(rect)[int(rng.integers(4))]
             u = np.array(edge._u)
             on_edge = np.array(edge.p1) + rng.uniform(0.0, edge.length) * u
             outward = np.cross(u, rect.normal)
@@ -385,7 +386,7 @@ def _frame_probes(rng, rect):
     0 or at its edge's length), by the lines and at the corners, on the
     plane and off it, with ``region`` None.  ``gap`` is the distance from
     the nearest region line."""
-    e1, e2 = rect.edges[0], rect.edges[1]
+    e1, e2 = rect_edges(rect)[:2]
     L1, L2 = e1.length, e2.length
     v1, u1, u2, n = (np.array(v) for v in (e1.p1, e1._u, e2._u, rect._n))
     size = max(L1, L2)
@@ -484,7 +485,7 @@ def test_plane_kernel_reads_one_frame_record():
     rng = np.random.default_rng(71)
     feet = others = 0
     for rect in _frame_rects():
-        e1, e2 = rect.edges[0], rect.edges[1]
+        e1, e2 = rect_edges(rect)[:2]
         assert rect._frame == (*e1.p1, *rect._n, e1.length, *e1._u, e2.length, *e2._u)
         nx, ny, nz = rect._n
         for _, (x, y, z), _ in _frame_probes(rng, rect):

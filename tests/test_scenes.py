@@ -29,7 +29,7 @@ from geopf import (
     translated,
 )
 from geopf import scenes
-from geopf.scenes import MIN_CLEARANCE, _drift_offset, document_to_scene, scene_to_document
+from geopf.scenes import OBSTACLE_BAND_Y, _drift_offset, document_to_scene, scene_to_document
 
 
 def doc_bytes(scene):
@@ -59,12 +59,17 @@ def test_different_seeds_differ():
 
 
 def test_start_goal_clearance_invariant():
-    for scene_class in (SceneClass.LINE_HARD, SceneClass.PLANE_HARD, SceneClass.COMPLEX):
+    # The band is the clearance rule: every obstacle of every generated
+    # class lies at least 1 - OBSTACLE_BAND_Y from the start and the goal.
+    clearance = 1.0 - OBSTACLE_BAND_Y
+    for scene_class in SceneClass:
+        if scene_class is SceneClass.MAZE:
+            continue
         for seed in range(15):
             scene = generate(scene_class, seed)
             for obs in scene.obstacles:
-                assert distance(scene.start, obs.primitive) >= MIN_CLEARANCE
-                assert distance(scene.goal, obs.primitive) >= MIN_CLEARANCE
+                assert distance(scene.start, obs.primitive) >= clearance
+                assert distance(scene.goal, obs.primitive) >= clearance
 
 
 def test_class_count_statistics():
@@ -199,15 +204,12 @@ def test_generation_failure_is_reported():
         sc.MAX_REJECTIONS = old
 
 
-# Rejection counts of dynamic_hard seed 0, recorded on the generator that
+# Rejection count of dynamic_hard seed 0, recorded on the generator that
 # built each candidate before it tested the band: 27 candidates fail the band
-# test and none the clearance test; with a clearance of 0.6 m, 39 fail the
-# band and 7 the clearance.  At that many rejections the seed fails, and one
-# more allowed rejection lets it through.
-@pytest.mark.parametrize("clearance, rejections", [(None, 27), (0.6, 46)])
-def test_band_and_clearance_rejections_count_toward_the_limit(monkeypatch, clearance, rejections):
-    if clearance is not None:
-        monkeypatch.setattr(scenes, "GENERATION_CLEARANCE", clearance)
+# test.  At that many rejections the seed fails, and one more allowed
+# rejection lets it through.
+def test_band_rejections_count_toward_the_limit(monkeypatch):
+    rejections = 27
     monkeypatch.setattr(scenes, "MAX_REJECTIONS", rejections)
     with pytest.raises(GenerationFailure, match=f"^dynamic_hard seed 0: {rejections} rejected"):
         generate(SceneClass.DYNAMIC_HARD, 0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_primitive
+from conftest import random_primitive, rect_edges
 
 from geopf import (
     Cube,
@@ -37,7 +37,6 @@ from geopf import forces, primitives, scenes, sim
 from geopf.primitives import DEGENERACY_EPS, SKIN
 from geopf.queries import _kernel_for, _plane_offset
 from geopf.scenes import document_to_scene, scene_to_document
-from geopf.seeding import trial_rng
 from geopf.sim import _crossing
 
 
@@ -242,7 +241,7 @@ def test_contact_by_distance_names_the_nearest_body(case, kind):
     planner = PlannerSpec(kind).build()
     ctx = planner.prepare(scene)
     planner.update(ctx, scene.primitives_at_step(0))
-    assert final.force == planner.force(ctx, *map(float, start), 0.0, 0.0, 0.0, trial_rng(0))
+    assert final.force == planner.force(ctx, *map(float, start), 0.0, 0.0, 0.0, None)
 
 
 class _FallingPlanner:
@@ -561,7 +560,7 @@ def test_crossing_hits_lie_within_the_moves_reach():
         base = random_primitive(rng, "plane")
         kernel = _kernel_for(base)
         v1, n = np.array(base.v1), np.array(base._n)
-        e1, e2 = base.edges[0], base.edges[1]
+        e1, e2 = rect_edges(base)[:2]
         u1, u2 = np.array(e1._u), np.array(e2._u)
         o = rng.uniform(-0.5, 0.5, size=3)
         for case in hits:
