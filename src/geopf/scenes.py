@@ -9,6 +9,10 @@ The randomized benchmark classes place obstacles in the transit corridor
 between start (0, 1, 0) and goal (0, -1, 0); "longer" variants move the goal
 50% farther out.  Drifting obstacles translate at constant velocity and
 reflect off a containment box so they never reach the start/goal regions.
+A drifting obstacle is its base primitive plus a rigid offset, folded on
+a triangle wave per coordinate from a fold row that the scene computes once
+when it is built; a step evaluates the rows in one loop, and a coordinate
+that cannot move, like every offset at time 0, is exactly 0.0.
 
 Each candidate obstacle is sampled as its class and float-tuple fields.
 Its bounding sphere, computed by the class's own arithmetic, must lie in
@@ -96,27 +100,40 @@ class Obstacle:
             object.__setattr__(self, "drift", as_vec3(self.drift, "drift"))
 
 
-def _fold(x0: float, v: float, t: float, lo: float, hi: float) -> float:
-    """Triangle-wave reflection of x0 + v*t inside [lo, hi]."""
-    span = hi - lo
-    if span <= 0.0 or v == 0.0 or t == 0.0:
-        return x0
-    u = (x0 - lo + v * t) % (2.0 * span)
-    return lo + (u if u <= span else 2.0 * span - u)
-
-
-def _drift_offset(drift, t: float) -> tuple:
-    """Offset at time ``t`` of a drifting obstacle's bounding centre, from
-    its fold constants (centre, velocity, lower and upper centre bounds)."""
-    (cx, cy, cz), (vx, vy, vz), (lx, ly, lz), (hx, hy, hz) = drift
-    return (
-        _fold(cx, vx, t, lx, hx) - cx,
-        _fold(cy, vy, t, ly, hy) - cy,
-        _fold(cz, vz, t, lz, hz) - cz,
-    )
-
-
 ZERO_OFFSET = (0.0, 0.0, 0.0)
+
+
+def _fold_row(x0: float, v: float, lo: float, hi: float) -> tuple:
+    """One coordinate's fold row: ``(x0 - lo, v, span, 2*span, lo, x0)``,
+    ``span = hi - lo``.  A coordinate that cannot move (``v == 0`` or
+    ``span <= 0``) gets the zero-amplitude row, whose offset is exactly 0.0
+    at every time."""
+    span = hi - lo
+    if span <= 0.0 or v == 0.0:
+        return (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    return (x0 - lo, v, span, 2.0 * span, lo, x0)
+
+
+def _drift_offsets(rows, t: float, count: int) -> list:
+    """The ``count`` obstacles' offsets at time ``t``: ``ZERO_OFFSET`` for a
+    static obstacle, and for each ``(i, *fold rows)`` of ``rows`` the
+    triangle-wave reflection of the bounding centre inside its range, less
+    the centre.  Per coordinate: ``u = ((x0 - lo) + v*t) % (2*span)``, then
+    ``lo + (u if u <= span else 2*span - u) - x0``.  At ``t == 0`` every
+    offset is exactly zero."""
+    offsets = [ZERO_OFFSET] * count
+    if t == 0.0:
+        return offsets
+    for i, ax, vx, sx, wx, lx, cx, ay, vy, sy, wy, ly, cy, az, vz, sz, wz, lz, cz in rows:
+        ux = (ax + vx * t) % wx
+        uy = (ay + vy * t) % wy
+        uz = (az + vz * t) % wz
+        offsets[i] = (
+            lx + (ux if ux <= sx else wx - ux) - cx,
+            ly + (uy if uy <= sy else wy - uy) - cy,
+            lz + (uz if uz <= sz else wz - uz) - cz,
+        )
+    return offsets
 
 
 class PlacedObstacles(Sequence):
@@ -178,6 +195,13 @@ class Scene:
     and beyond which the body is out of the activation radius.  Rows are
     plain tuples: only an exact tuple unpacks on the interpreter's fast path.
 
+    ``_drifts`` holds one flat row per drifting obstacle, built with the
+    scene: its index, then per coordinate the fold constants ``(x0 - lo, v,
+    span, 2*span, lo, x0)`` of its bounding centre ``x0``, velocity ``v`` and
+    the range ``[lo, lo + span]`` its centre stays in.  A coordinate with
+    ``v == 0`` or ``span <= 0`` holds the zero-amplitude row ``(0, 0, 0, 1,
+    0, 0)``, whose offset is exactly 0.0 at every time.
+
     ``_drift_speed`` is the largest speed of a drifting obstacle, 0 for a
     static scene: no obstacle's offset moves farther than that speed times
     the time between two views, since the fold that reflects it off
@@ -216,17 +240,20 @@ class Scene:
             raise SceneSchemaError("drift needs drift_bounds", f"obstacles[{drifting[0]}].drift")
         base = [obs.primitive for obs in self.obstacles]
         self._at_rest = PlacedObstacles(base, [ZERO_OFFSET] * len(base), 0.0)
-        # Fold constants of each drifting obstacle, by index: its bounding
-        # centre, drift velocity and the range its centre stays in, which
-        # must hold the centre, or the fold would jump it there at once.
-        self._drifts = {}
+        # The range a drifting obstacle's centre stays in must hold the
+        # centre, or the fold would jump it there at once.
+        rows = []
         for i in drifting:
             obs, (lo, hi) = self.obstacles[i], self.drift_bounds
             if not _inside_box(obs.primitive.bounding_sphere, lo, hi):
                 message = "drifting obstacle's bounding sphere must lie inside drift_bounds"
                 raise SceneSchemaError(message, f"obstacles[{i}].drift")
             *centre, r = obs.primitive.bounding_sphere
-            self._drifts[i] = (centre, obs.drift, [v + r for v in lo], [v - r for v in hi])
+            row = (i,)
+            for x0, v, a, b in zip(centre, obs.drift, lo, hi):
+                row += _fold_row(x0, v, a + r, b - r)
+            rows.append(row)
+        self._drifts = tuple(rows)
         speeds = (math.hypot(*self.obstacles[i].drift) for i in drifting)
         self._drift_speed = max(speeds, default=0.0)
         k_rep, act = self.gains.k_rep, self.gains.activation_radius
@@ -252,16 +279,17 @@ class Scene:
 
         Obstacles move before each force evaluation, so step ``i`` sees the
         obstacles at time ``(i + 1) * dt``, the view's ``time``.  Only the
-        offsets of drifting obstacles are computed; static scenes return one
-        shared view whose offsets are all zero and whose time is 0.
+        offsets of drifting obstacles are computed, by one pass over the
+        fold rows of ``_drifts`` with no call per obstacle or coordinate; a
+        static obstacle's offset, and a coordinate that cannot move, is
+        exactly 0.0.  Static scenes return one shared view whose offsets are
+        all zero and whose time is 0.
         """
         if not self._drifts:
             return self._at_rest
         t = (step + 1) * self.sim.dt
-        offsets = list(self._at_rest.offsets)
-        for i, drift in self._drifts.items():
-            offsets[i] = _drift_offset(drift, t)
-        return PlacedObstacles(self._at_rest.base, offsets, t)
+        base = self._at_rest.base
+        return PlacedObstacles(base, _drift_offsets(self._drifts, t, len(base)), t)
 
 
 def corridor_boundary(y_min: float, y_max: float) -> list:
@@ -339,7 +367,9 @@ def _sample_center(rng, y_lo, y_hi) -> tuple:
 
 
 def _sample_primitive(rng, kind: str, center: tuple) -> tuple:
-    """A candidate's class and its fields, the points as float tuples.
+    """A candidate's class and its fields, the points as float tuples;
+    ``kind`` is one of the kinds of ``_CLASS_COUNTS``, ``generate`` and
+    ``_MIX``: "segment", "plane", "cube" or "cylinder".
 
     The arithmetic is numpy's elementwise arithmetic on 3-vectors, one float
     operation per coordinate in the same order, so every field keeps its bits.
@@ -368,11 +398,9 @@ def _sample_primitive(rng, kind: str, center: tuple) -> tuple:
         ]
         rise = _scaled(2.0, hc)
         return Cube, (*bottom, *(_plus(v, rise) for v in bottom))
-    if kind == "cylinder":
-        radius = rng.uniform(0.03, 0.08)
-        half = _scaled(0.5 * rng.uniform(0.1, 0.3), e1)
-        return Cylinder, (_minus(center, half), _plus(center, half), radius)
-    raise ValueError(f"unknown primitive kind {kind!r}")
+    radius = rng.uniform(0.03, 0.08)
+    half = _scaled(0.5 * rng.uniform(0.1, 0.3), e1)
+    return Cylinder, (_minus(center, half), _plus(center, half), radius)
 
 
 # A candidate's bounding sphere from its class and fields, by the arithmetic
@@ -448,10 +476,8 @@ def generate(scene_class: SceneClass, seed: int) -> Scene:
         )
     elif scene_class is SceneClass.DYNAMIC_EASY:
         kinds.extend(_MIX[int(rng.integers(0, len(_MIX)))] for _ in range(int(rng.integers(5, 11))))
-    elif scene_class is SceneClass.DYNAMIC_HARD:
+    else:  # SceneClass.DYNAMIC_HARD, the one class left
         kinds.extend(_MIX[int(rng.integers(0, len(_MIX)))] for _ in range(int(rng.integers(10, 21))))
-    else:
-        raise ValueError(f"no generator for scene class {scene_class}")
 
     rejections = 0
     primitives = []
@@ -625,6 +651,9 @@ class _Reader:
         return f"{self.path}.{key}" if self.path else key
 
     def get(self, key, kind, required=True):
+        """The field ``key`` checked as ``kind``: "number", "int", "string",
+        "vec3", "list", "object" (a nested reader) or "raw" (unchecked, for
+        the caller to check); None for a missing optional field."""
         self.seen.add(key)
         if key not in self.doc:
             if required:
@@ -651,9 +680,7 @@ class _Reader:
             return value
         if kind == "object":
             return _Reader(value, self._label(key))
-        if kind == "raw":
-            return value
-        raise AssertionError(kind)
+        return value  # "raw": the caller checks the value
 
     def finish(self):
         unknown = set(self.doc) - self.seen

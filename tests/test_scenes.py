@@ -29,7 +29,7 @@ from geopf import (
     translated,
 )
 from geopf import scenes
-from geopf.scenes import OBSTACLE_BAND_Y, _drift_offset, document_to_scene, scene_to_document
+from geopf.scenes import OBSTACLE_BAND_Y, _drift_offsets, document_to_scene, scene_to_document
 
 
 def doc_bytes(scene):
@@ -126,10 +126,11 @@ def test_dynamic_containment_over_horizon():
         lo, hi = map(np.asarray, scene.drift_bounds)
         horizon = (scene.sim.max_steps + 1) * scene.sim.dt
         for t in np.linspace(0.0, horizon, 200):
+            offsets = _drift_offsets(scene._drifts, float(t), len(scene.obstacles))
             for i, obs in enumerate(scene.obstacles):
                 if obs.drift is None:
                     continue
-                off = _drift_offset(scene._drifts[i], float(t))
+                off = offsets[i]
                 cx, cy, cz, r = obs.primitive.bounding_sphere
                 c = np.array([cx, cy, cz]) + np.array(off)
                 assert np.all(c - r >= lo - 1e-9)
@@ -139,13 +140,99 @@ def test_dynamic_containment_over_horizon():
 def test_drift_is_continuous_and_starts_at_base():
     scene = generate(SceneClass.DYNAMIC_EASY, 11)
     i = next(i for i, o in enumerate(scene.obstacles) if o.drift is not None)
-    assert _drift_offset(scene._drifts[i], 0.0) == (0.0, 0.0, 0.0)
+    n = len(scene.obstacles)
+    assert _drift_offsets(scene._drifts, 0.0, n)[i] == (0.0, 0.0, 0.0)
     speed = float(np.linalg.norm(scene.obstacles[i].drift))
     prev = np.zeros(3)
     for t in np.linspace(0.0, 60.0, 600):
-        off = np.array(_drift_offset(scene._drifts[i], float(t)))
+        off = np.array(_drift_offsets(scene._drifts, float(t), n)[i])
         assert np.linalg.norm(off - prev) <= speed * 0.1003 + 1e-9
         prev = off
+
+
+def _reference_fold(x0, v, t, lo, hi):
+    """Reference triangle-wave reflection of x0 + v*t inside [lo, hi], with
+    one branch per case that cannot move: the arithmetic, and the operation
+    order, that the scene's fold rows keep bit for bit."""
+    span = hi - lo
+    if span <= 0.0 or v == 0.0 or t == 0.0:
+        return x0
+    u = (x0 - lo + v * t) % (2.0 * span)
+    return lo + (u if u <= span else 2.0 * span - u)
+
+
+def _reference_offsets(scene, t):
+    """Each obstacle's offset at time t: ``_reference_fold`` of its bounding
+    centre, one call per coordinate, in the drift bounds less its radius."""
+    lo, hi = scene.drift_bounds
+    offsets = []
+    for obs in scene.obstacles:
+        *centre, r = obs.primitive.bounding_sphere
+        if obs.drift is None:
+            offsets.append((0.0, 0.0, 0.0))
+            continue
+        fold = zip(centre, obs.drift, lo, hi)
+        offsets.append(tuple(_reference_fold(c, v, t, a + r, b - r) - c for c, v, a, b in fold))
+    return offsets
+
+
+def _bits(offsets):
+    return [tuple(x.hex() for x in offset) for offset in offsets]
+
+
+# Steps 0-9, then out to 400,000 steps (800 s at dt = 2 ms), where the
+# slowest drift, 0.01 m/s, has crossed its range several times.
+_FOLD_STEPS = list(range(10)) + sorted(set(np.geomspace(10, 400_000, 120).astype(int).tolist()))
+
+
+@pytest.mark.parametrize("scene_class", [SceneClass.DYNAMIC_EASY, SceneClass.DYNAMIC_HARD])
+def test_fold_rows_match_the_reference_fold_bit_for_bit(scene_class):
+    for seed in range(20):
+        scene = generate(scene_class, seed)
+        n, dt = len(scene.obstacles), scene.sim.dt
+        assert _bits(_drift_offsets(scene._drifts, 0.0, n)) == _bits([(0.0, 0.0, 0.0)] * n)
+        for step in _FOLD_STEPS:
+            expected = _bits(_reference_offsets(scene, (step + 1) * dt))
+            assert _bits(scene.primitives_at_step(step).offsets) == expected
+        # Each drifting obstacle reflects at least three times along its
+        # fastest coordinate by the last step.
+        lo, hi = scene.drift_bounds
+        t_end = (_FOLD_STEPS[-1] + 1) * dt
+        for obs in scene.obstacles:
+            if obs.drift is not None:
+                *centre, r = obs.primitive.bounding_sphere
+                fold = zip(centre, obs.drift, lo, hi)
+                turns = [abs((c - a - r + v * t_end) // (b - a - 2 * r)) for c, v, a, b in fold]
+                assert max(turns) >= 3
+
+
+@pytest.mark.parametrize(
+    "drift, bounds, still",
+    [
+        ((0.03, 0.0, -0.02), ((-0.3,) * 3, (0.3,) * 3), 1),
+        ((0.03, 0.01, -0.02), ((-0.3, -0.3, -0.05), (0.3, 0.3, 0.05)), 2),
+    ],
+    ids=["zero_velocity", "zero_span"],
+)
+def test_a_coordinate_that_cannot_move_is_exactly_zero_at_every_step(drift, bounds, still):
+    # A sphere of radius 0.05 at (0, 0.1, 0); bounds of half-width 0.05 on
+    # the z axis leave its centre a range of zero span there.  At y = 0.1,
+    # lo + (y - lo) - y is not zero in floats, so the unfolded arithmetic of
+    # a still y would show.
+    scene = Scene(
+        start=(0, 1, 0),
+        goal=(0, -1, 0),
+        obstacles=[Obstacle(Sphere((0, 0.1, 0), 0.05), drift=drift)],
+        boundary=[],
+        drift_bounds=bounds,
+    )
+    moved = set()
+    for step in _FOLD_STEPS:
+        offset = scene.primitives_at_step(step).offsets[0]
+        assert offset[still].hex() == "0x0.0p+0"
+        assert _bits([offset]) == _bits(_reference_offsets(scene, (step + 1) * scene.sim.dt))
+        moved.update(k for k in range(3) if offset[k] != 0.0)
+    assert moved == {0, 1, 2} - {still}
 
 
 def test_static_scene_prims_shared():
@@ -163,12 +250,11 @@ def test_placed_obstacles_match_translated_primitives():
         placed = scene.primitives_at_step(s)
         assert placed.time == (s + 1) * dt
         assert len(placed) == len(scene.obstacles)
+        offsets = _drift_offsets(scene._drifts, (s + 1) * dt, len(scene.obstacles))
+        assert placed.offsets == offsets
         for i, obs in enumerate(scene.obstacles):
             assert placed.base[i] is obs.primitive
-            drift = scene._drifts.get(i)
-            offset = (0.0, 0.0, 0.0) if drift is None else _drift_offset(drift, (s + 1) * dt)
-            assert placed.offsets[i] == offset
-            expected = translated(obs.primitive, offset)
+            expected = translated(obs.primitive, offsets[i])
             got = placed[i]
             assert type(got) is type(expected)
             for f in dataclasses.fields(expected):
@@ -360,20 +446,53 @@ def test_invalid_primitive_geometry_rejected(tmp_path):
 
 
 
+_NOT_A_POINT = "expected [x, y, z] numbers"
+
+
 @pytest.mark.parametrize(
-    "path, value, field",
+    "path, value, message, field",
     [
-        (("obstacles", 0, "p1"), [0.0, 0.0], "obstacles[0].p1"),
-        (("gains", "k_rep"), "high", "gains.k_rep"),
-        (("sim", "max_steps"), 1.5, "sim.max_steps"),
-        (("seed",), -1, "seed"),
-        (("obstacles", 0, "drift"), [0, "x", 0], "obstacles[0].drift"),
-        (("start",), [10**400, 1, 0], "start"),
-        (("gains", "k_rep"), 10**400, "gains.k_rep"),
+        (("obstacles", 0, "p1"), [0.0, 0.0], _NOT_A_POINT, "obstacles[0].p1"),
+        (("gains", "k_rep"), "high", "expected a finite number", "gains.k_rep"),
+        (("sim", "max_steps"), 1.5, "expected an integer", "sim.max_steps"),
+        (("seed",), -1, "seed must be an integer in [0, 2**64), got -1", "seed"),
+        (("obstacles", 0, "drift"), [0, "x", 0], _NOT_A_POINT, "obstacles[0].drift"),
+        (("start",), [10**400, 1, 0], _NOT_A_POINT, "start"),
+        (("gains", "k_rep"), 10**400, "expected a finite number", "gains.k_rep"),
+        (("gains",), 5, "expected an object", "gains"),
+        (("obstacles", 0), "segment", "expected an object", "obstacles[0]"),
+        (("format",), 1, "expected a string", "format"),
+        (("class",), None, "expected a string", "class"),
+        (("obstacles", 0, "type"), 3, "expected a string", "obstacles[0].type"),
+        (("obstacles",), {}, "expected a list", "obstacles"),
+        (("boundary",), "walls", "expected a list", "boundary"),
+        (("boundary", 0), [[0, 0, 0]] * 3, "expected 4 corners", "boundary[0]"),
+        (("drift_bounds",), [[0, 0, 0]], "expected 2 corners", "drift_bounds"),
+        (("obstacles", 0, "type"), "torus", "unknown primitive type 'torus'", "obstacles[0].type"),
+        (("format",), "geopf-scene-v0", "unsupported format 'geopf-scene-v0'", "format"),
     ],
-    ids=["obstacle_point", "gain", "sim_param", "negative_seed", "drift", "huge_start", "huge_gain"],
+    ids=[
+        "obstacle_point",
+        "gain",
+        "sim_param",
+        "negative_seed",
+        "drift",
+        "huge_start",
+        "huge_gain",
+        "block_not_an_object",
+        "obstacle_not_an_object",
+        "format_not_a_string",
+        "class_not_a_string",
+        "type_not_a_string",
+        "obstacles_not_a_list",
+        "boundary_not_a_list",
+        "three_wall_corners",
+        "one_drift_bound",
+        "unknown_type",
+        "unsupported_format",
+    ],
 )
-def test_bad_field_is_reported_at_its_own_path(path, value, field):
+def test_bad_field_is_reported_at_its_own_path(path, value, message, field):
     doc = scene_to_document(generate(SceneClass.LINE_EASY, 0))
     parent = doc
     for key in path[:-1]:
@@ -382,7 +501,15 @@ def test_bad_field_is_reported_at_its_own_path(path, value, field):
     with pytest.raises(SceneSchemaError) as exc:
         document_to_scene(doc)
     assert exc.value.field == field
-    assert str(exc.value).count("(field:") == 1
+    assert str(exc.value) == f"{message} (field: {field})"
+
+
+@pytest.mark.parametrize("doc", [[], "scene", None])
+def test_a_document_that_is_not_an_object_is_reported_at_the_root(doc):
+    with pytest.raises(SceneSchemaError) as exc:
+        document_to_scene(doc)
+    assert exc.value.field == "<root>"
+    assert str(exc.value) == "expected an object (field: <root>)"
 
 
 def test_drift_without_drift_bounds_is_rejected():
