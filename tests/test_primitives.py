@@ -16,9 +16,11 @@ from geopf import (
     Primitive,
     RectPlane,
     Scene,
+    SceneClass,
     Segment,
     SimParams,
     Sphere,
+    generate,
     translated,
 )
 from geopf import primitives, queries
@@ -225,6 +227,50 @@ def test_bounding_sphere_contains_surface(rng):
         pts = sample_surface(prim, 0.02)
         d = np.linalg.norm(pts - np.array([cx, cy, cz]), axis=1)
         assert float(d.max()) <= r + 1e-9
+
+
+def _reference_enclosing(*points):
+    """The bounding sphere of a rectangle or box as ``sum`` and ``max`` over
+    generator expressions: the bits ``primitives._enclosing`` must keep."""
+    n = len(points)
+    cx, cy, cz = (sum(p[k] for p in points) / n for k in range(3))
+    return (cx, cy, cz, max(primitives.norm3(x - cx, y - cy, z - cz) for x, y, z in points))
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _point_sets(rng):
+    """Random 4- and 8-point sets at several scales and offsets, then the
+    edge cases: a -0.0 coordinate, repeated corners and tied maxima."""
+    for n in (4, 8):
+        for scale in (1e-3, 0.1, 1.0, 1e3):
+            for _ in range(250):
+                shift = rng.normal(size=3) * scale * 10
+                yield [tuple((shift + rng.normal(size=3) * scale).tolist()) for _ in range(n)]
+    yield [(-0.0, -0.0, -0.0)] * 4
+    yield [(0.1, -0.0, 0.2), (0.3, -0.0, 0.2), (0.3, -0.0, 0.4), (0.1, -0.0, 0.4)]
+    yield [(-0.0, 0.5, -0.0), (-0.0, 0.5, -0.0), (1.0, 0.5, -0.0), (1.0, 0.5, -0.0)]
+    yield [(0.2, 0.3, 0.4)] * 8
+    square = [(1.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, -1.0, 0.0)]
+    yield square
+    yield [(x, y, z) for x in (-0.3, 0.3) for y in (-0.3, 0.3) for z in (-0.3, 0.3)]
+    yield square + square
+
+
+def test_enclosing_keeps_the_bits_of_sum_and_max(rng):
+    sets = list(_point_sets(rng))
+    # And the corners of generated rectangles, boxes and box faces.
+    for scene in (generate(SceneClass.PLANE_HARD, 0), generate(SceneClass.DYNAMIC_HARD, 0)):
+        for obs in scene.obstacles:
+            for prim in (obs.primitive, *getattr(obs.primitive, "faces", ())):
+                if isinstance(prim, (RectPlane, Cube)):
+                    sets.append([getattr(prim, f.name) for f in fields(prim)])
+    for points in sets:
+        assert _hex(primitives._enclosing(*points)) == _hex(_reference_enclosing(*points))
+    # The -0.0 sum starts from the int 0, so the centroid reads +0.0.
+    assert _hex(primitives._enclosing(*[(-0.0, -0.0, -0.0)] * 4)) == ("0x0.0p+0",) * 4
 
 
 # -- one table per primitive type ---------------------------------------------

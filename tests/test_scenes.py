@@ -30,6 +30,7 @@ from geopf import (
 )
 from geopf import scenes
 from geopf.scenes import OBSTACLE_BAND_Y, _drift_offsets, document_to_scene, scene_to_document
+from geopf.seeding import generation_rng
 
 
 def doc_bytes(scene):
@@ -301,6 +302,60 @@ def test_band_rejections_count_toward_the_limit(monkeypatch):
         generate(SceneClass.DYNAMIC_HARD, 0)
     monkeypatch.setattr(scenes, "MAX_REJECTIONS", rejections + 1)
     generate(SceneClass.DYNAMIC_HARD, 0)
+
+
+# Every (lo, hi) that ``generate`` draws from: the band in x and z, the band
+# in y less 0.1, the segment, plane, cube and cylinder sizes, and the drift
+# speed.
+_DRAW_BOUNDS = [
+    (-scenes.OBSTACLE_BAND_XZ, scenes.OBSTACLE_BAND_XZ),
+    (-OBSTACLE_BAND_Y + 0.1, OBSTACLE_BAND_Y - 0.1),
+    (0.2, 0.4),
+    (0.1, 0.3),
+    (0.08, 0.2),
+    (0.03, 0.08),
+    (0.01, scenes.MAX_DRIFT_SPEED),
+]
+
+
+def test_uniform_draw_has_the_bits_of_generator_uniform():
+    sweep = np.random.default_rng(5).uniform(-10.0, 10.0, size=(200, 2)).tolist()
+    bounds = _DRAW_BOUNDS * 20 + [tuple(sorted(pair)) for pair in sweep]
+    for seed in range(50):
+        ours, numpys = generation_rng(seed), generation_rng(seed)
+        for lo, hi in bounds:
+            got, expected = scenes._uniform(ours, lo, hi), numpys.uniform(lo, hi)
+            assert type(got) is float and type(expected) is float
+            assert got.hex() == expected.hex()
+        # The stream stays aligned: the next draw of another kind agrees.
+        assert ours.normal(size=3).tobytes() == numpys.normal(size=3).tobytes()
+
+
+class _ScriptedNormals:
+    """A generator whose ``normal(size=3)`` returns the given vectors in turn."""
+
+    def __init__(self, *vectors):
+        self._vectors = iter(vectors)
+
+    def normal(self, size):
+        assert size == 3
+        return np.array(next(self._vectors), dtype=float)
+
+
+def test_random_basis_draws_again_for_a_short_or_parallel_pair():
+    a, b = (0.3, -1.2, 0.5), (1.1, 0.4, -0.7)
+    script = _ScriptedNormals(
+        (1e-10, -2e-10, 3e-10), (0.5, 0.5, 0.5),  # |a| < 1e-9
+        (1.0, 2.0, 3.0), (-2.0, -4.0, -6.0),  # b parallel to a
+        a, b,
+    )
+    basis = scenes._random_basis(script)
+    assert next(script._vectors, None) is None
+    assert basis == scenes._random_basis(_ScriptedNormals(a, b))
+    e1, e2, e3 = map(np.array, basis)
+    assert np.allclose(e1, np.array(a) / np.linalg.norm(a), rtol=0, atol=1e-15)
+    assert np.allclose(np.vstack(basis) @ np.vstack(basis).T, np.eye(3), rtol=0, atol=1e-15)
+    assert np.dot(np.cross(e1, e2), e3) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_walls_of_one_extent_are_shared():
