@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, _span, axis_frame, cross3, positive
+from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame, positive
 from .queries import (
     _CAP_BOTTOM,
     _CAP_TOP,
@@ -100,7 +100,9 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane):
     frame coordinates (the arithmetic of ``queries._plane_kernel``) and
     e_s, e_t the excess of s and t outside [0, L1] and [0, L2], the four
     distances are sqrt(h^2 + (t^2 + e_s^2)), sqrt(h^2 + ((s - L1)^2 + e_t^2)),
-    sqrt(h^2 + ((t - L2)^2 + e_s^2)) and sqrt(h^2 + (s^2 + e_t^2)).  The
+    sqrt(h^2 + ((t - L2)^2 + e_s^2)) and sqrt(h^2 + (s^2 + e_t^2)), the exact
+    distances, up to rounding, to the edges of the rectangle that the
+    orthonormal frame spans, each to the point the edge's clamp gives.  The
     inner parentheses make the two edges through a corner measure the same
     float, as their segment queries do; a tie goes to the lower-numbered
     edge.  The side is t, L1 - s, L2 - t or s for edge k: below zero when
@@ -127,8 +129,11 @@ def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane):
     """Surface-parallel corrected direction of a rectangle, or None when the
     robot-goal stretch does not pierce it.
 
-    The returned unit direction is n x u, n the rectangle's normal and u the
-    nearest edge's unit direction from its corners, signed toward that edge.
+    The returned unit direction is the outward in-plane normal of the
+    nearest edge k, read off the orthonormal frame (``RectPlane._frame``) as
+    -u2, u1, u2 or -u1 for k = 0..3, which is n x u_k for u_k the edge's
+    unit direction, and is flipped when the robot's foot lies beyond the
+    edge's line (``_nearest_edge``'s side below zero).
     """
     hit = _pierce(rx, ry, rz, gx, gy, gz, plane.v1, plane._n)
     if hit is None:
@@ -137,14 +142,10 @@ def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane):
     if not _plane_contains(px, py, pz, plane):
         return None
     k, side = _nearest_edge(rx, ry, rz, plane)
-    corners = plane.corners
-    # From the edge's own corners: for edges 2 and 3, minus the frame axes
-    # differs from that in the last bits, which moves trajectories.
-    _, u = _span(corners[k], corners[(k + 1) % 4], "zero-length edge")
-    cx, cy, cz = cross3(plane._n, u)
+    _, _, _, _, _, _, _, ax, ay, az, _, bx, by, bz = plane._frame
     if side < 0.0:
-        return (-cx, -cy, -cz)
-    return (cx, cy, cz)
+        k ^= 2  # the opposite edge's outward normal is the flipped one
+    return ((-bx, -by, -bz), (ax, ay, az), (bx, by, bz), (-ax, -ay, -az))[k]
 
 
 def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind):

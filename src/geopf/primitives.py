@@ -251,10 +251,15 @@ class RectPlane:
 
     Corners must be coplanar and consecutive edges orthogonal; both are
     checked on construction.  Edge k runs in corner order: (v1, v2),
-    (v2, v3), (v3, v4), (v4, v1).  ``_frame`` is the rectangle's own frame
-    as one float record: corner v1, the unit normal ``_n``, then the length
-    and unit direction (``_span``) of edge 0 (v1->v2) and edge 1 (v2->v3),
+    (v2, v3), (v3, v4), (v4, v1).  ``_frame`` is the rectangle's own
+    orthonormal frame as one float record: corner v1, the unit normal
+    ``_n``, the length L1 and unit direction u1 (``_span``) of edge 0
+    (v1->v2), then the length L2 of edge 1 (v2->v3) and u2 = u1 x n,
     ``(ox, oy, oz, nx, ny, nz, L1, u1x, u1y, u1z, L2, u2x, u2y, u2z)``.
+    The queries, the crossing test and the trap correction read the
+    rectangle v1 + [0, L1] u1 + [0, L2] u2 that the frame spans; its corners
+    lie within ``ORTHO_TOL`` (L1 + L2) of the given ones, which the scene
+    file, the sphere clouds and ``bounding_sphere`` read.
     """
 
     scene_type: typing.ClassVar[str] = "plane"
@@ -286,8 +291,8 @@ class RectPlane:
         off = abs((v4[0] - v1[0]) * n[0] + (v4[1] - v1[1]) * n[1] + (v4[2] - v1[2]) * n[2])
         if off > COPLANAR_TOL:
             raise ValueError(f"rectangle corners are not coplanar (offset {off:.3e} m)")
-        (l1, u1), (l2, u2) = spans[:2]
-        frame = v1 + n + (l1, *u1, l2, *u2)
+        (l1, u1), (l2, _) = spans[:2]
+        frame = v1 + n + (l1, *u1, l2, *cross3(u1, n))
         _derive(self, _n=n, _frame=frame, bounding_sphere=_enclosing(*vs))
 
     @property

@@ -13,16 +13,17 @@ values.  ``_kernel_for`` maps each primitive type to its kernel.
 Distances are positive outside a primitive, zero on its surface and negative
 (penetration depth) inside volumetric primitives.
 
-A rectangle is one clamp in its own frame (``RectPlane._frame``), the box
-clamp in two dimensions: the robot's foot's coordinates (s, t) along the
-first two edges from corner v1 (``_plane_frame``) are clamped to
-[0, L1] x [0, L2], and the distance is measured to the clamped point.  None
+A rectangle is one clamp in its own orthonormal frame (``RectPlane._frame``),
+the box clamp in two dimensions: the robot's foot's coordinates (s, t) along
+u1 and u2 = u1 x n from corner v1 (``_plane_frame``) are clamped to
+[0, L1] x [0, L2], and the distance is measured to the clamped point, the
+exact nearest point, up to rounding, of the rectangle the frame spans.  None
 clamped, the foot is the closest point (ORTHOGONAL); one, an EDGE; both, a
 corner.  Reference: Ericson, *Real-Time Collision Detection*, 2004, section
-5.1.  ``_plane_contains`` is the same frame test.  ``_pierce`` finds where
-a straight move crosses a plane; with the frame test it tells the
-simulator's crossing check and the trap correction whether a rectangle was
-pierced.
+5.1.  ``_plane_contains`` is the same frame test, on the same rectangle.
+``_pierce`` finds where a straight move crosses a plane; with the frame test
+it tells the simulator's crossing check and the trap correction whether a
+rectangle was pierced.
 
 A box is one clamp in its own frame (``Cube._frame``): the robot's
 coordinates along the three edge axes from corner v1 are clamped to the
@@ -186,9 +187,9 @@ def _plane_offset(rx, ry, rz, plane: RectPlane):
 
 def _plane_frame(fx, fy, fz, plane: RectPlane):
     """Coordinates (s, t) of a point on the supporting plane in the
-    rectangle's own frame (``RectPlane._frame``): with v1 the first corner
-    and u1, u2 the unit directions of the first two edges, s = (f - v1).u1
-    and t = (f - v1).u2.
+    rectangle's own orthonormal frame (``RectPlane._frame``): with v1 the
+    first corner, u1 the first edge's unit direction and u2 = u1 x n,
+    s = (f - v1).u1 and t = (f - v1).u2.
     """
     ox, oy, oz, _, _, _, _, ux, uy, uz, _, vx, vy, vz = plane._frame
     wx, wy, wz = fx - ox, fy - oy, fz - oz
@@ -199,7 +200,8 @@ def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
     """Whether a point on the supporting plane lies in the closed rectangle:
     its frame coordinates (``_plane_frame``) lie in [0, L1] x [0, L2], L1
     and L2 being the first two edges' lengths (``_frame[6]`` and
-    ``_frame[10]``).  The boundary is inclusive.
+    ``_frame[10]``): the rectangle the kernel measures.  The boundary is
+    inclusive.
     """
     s, t = _plane_frame(fx, fy, fz, plane)
     frame = plane._frame

@@ -181,6 +181,13 @@ def _body(prim: Primitive, label: str, gain: float, act: float) -> tuple:
     return (prim, label, gain, cx, cy, cz, (act + r) ** 2, isinstance(prim, RectPlane))
 
 
+def _check_type(value, cls, name: str):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_seed(seed) -> int:
     """The seed as an int: an integer in [0, 2**64), numpy's included."""
     try:
@@ -236,9 +243,12 @@ class Scene:
         self.goal = as_vec3(self.goal, "goal")
         self.seed = _check_seed(self.seed)
         self.obstacles, self.boundary = tuple(self.obstacles), tuple(self.boundary)
+        for i, obs in enumerate(self.obstacles):
+            _check_type(obs, Obstacle, f"obstacles[{i}]")
         for j, wall in enumerate(self.boundary):
-            if not isinstance(wall, RectPlane):
-                raise ValueError(f"boundary[{j}] must be a RectPlane, got {type(wall).__name__}")
+            _check_type(wall, RectPlane, f"boundary[{j}]")
+        _check_type(self.gains, Gains, "gains")
+        _check_type(self.sim, SimParams, "sim")
         drifting = [i for i, obs in enumerate(self.obstacles) if obs.drift is not None]
         if self.drift_bounds is not None:
             lo, hi = self.drift_bounds

@@ -31,14 +31,8 @@ takes those values instead of querying again: each is the same kernel at
 the same shifted point, so the recorded distances keep every bit.  The
 contact test starts from their minimum.  The crossing test then skips every
 rectangle and wall farther from the move's start than the move's reach, its
-length plus a small margin: a pierced closed rectangle holds a point of the
-move, and every point of the move lies within its length of the start.  The
-margin covers rounding and rectangles whose corners are off a right angle
-within tolerance.  The rectangle kernel clamps the same frame coordinates
-that the crossing's frame test reads, but in a frame skewed within
-``ORTHO_TOL`` the clamped point is not the rectangle's exact nearest point:
-the kernel may put a pierced rectangle slightly beyond the move's length, so
-the margin stays.
+length plus ``DEGENERACY_EPS`` for rounding: a pierced rectangle lies within
+the move's length.
 
 A wall is measured only when it can be touched or crossed.  A rectangle is
 never nearer than its supporting plane, so a wall whose plane lies beyond
@@ -60,16 +54,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .primitives import (
-    _REACH,
-    COPLANAR_TOL,
-    DEGENERACY_EPS,
-    ORTHO_TOL,
-    SKIN,
-    RectPlane,
-    positive,
-    positive_int,
-)
+from .primitives import _REACH, DEGENERACY_EPS, SKIN, RectPlane, positive, positive_int
 from .queries import _kernel_for, _pierce, _plane_contains, _plane_offset
 
 # With a stall speed set, a trial times out after this many slow steps in a row.
@@ -196,14 +181,6 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     return hit if _plane_contains(cx, cy, cz, plane) else None
 
 
-def _skew_margin(rects) -> float:
-    """How far the frame test of ``_crossing`` may accept a point beyond the
-    distance the rectangle's kernel measures, for the largest of ``rects``:
-    2 ``ORTHO_TOL`` (L1 + L2) + ``COPLANAR_TOL`` (see ``run_trial``)."""
-    size = max((r._frame[6] + r._frame[10] for r in rects), default=0.0)
-    return 2.0 * ORTHO_TOL * size + COPLANAR_TOL
-
-
 def run_trial(
     scene,
     planner=None,
@@ -263,22 +240,10 @@ def run_trial(
     The distances recorded after a force call reuse the ones the planner
     left in ``ctx.dists``, when its context has that field, and query only
     the other obstacles; the goal step and a crossing point are measured
-    afresh.  A move of length m can pierce only a rectangle within m of its
-    start, so ``_crossing`` runs only for the rectangles and walls whose
-    distance there is at most the reach, m + ``DEGENERACY_EPS`` + the skew
-    margin.  ``DEGENERACY_EPS`` covers rounding in the kernel and in the
-    crossing point.  The skew margin covers rectangles whose corners are off
-    a right angle by up to ``ORTHO_TOL``, which ``RectPlane`` accepts.  The
-    kernel clamps the frame coordinates (s, t) that the frame test of
-    ``_crossing`` reads, but in a skewed frame they are projections onto
-    the axes u1 and u2, not coordinates along them: the clamped point
-    v1 + s' u1 + t' u2 lies up to about ``ORTHO_TOL`` (L1 + L2) from the
-    point whose projections are (s', t'), so the kernel may measure a point
-    that the frame test accepts as farther than it is.  The margin is
-    ``_skew_margin``, 2 ``ORTHO_TOL`` (L1 + L2) + ``COPLANAR_TOL`` of the
-    largest rectangle, computed once per trial.  Its ``COPLANAR_TOL`` term
-    covered an edge through a fourth corner off the plane; neither the
-    kernel nor the frame test reads that corner now, so it is slack.
+    afresh.  A pierced rectangle lies within the move's length, so
+    ``_crossing`` runs only for the rectangles and walls whose distance at
+    the move's start is at most the reach, the move's length m +
+    ``DEGENERACY_EPS``.
     """
     stall_speed = None if stall_speed is None else positive(stall_speed, "stall_speed")
     if planner is None:
@@ -297,7 +262,6 @@ def run_trial(
     kernels = [_kernel_for(prim) for prim, *_ in bodies[:n]]
     walls = [(j, _kernel_for(prim), prim) for j, (prim, *_) in enumerate(bodies[n:], n)]
     obstacle_rects = [(k, prim) for k, (prim, *_, is_rect) in enumerate(bodies[:n]) if is_rect]
-    pad = DEGENERACY_EPS + _skew_margin(prim for prim, *_, is_rect in bodies if is_rect)
     near_walls, wall_anchor, wall_limit = [], (math.inf, 0.0, 0.0), 0.0
 
     record = TrajectoryRecord(states=[], verdict=Verdict(VerdictKind.TIMEOUT))
@@ -344,7 +308,7 @@ def run_trial(
             states.append(TrajState(step_index, (px, py, pz), (vx, vy, vz), (fx, fy, fz), md))
 
         move = math.sqrt((nx - px) ** 2 + (ny - py) ** 2 + (nz - pz) ** 2)
-        reach = move + pad
+        reach = move + DEGENERACY_EPS
         # The wall candidate list (see above), rebuilt once the robot's move
         # since it was built, plus the reach, comes to its limit.
         ax, ay, az = wall_anchor

@@ -164,6 +164,21 @@ def rect_edges(rect: RectPlane) -> list:
     return [Segment(corners[k], corners[(k + 1) % 4]) for k in range(4)]
 
 
+def frame_corners(rect: RectPlane) -> list:
+    """The four corners of the rectangle that ``RectPlane._frame`` spans:
+    v1, v1 + L1 u1, v1 + L1 u1 + L2 u2 and v1 + L2 u2, as float tuples."""
+    ox, oy, oz, _, _, _, l1, ax, ay, az, l2, bx, by, bz = rect._frame
+    c2 = (ox + l1 * ax, oy + l1 * ay, oz + l1 * az)
+    c3 = (c2[0] + l2 * bx, c2[1] + l2 * by, c2[2] + l2 * bz)
+    return [(ox, oy, oz), c2, c3, (ox + l2 * bx, oy + l2 * by, oz + l2 * bz)]
+
+
+def frame_edges(rect: RectPlane) -> list:
+    """``rect_edges`` of the rectangle that the frame spans (``frame_corners``)."""
+    corners = frame_corners(rect)
+    return [Segment(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+
+
 def rect_inside_frame(point, rect: RectPlane, tol=0.0) -> bool:
     """Containment of an on-plane point via projected coordinates."""
     p = np.asarray(point, dtype=float)

@@ -6,6 +6,7 @@ import typing
 
 import numpy as np
 import pytest
+from conftest import frame_corners
 
 from geopf import (
     Cube,
@@ -93,6 +94,49 @@ def test_rect_plane_normal_orthogonal_to_edges(rng):
         n = p.normal
         assert abs(float(n @ np.subtract(p.v2, p.v1))) < 1e-9
         assert abs(float(n @ np.subtract(p.v4, p.v1))) < 1e-9
+
+
+def _frame_gap(rect):
+    """The largest distance from a corner of the rectangle the frame spans
+    to the given corner it stands for."""
+    return max(math.dist(f, c) for f, c in zip(frame_corners(rect), rect.corners))
+
+
+def test_rect_frame_is_orthonormal_and_spans_the_given_corners():
+    """Every rectangle, box face and wall of plane_hard, plane_easy, complex,
+    dynamic_hard and the maze, seeds 0-39: u2 is u1 x n bit for bit, u1 and
+    u2 are orthonormal to rounding, and the frame's corners lie within
+    1e-15 m of the given corners and inside the body's bounding sphere."""
+    classes = (SceneClass.PLANE_HARD, SceneClass.PLANE_EASY, SceneClass.COMPLEX,
+               SceneClass.DYNAMIC_HARD, SceneClass.MAZE)
+    count = 0
+    for scene_class in classes:
+        for seed in range(40):
+            for prim, *_ in generate(scene_class, seed).bodies:
+                if isinstance(prim, Cube):
+                    rects = prim.faces
+                elif isinstance(prim, RectPlane):
+                    rects = (prim,)
+                else:
+                    continue
+                *centre, r = prim.bounding_sphere
+                for rect in rects:
+                    u1, u2 = rect._frame[7:10], rect._frame[11:14]
+                    assert u2 == primitives.cross3(u1, rect._n)
+                    assert abs(sum(a * b for a, b in zip(u1, u2))) <= 1e-15
+                    assert abs(math.hypot(*u2) - 1.0) <= 1e-15
+                    assert _frame_gap(rect) <= 1e-15
+                    assert max(math.dist(f, centre) for f in frame_corners(rect)) <= r + 1e-15
+                    count += 1
+    assert count == 3843
+
+
+def test_a_skewed_rect_frame_stays_within_the_orthogonality_tolerance():
+    """Corners off a right angle by 9e-10, which ``RectPlane`` accepts: the
+    frame's corners lie within ``ORTHO_TOL`` (L1 + L2) of the given ones."""
+    rect = RectPlane((0, 0, 0), (1, 0, 0), (1 + 9e-10, 1, 0), (9e-10, 1, 0))
+    l1, l2 = rect._frame[6], rect._frame[10]
+    assert 8e-10 < _frame_gap(rect) <= primitives.ORTHO_TOL * (l1 + l2)
 
 
 def test_cube_face_decoding():

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     PRIMITIVE_KINDS,
     SampledOracle,
+    frame_edges,
     point_inside,
     random_basis,
     random_primitive,
@@ -29,7 +30,7 @@ from geopf import (
     translated,
 )
 from geopf import queries
-from geopf.primitives import CUBE_FACE_CORNERS, DEGENERACY_EPS
+from geopf.primitives import CUBE_FACE_CORNERS, DEGENERACY_EPS, cross3
 from geopf.queries import _kernel_for
 
 UNIT_SQUARE = RectPlane((1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0))
@@ -231,14 +232,15 @@ def _four_indicator_inside(fx, fy, fz, plane):
 _RECT_EDGE_IDS = ((1, 2), (2, 3), (3, 4), (4, 1))
 
 
-def _plane_side_kernel(rx, ry, rz, plane):
-    """The nearest boundary feature as the minimum over the four edges'
-    segment queries, keeping the first of equal distances, with corner ids
-    in the payload: the four-edge reference for ``queries._plane_kernel``,
-    which clamps the foot's frame coordinates instead."""
+def _plane_side_kernel(rx, ry, rz, edges):
+    """The nearest boundary feature as the minimum over the segment queries
+    of a rectangle's four ``edges``, keeping the first of equal distances,
+    with corner ids in the payload: the four-edge reference for
+    ``queries._plane_kernel``, which clamps the foot's frame coordinates
+    instead."""
     best = None
     best_k = 0
-    for k, edge in enumerate(rect_edges(plane)):
+    for k, edge in enumerate(edges):
         res = queries._segment_kernel(rx, ry, rz, edge)
         if best is None or res[0] < best[0]:
             best = res
@@ -252,9 +254,9 @@ def _plane_side_kernel(rx, ry, rz, plane):
     return best[:7] + (FeatureKind.SIDE_VERTEX_2, (ids[1],))
 
 
-def _rect_query(inside, rx, ry, rz, plane):
+def _rect_query(inside, edges, rx, ry, rz, plane):
     """The rectangle query with containment test ``inside``: the
-    perpendicular foot inside, else the four-edge minimum, which raises
+    perpendicular foot inside, else the minimum over ``edges``, which raises
     ``DegenerateVector`` when the robot touches an edge."""
     off = queries._plane_offset(rx, ry, rz, plane)
     nx, ny, nz = plane._n
@@ -263,21 +265,22 @@ def _rect_query(inside, rx, ry, rz, plane):
         if off >= 0.0:
             return (off, nx, ny, nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
         return (-off, -nx, -ny, -nz, fx, fy, fz, FeatureKind.ORTHOGONAL, ())
-    return _plane_side_kernel(rx, ry, rz, plane)
+    return _plane_side_kernel(rx, ry, rz, edges)
 
 
 def _four_indicator_plane_kernel(rx, ry, rz, plane):
     """The paper's rectangle query: the perpendicular foot when the
     four-indicator test puts it inside, else the nearest boundary feature."""
-    return _rect_query(_four_indicator_inside, rx, ry, rz, plane)
+    return _rect_query(_four_indicator_inside, rect_edges(plane), rx, ry, rz, plane)
 
 
 def _four_edge_plane_kernel(rx, ry, rz, plane):
-    """The rectangle query with the four-edge minimum outside, the
-    reference for ``queries._plane_kernel``'s clamp: a touched edge is a
-    contact at distance 0 along the normal on the robot's side."""
+    """The rectangle query with the four-edge minimum outside, over the
+    edges of the rectangle the frame spans (``frame_edges``): the reference
+    for ``queries._plane_kernel``'s clamp.  A touched edge is a contact at
+    distance 0 along the normal on the robot's side."""
     try:
-        return _rect_query(queries._plane_contains, rx, ry, rz, plane)
+        return _rect_query(queries._plane_contains, frame_edges(plane), rx, ry, rz, plane)
     except DegenerateVector:
         off = queries._plane_offset(rx, ry, rz, plane)
         nx, ny, nz = plane._n
@@ -385,8 +388,9 @@ def _frame_probes(rng, rect):
     of the nine regions.  Then 1e-16 to 1e-9 m from a region line (s or t at
     0 or at its edge's length), by the lines and at the corners, on the
     plane and off it, with ``region`` None.  ``gap`` is the distance from
-    the nearest region line."""
-    e1, e2 = rect_edges(rect)[:2]
+    the nearest region line.  u2 is the direction of the frame's own edge
+    from its second corner to its third (``frame_edges``)."""
+    e1, e2 = frame_edges(rect)[:2]
     L1, L2 = e1.length, e2.length
     v1, u1, u2, n = (np.array(v) for v in (e1.p1, e1._u, e2._u, rect._n))
     size = max(L1, L2)
@@ -475,10 +479,11 @@ def test_plane_kernel_makes_no_segment_query(monkeypatch):
 
 
 def test_plane_kernel_reads_one_frame_record():
-    """``RectPlane._frame`` is corner v1, the normal, and the length and
-    unit direction of the first two edges.  On every probe the kernel
-    returns the foot result, the offset of ``_plane_offset`` along the
-    normal on the robot's side at the foot, bit for bit, when
+    """``RectPlane._frame`` is corner v1, the normal, the length and unit
+    direction u1 of the first edge, the second edge's length and
+    u2 = u1 x n.  On every probe the kernel returns the foot result, the
+    offset of ``_plane_offset`` along the normal on the robot's side at the
+    foot, bit for bit, when
     ``_plane_contains`` accepts the foot.  Otherwise it returns no
     ORTHOGONAL result at d != 0: off the boundary it names an edge or a
     corner, and on it a contact at distance 0."""
@@ -486,7 +491,8 @@ def test_plane_kernel_reads_one_frame_record():
     feet = others = 0
     for rect in _frame_rects():
         e1, e2 = rect_edges(rect)[:2]
-        assert rect._frame == (*e1.p1, *rect._n, e1.length, *e1._u, e2.length, *e2._u)
+        u2 = cross3(e1._u, rect._n)
+        assert rect._frame == (*e1.p1, *rect._n, e1.length, *e1._u, e2.length, *u2)
         nx, ny, nz = rect._n
         for _, (x, y, z), _ in _frame_probes(rng, rect):
             got = queries._plane_kernel(x, y, z, rect)

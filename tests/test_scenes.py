@@ -721,3 +721,20 @@ def test_a_wall_that_is_not_a_rectangle_is_rejected():
     walls[1] = Sphere((0.5, 0, 0), 0.1)
     with pytest.raises(ValueError, match=r"^boundary\[1\] must be a RectPlane, got Sphere$"):
         Scene(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[], boundary=walls)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("obstacles", [Sphere((0, 0.3, 0), 0.1)], r"^obstacles\[0\] must be an Obstacle, got Sphere$"),
+        ("obstacles", [None], r"^obstacles\[0\] must be an Obstacle, got NoneType$"),
+        ("obstacles", ["x"], r"^obstacles\[0\] must be an Obstacle, got str$"),
+        ("gains", None, r"^gains must be a Gains, got NoneType$"),
+        ("sim", Gains(), r"^sim must be a SimParams, got Gains$"),
+    ],
+)
+def test_a_scene_field_of_the_wrong_type_is_rejected(field, value, message):
+    fields = dict(start=(0, 1, 0), goal=(0, -1, 0), obstacles=[], boundary=[])
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        Scene(**fields)

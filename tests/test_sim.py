@@ -28,6 +28,7 @@ from geopf import (
     distance,
     generate,
     integrate_step,
+    maze_scene,
     run_trial,
     trajectory_lines,
     translated,
@@ -293,13 +294,13 @@ def test_crossing_of_a_skewed_rectangle_is_found(role):
     """A rectangle whose corners are off a right angle by nearly
     ``ORTHO_TOL`` (``RectPlane`` accepts it).  The move from (-1e-4, 0.5,
     1e-9) to (1e-12, 0.5, -1e-18) crosses its plane at x = 9e-13, which the
-    frame test of ``_crossing`` puts inside, while its kernel puts the start
-    4.5e-10 m farther away than the move is long.  The trial still ends at
-    the crossing."""
+    frame test of ``_crossing`` puts inside.  The kernel measures the
+    rectangle the same orthonormal frame spans, so it puts the start 1e-12 m
+    within the move's length, and the trial ends at the crossing."""
     rect = RectPlane((0, 0, 0), (1, 0, 0), (1 + 9e-10, 1, 0), (9e-10, 1, 0))
     p, q = (-1e-4, 0.5, 1e-9), (1e-12, 0.5, -1e-18)
     move = math.dist(p, q)
-    assert _kernel_for(rect)(*p, rect)[0] > move + 4e-10
+    assert _kernel_for(rect)(*p, rect)[0] == pytest.approx(move - 1e-12, abs=1e-14)
     assert _crossing(*p, *q, rect) is not None
     scene = Scene(
         start=p,
@@ -603,24 +604,21 @@ def test_crossing_hits_lie_within_the_moves_reach():
 def test_step_loop_tests_crossings_only_within_reach(monkeypatch):
     """``_crossing`` runs only for the rectangles and walls that the step's
     distances put within the move's reach: its length plus
-    ``DEGENERACY_EPS`` and the skew margin of the scene's rectangles."""
-    scene = generate(SceneClass.PLANE_HARD, 0)
-    rects = [prim for prim, *_, is_rect in scene.bodies if is_rect]
-    pad = DEGENERACY_EPS + sim._skew_margin(rects)
-    assert 0.0 < pad < 1e-8
+    ``DEGENERACY_EPS``.  The maze's trial runs it 117 times before it ends
+    on its contact at step 2442."""
+    scene = maze_scene()
     crossing = sim._crossing
     reached = []
 
     def checked(px, py, pz, qx, qy, qz, plane):
         d = _kernel_for(plane)(px, py, pz, plane)[0]
-        reached.append(d <= _move_length(px, py, pz, qx, qy, qz) + pad)
+        reached.append(d <= _move_length(px, py, pz, qx, qy, qz) + DEGENERACY_EPS)
         return crossing(px, py, pz, qx, qy, qz, plane)
 
     monkeypatch.setattr(sim, "_crossing", checked)
-    record = run_trial(scene, params=dataclasses.replace(scene.sim, max_steps=300))
-    assert record.verdict.step == 300  # the whole budget ran
-    assert any(isinstance(obs.primitive, RectPlane) for obs in scene.obstacles)
-    assert all(reached)
+    record = run_trial(scene, keep_states=False)
+    assert record.verdict == Verdict(VerdictKind.COLLISION, "obstacle[5]", 2442)
+    assert len(reached) == 117 and all(reached)
 
 
 def test_walls_are_measured_only_within_the_moves_reach(monkeypatch):
