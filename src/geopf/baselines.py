@@ -23,6 +23,7 @@ import numpy as np
 from .forces import _repulsion
 from .primitives import (
     DEGENERACY_EPS,
+    CUBE_FACE_CORNERS,
     Cube,
     Cylinder,
     Primitive,
@@ -119,10 +120,10 @@ def sphere_cloud(prim: Primitive, params: SpherizationParams) -> list:
         v1, v2, _, v4 = prim.corners
         return _records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r)
     if isinstance(prim, Cube):
+        vs = [getattr(prim, f.name) for f in fields(prim)]
         out = []
-        for face in prim.faces:
-            v1, v2, _, v4 = face.corners
-            out.extend(_records(_line_points(v1, v2, pitch), _steps(v1, v4, pitch), r))
+        for a, b, _, d in CUBE_FACE_CORNERS:
+            out.extend(_records(_line_points(vs[a], vs[b], pitch), _steps(vs[a], vs[d], pitch), r))
         return _dedup(out)
     if isinstance(prim, Cylinder):
         b1, b2 = axis_frame(prim._axis)

@@ -11,8 +11,8 @@ straight robot-goal stretch pierces the obstacle, the repulsion turns
 parallel to the surface so that attraction cannot cancel it -- toward the
 nearest edge of a rectangle or box face, and radially toward the nearest rim
 point of a cap.  One routine finds the piercing point (``queries._pierce``);
-a rectangle tests it in its own frame (``queries._plane_contains``) and a
-cap by its distance from the cap centre.
+a rectangle or box face tests it in its frame record
+(``queries._plane_contains``) and a cap by its distance from the cap centre.
 
 Everything here works on plain floats over the scalar kernels of
 :mod:`geopf.queries`.  The resultant of a scene is summed by the geometric
@@ -24,19 +24,20 @@ import math
 
 import numpy as np
 
-from .primitives import DEGENERACY_EPS, Cylinder, RectPlane, axis_frame, positive
+from .primitives import DEGENERACY_EPS, Cylinder, axis_frame, positive
 from .queries import (
     _CAP_BOTTOM,
     _CAP_TOP,
+    _CUBE_FACES,
     _FACE,
     _KERNELS,
+    _cube_face_frame,
     _cube_kernel,
     _cylinder_kernel,
     _pierce,
     _plane_contains,
     _plane_frame,
     _plane_kernel,
-    _plane_offset,
 )
 
 # Repulsion magnitude is clamped to k / D_MIN below this distance.
@@ -91,9 +92,9 @@ def _attraction(rx, ry, rz, gx, gy, gz, k_attr):
 # ---------------------------------------------------------------------------
 
 
-def _nearest_edge(rx, ry, rz, plane: RectPlane):
-    """Index of the rectangle edge nearest to the robot, and the robot's
-    side of it.
+def _nearest_edge(rx, ry, rz, frame):
+    """Index of the edge of a rectangle frame record (``RectPlane._frame``'s
+    layout) nearest to the robot, and the robot's side of it.
 
     Edge k runs from corner k + 1 to corner k + 2 (1-based, corner 4 to
     corner 1 for k = 3).  With h the robot's plane offset, (s, t) its foot's
@@ -108,10 +109,9 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane):
     edge.  The side is t, L1 - s, L2 - t or s for edge k: below zero when
     the foot lies beyond the edge's line, away from the rectangle.
     """
-    h = _plane_offset(rx, ry, rz, plane)
-    nx, ny, nz = plane._n
-    s, t = _plane_frame(rx - h * nx, ry - h * ny, rz - h * nz, plane)
-    l1, l2 = plane._frame[6], plane._frame[10]
+    ox, oy, oz, nx, ny, nz, l1, _, _, _, l2, _, _, _ = frame
+    h = (rx - ox) * nx + (ry - oy) * ny + (rz - oz) * nz
+    s, t = _plane_frame(rx - h * nx, ry - h * ny, rz - h * nz, frame)
     a, b = s - l1, t - l2
     es, et = max(-s, a, 0.0), max(-t, b, 0.0)
     hh, ee, ff = h * h, es * es, et * et
@@ -125,24 +125,24 @@ def _nearest_edge(rx, ry, rz, plane: RectPlane):
     return k, (t, l1 - s, l2 - t, s)[k]
 
 
-def _rect_correction(rx, ry, rz, gx, gy, gz, plane: RectPlane):
-    """Surface-parallel corrected direction of a rectangle, or None when the
-    robot-goal stretch does not pierce it.
+def _rect_correction(rx, ry, rz, gx, gy, gz, frame):
+    """Surface-parallel corrected direction of the rectangle of a frame
+    record (``RectPlane._frame``'s layout), or None when the robot-goal
+    stretch does not pierce it.
 
     The returned unit direction is the outward in-plane normal of the
-    nearest edge k, read off the orthonormal frame (``RectPlane._frame``) as
-    -u2, u1, u2 or -u1 for k = 0..3, which is n x u_k for u_k the edge's
-    unit direction, and is flipped when the robot's foot lies beyond the
-    edge's line (``_nearest_edge``'s side below zero).
+    nearest edge k, read off the frame as -u2, u1, u2 or -u1 for k = 0..3,
+    and is flipped when the robot's foot lies beyond the edge's line
+    (``_nearest_edge``'s side below zero).
     """
-    hit = _pierce(rx, ry, rz, gx, gy, gz, plane.v1, plane._n)
+    hit = _pierce(rx, ry, rz, gx, gy, gz, frame)
     if hit is None:
         return None
     px, py, pz = hit
-    if not _plane_contains(px, py, pz, plane):
+    if not _plane_contains(px, py, pz, frame):
         return None
-    k, side = _nearest_edge(rx, ry, rz, plane)
-    _, _, _, _, _, _, _, ax, ay, az, _, bx, by, bz = plane._frame
+    k, side = _nearest_edge(rx, ry, rz, frame)
+    _, _, _, _, _, _, _, ax, ay, az, _, bx, by, bz = frame
     if side < 0.0:
         k ^= 2  # the opposite edge's outward normal is the flipped one
     return ((-bx, -by, -bz), (ax, ay, az), (bx, by, bz), (-ax, -ay, -az))[k]
@@ -160,7 +160,7 @@ def _cap_correction(rx, ry, rz, gx, gy, gz, cyl: Cylinder, kind):
     """
     center = cyl.a2 if kind is _CAP_TOP else cyl.a1
     axis = cyl._axis
-    hit = _pierce(rx, ry, rz, gx, gy, gz, center, axis)
+    hit = _pierce(rx, ry, rz, gx, gy, gz, center + axis)
     if hit is None:
         return None
     ccx, ccy, ccz = center
@@ -185,12 +185,14 @@ def _correction_direction(kernel, prim, kind, index, rx, ry, rz, gx, gy, gz):
     """Trap-corrected direction of a primitive's repulsion, or None.
 
     A rectangle's trap is the rectangle itself, a box's is the face realizing
-    a FACE feature, and a cylinder's is the cap disk realizing a cap feature.
+    a FACE feature, its frame read off the box's (``queries._cube_face_frame``),
+    and a cylinder's is the cap disk realizing a cap feature.
     """
     if kernel is _plane_kernel:
-        return _rect_correction(rx, ry, rz, gx, gy, gz, prim)
+        return _rect_correction(rx, ry, rz, gx, gy, gz, prim._frame)
     if kernel is _cube_kernel and kind is _FACE:
-        return _rect_correction(rx, ry, rz, gx, gy, gz, prim.faces[index[0] - 1])
+        frame = _cube_face_frame(prim._frame, _CUBE_FACES.index(index))
+        return _rect_correction(rx, ry, rz, gx, gy, gz, frame)
     if kernel is _cylinder_kernel and kind in _CAPS:
         return _cap_correction(rx, ry, rz, gx, gy, gz, prim, kind)
     return None

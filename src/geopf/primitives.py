@@ -5,7 +5,7 @@ line segments, rectangles ("planes" with four corners), rectangular boxes
 ("cubes" with eight corners) and capped cylinders.  Each type validates its
 defining points on construction and computes there, once, the derived
 records that the proximity queries and the simulator read (unit axes,
-normals, rectangle frames, box faces, bounding spheres); a primitive never
+normals, rectangle and box frames, bounding spheres); a primitive never
 changes after construction.
 
 Positions are metres.  A point is a tuple of three floats, made by
@@ -324,12 +324,14 @@ CUBE_FACE_CORNERS = (
 class Cube:
     """Rectangular box given by eight corners (two opposite rectangles).
 
-    ``faces`` are the six rectangles in ``CUBE_FACE_CORNERS`` order.
-    ``_frame`` is the box's own frame as one float record: corner v1, then
-    the length and unit direction of v1->v2, v1->v4 and v1->v5,
+    ``CUBE_FACE_CORNERS`` names its faces.  ``_frame`` is its orthonormal
+    frame as one float record: corner v1, the lengths L1, L2, L3 of v1->v2,
+    v1->v4 and v1->v5, u1 along v1->v2, u2 along v1->v4 made orthogonal to
+    u1, and u3 = +-u1 x u2 with v5 on its positive side,
     ``(ox, oy, oz, L1, u1x, u1y, u1z, L2, u2x, u2y, u2z, L3, u3x, u3y, u3z)``.
-    The three axes are orthogonal to ``ORTHO_TOL`` because every face is
-    validated as a rectangle.
+    The queries read the box that the frame spans.  The three edges from v1
+    must be orthogonal to ``ORTHO_TOL``, and every other corner must lie
+    within ``ORTHO_TOL`` (L1 + L2 + L3) of v1 plus its edges.
     """
 
     scene_type: typing.ClassVar[str] = "cube"
@@ -345,13 +347,26 @@ class Cube:
 
     def __post_init__(self):
         vs = _coerce(self)
-        # Face construction itself validates rectangularity of all six faces.
-        faces = tuple(RectPlane(*(vs[i] for i in idx)) for idx in CUBE_FACE_CORNERS)
-        frame = vs[0]
-        for k in (1, 3, 4):
-            length, u = _span(vs[0], vs[k], "box has a zero-length edge")
-            frame += (length, *u)
-        _derive(self, faces=faces, _frame=frame, bounding_sphere=_enclosing(*vs))
+        v1 = vs[0]
+        spans = [_span(v1, vs[k], "box has a zero-length edge") for k in (1, 3, 4)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            (ax, ay, az), (bx, by, bz) = spans[i][1], spans[j][1]
+            cos = abs(ax * bx + ay * by + az * bz)
+            if cos > ORTHO_TOL:
+                edges = f"v1->v{(2, 4, 5)[i]}, v1->v{(2, 4, 5)[j]}"
+                raise ValueError(f"box edges are not orthogonal ({edges}, |cos|={cos:.3e})")
+        (l1, u1), (l2, w2), (l3, w3) = spans
+        # Corners v3, v6, v7 and v8 lie at v1 plus the edges to v2, v4, v5 they name.
+        for k, ends in ((2, (1, 3)), (5, (1, 4)), (6, (1, 3, 4)), (7, (3, 4))):
+            off = math.dist(vs[k], [o + sum(vs[e][c] - o for e in ends) for c, o in enumerate(v1)])
+            if off > ORTHO_TOL * (l1 + l2 + l3):
+                raise ValueError(f"box corner v{k + 1} is off its edges' end (offset {off:.3e} m)")
+        dot = u1[0] * w2[0] + u1[1] * w2[1] + u1[2] * w2[2]
+        u2 = unit3(w2[0] - dot * u1[0], w2[1] - dot * u1[1], w2[2] - dot * u1[2])
+        u3 = cross3(u1, u2)
+        if u3[0] * w3[0] + u3[1] * w3[1] + u3[2] * w3[2] < 0.0:
+            u3 = (-u3[0], -u3[1], -u3[2])
+        _derive(self, _frame=v1 + (l1, *u1, l2, *u2, l3, *u3), bounding_sphere=_enclosing(*vs))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,12 @@ corner.  Reference: Ericson, *Real-Time Collision Detection*, 2004, section
 5.1.  ``_plane_contains`` is the same frame test, on the same rectangle.
 ``_pierce`` finds where a straight move crosses a plane; with the frame test
 it tells the simulator's crossing check and the trap correction whether a
-rectangle was pierced.
+rectangle was pierced; both read a frame record, a box face's too.
 
-A box is one clamp in its own frame (``Cube._frame``): the robot's
-coordinates along the three edge axes from corner v1 are clamped to the
-box's extents, and the distance is measured to the clamped point.  How many
+A box is one clamp in its own orthonormal frame (``Cube._frame``): the
+robot's coordinates along the three axes from corner v1 are clamped to the
+box's extents, and the distance is measured to the clamped point, the exact
+nearest point, up to rounding, of the box the frame spans.  How many
 coordinates were clamped names the feature: none, the robot is inside and
 the nearest face gives the negative depth; one, a FACE at the coordinate's
 excess; two, an EDGE; three, a corner.  Reference: Ericson, *Real-Time
@@ -185,38 +186,36 @@ def _plane_offset(rx, ry, rz, plane: RectPlane):
     return (rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz
 
 
-def _plane_frame(fx, fy, fz, plane: RectPlane):
-    """Coordinates (s, t) of a point on the supporting plane in the
-    rectangle's own orthonormal frame (``RectPlane._frame``): with v1 the
-    first corner, u1 the first edge's unit direction and u2 = u1 x n,
-    s = (f - v1).u1 and t = (f - v1).u2.
+def _plane_frame(fx, fy, fz, frame):
+    """Coordinates (s, t) of a point on the supporting plane in a rectangle's
+    orthonormal frame record (``RectPlane._frame``'s layout): with v1 the
+    origin, u1 the first in-plane axis and u2 the second, s = (f - v1).u1
+    and t = (f - v1).u2.
     """
-    ox, oy, oz, _, _, _, _, ux, uy, uz, _, vx, vy, vz = plane._frame
+    ox, oy, oz, _, _, _, _, ux, uy, uz, _, vx, vy, vz = frame
     wx, wy, wz = fx - ox, fy - oy, fz - oz
     return wx * ux + wy * uy + wz * uz, wx * vx + wy * vy + wz * vz
 
 
-def _plane_contains(fx, fy, fz, plane: RectPlane) -> bool:
-    """Whether a point on the supporting plane lies in the closed rectangle:
-    its frame coordinates (``_plane_frame``) lie in [0, L1] x [0, L2], L1
-    and L2 being the first two edges' lengths (``_frame[6]`` and
-    ``_frame[10]``): the rectangle the kernel measures.  The boundary is
-    inclusive.
+def _plane_contains(fx, fy, fz, frame) -> bool:
+    """Whether a point on the supporting plane lies in the closed rectangle
+    of a frame record: its frame coordinates (``_plane_frame``) lie in
+    [0, L1] x [0, L2] (``frame[6]`` and ``frame[10]``), the rectangle the
+    kernel measures.  The boundary is inclusive.
     """
-    s, t = _plane_frame(fx, fy, fz, plane)
-    frame = plane._frame
+    s, t = _plane_frame(fx, fy, fz, frame)
     return 0.0 <= s <= frame[6] and 0.0 <= t <= frame[10]
 
 
-def _pierce(px, py, pz, qx, qy, qz, origin, normal):
+def _pierce(px, py, pz, qx, qy, qz, frame):
     """Point where the straight move p -> q crosses the plane through
-    ``origin`` with unit ``normal``, or None.
+    ``frame[:3]`` with unit normal ``frame[3:6]`` (a rectangle's frame
+    record, or a cap's centre and axis), or None.
 
     The crossing is strict: p and q lie on opposite sides and neither lies
-    on the plane.  ``origin`` and ``normal`` are float triples.
+    on the plane.
     """
-    ox, oy, oz = origin
-    nx, ny, nz = normal
+    ox, oy, oz, nx, ny, nz = frame[:6]
     o0 = (px - ox) * nx + (py - oy) * ny + (pz - oz) * nz
     o1 = (qx - ox) * nx + (qy - oy) * ny + (qz - oz) * nz
     if o0 == 0.0 or o1 == 0.0 or (o0 > 0.0) == (o1 > 0.0):
@@ -279,10 +278,25 @@ def _plane_kernel(rx, ry, rz, plane: RectPlane):
     return (d, dx / d, dy / d, dz / d, qx, qy, qz, kind, index)
 
 
-# The box's frame axes are v1->v2, v1->v4 and v1->v5 (``Cube._frame``).
+# The box's frame axes run along v1->v2, v1->v4 and v1->v5 (``Cube._frame``).
 # Face payloads (1-based, ``CUBE_FACE_CORNERS`` numbering) of the faces below
 # and above the box along axis k, at 2 k and 2 k + 1.
 _CUBE_FACES = ((6,), (4,), (3,), (5,), (1,), (2,))
+
+
+def _cube_face_frame(frame, face):
+    """The rectangle frame record (``RectPlane._frame``'s layout) of the face
+    ``_CUBE_FACES[face]`` of a box's frame record: across axis k = face // 2,
+    with normal u_k and in-plane axes u_(k+1), u_(k+2) (mod 3)."""
+    k, above = divmod(face, 2)
+    lk, nx, ny, nz = frame[3 + 4 * k : 7 + 4 * k]
+    ox, oy, oz = frame[:3]
+    if above:
+        ox, oy, oz = ox + lk * nx, oy + lk * ny, oz + lk * nz
+    i, j = 3 + 4 * ((k + 1) % 3), 3 + 4 * ((k + 2) % 3)
+    return (ox, oy, oz, nx, ny, nz) + frame[i : i + 4] + frame[j : j + 4]
+
+
 # Corner-id pairs (1-based) of the four edges along each axis, indexed by
 # b + 2 b', where b and b' are 1 at the far end of the other two axes, in
 # axis order.

@@ -174,11 +174,12 @@ def _crossing(px, py, pz, qx, qy, qz, plane: RectPlane):
     measured against the same plane instance, so quasi-static motion within
     one step is fine.
     """
-    hit = _pierce(px, py, pz, qx, qy, qz, plane.v1, plane._n)
+    frame = plane._frame
+    hit = _pierce(px, py, pz, qx, qy, qz, frame)
     if hit is None:
         return None
     cx, cy, cz = hit
-    return hit if _plane_contains(cx, cy, cz, plane) else None
+    return hit if _plane_contains(cx, cy, cz, frame) else None
 
 
 def run_trial(

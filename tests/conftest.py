@@ -15,6 +15,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from geopf import Cube, Cylinder, RectPlane, Segment, Sphere
+from geopf.primitives import CUBE_FACE_CORNERS
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +55,15 @@ def sample_rect_surface(rect: RectPlane, pitch):
     )
 
 
+def cube_faces(cube: Cube) -> list:
+    """The six faces of a box as rectangles of its given corners, in
+    ``CUBE_FACE_CORNERS`` order."""
+    corners = [cube.v1, cube.v2, cube.v3, cube.v4, cube.v5, cube.v6, cube.v7, cube.v8]
+    return [RectPlane(*(corners[i] for i in face)) for face in CUBE_FACE_CORNERS]
+
+
 def sample_cube_surface(cube: Cube, pitch):
-    return np.concatenate([sample_rect_surface(f, pitch) for f in cube.faces])
+    return np.concatenate([sample_rect_surface(f, pitch) for f in cube_faces(cube)])
 
 
 def sample_cylinder_surface(cyl: Cylinder, pitch):

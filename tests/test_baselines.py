@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import random_primitive, sample_surface
+from conftest import cube_faces, random_primitive, sample_surface
 
 from geopf import (
     Cube,
@@ -142,7 +142,7 @@ def _numpy_cloud(prim, params):
     elif isinstance(prim, RectPlane):
         pts = grid(prim.v1, prim.v2, prim.v4)
     elif isinstance(prim, Cube):
-        pts = dedup([p for f in prim.faces for p in grid(f.v1, f.v2, f.v4)])
+        pts = dedup([p for f in cube_faces(prim) for p in grid(f.v1, f.v2, f.v4)])
     else:
         b1, b2 = map(np.array, axis_frame(prim._axis))
         R = prim.radius

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_primitive, rect_edges
+from conftest import cube_faces, random_primitive, rect_edges
 
 from geopf import (
+    Cube,
     Cylinder,
     D_MIN,
     Gains,
@@ -26,7 +27,7 @@ from geopf import forces
 from geopf.forces import obstacle_force_term
 from geopf.planners import SKIN
 from geopf.primitives import _span, axis_frame, cross3
-from geopf.queries import _CAP_TOP, _plane_offset, _segment_kernel
+from geopf.queries import _CAP_TOP, _FACE, _cube_kernel, _plane_offset, _segment_kernel
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 
@@ -180,7 +181,7 @@ def test_plane_correction_symmetric_tiebreak_deterministic():
     # (-1, 0, 1), so the force turns along +z, with magnitude k/d (d = 0.5).
     robot = (0.0, 0.5, 0.0)
     goal = (0.0, -1.0, 0.0)
-    assert forces._nearest_edge(*robot, WALL) == (0, 1.0)
+    assert forces._nearest_edge(*robot, WALL._frame) == (0, 1.0)
     assert term(robot, goal, WALL, CORR_GAINS).tolist() == [0.0, 0.0, 0.1 / 0.5]
 
 
@@ -231,12 +232,12 @@ def test_nearest_edge_matches_the_four_edge_minimum():
     rng = np.random.default_rng(29)
     rects = [random_primitive(rng, "plane") for _ in range(40)]
     for _ in range(10):
-        rects.extend(random_primitive(rng, "cube").faces)
+        rects.extend(cube_faces(random_primitive(rng, "cube")))
     regions = set()
     ties = 0
     for rect in rects:
         for region, (x, y, z) in _region_probes(rng, rect):
-            k, side = forces._nearest_edge(x, y, z, rect)
+            k, side = forces._nearest_edge(x, y, z, rect._frame)
             ref_k, ref_away, tie = _four_edge_nearest(x, y, z, rect)
             assert (k, side < 0.0) == (ref_k, ref_away), (region, k, side, ref_k)
             corner = region[0] != 1 and region[1] != 1
@@ -269,7 +270,7 @@ def test_rect_correction_matches_the_corner_formula():
     for scene_class in (SceneClass.PLANE_HARD, SceneClass.COMPLEX):
         for seed in range(3):
             for prim, *_ in generate(scene_class, seed).bodies:
-                for rect in getattr(prim, "faces", (prim,)):
+                for rect in cube_faces(prim) if isinstance(prim, Cube) else (prim,):
                     if isinstance(rect, RectPlane):
                         rects[id(rect)] = rect
     met = set()
@@ -280,8 +281,8 @@ def test_rect_correction_matches_the_corner_formula():
             if abs(_plane_offset(*robot, rect)) < 1e-9:
                 continue  # a robot on the plane pierces nothing
             goal = [2.0 * c - r for c, r in zip(centre, robot)]
-            got = forces._rect_correction(*robot, *goal, rect)
-            k, side = forces._nearest_edge(*robot, rect)
+            got = forces._rect_correction(*robot, *goal, rect._frame)
+            k, side = forces._nearest_edge(*robot, rect._frame)
             ref = _corner_correction(rect, k, side)
             assert max(abs(g - r) for g, r in zip(got, ref)) <= 2e-15, (k, side, got, ref)
             met.add((k, side < 0.0))
@@ -542,3 +543,36 @@ def test_a_trial_draws_no_random_number(monkeypatch):
     record = run_trial(scene, GeoPFPlanner(), SimParams(max_steps=1600), keep_states=False)
     assert record.verdict.step == 1600
     assert len(corrections) > 0
+
+
+def test_box_face_correction_matches_the_rectangle_of_its_corners():
+    """On random rotated boxes, wherever the box kernel names a FACE, the
+    face's trap correction, its frame read off the box's, equals
+    ``_rect_correction`` on a ``RectPlane`` of that face's corners to
+    1e-12, or both are None.  The robot lies around the box, and the goal
+    near the box's centre or anywhere in the corridor."""
+    rng = np.random.default_rng(43)
+    fired, missed = set(), 0
+    for _ in range(40):
+        cube = random_primitive(rng, "cube")
+        faces = cube_faces(cube)
+        *centre, r = cube.bounding_sphere
+        for _ in range(60):
+            way = rng.normal(size=3)
+            robot = (np.array(centre) + rng.uniform(0.6, 2.0) * r * way / np.linalg.norm(way)).tolist()
+            _, _, _, _, _, _, _, kind, index = _cube_kernel(*robot, cube)
+            if kind is not _FACE:
+                continue
+            if rng.random() < 0.8:
+                goal = (np.array(centre) + rng.uniform(-0.5, 0.5, 3) * r).tolist()
+            else:
+                goal = rng.uniform(-1.0, 1.0, 3).tolist()
+            got = forces._correction_direction(_cube_kernel, cube, kind, index, *robot, *goal)
+            ref = forces._rect_correction(*robot, *goal, faces[index[0] - 1]._frame)
+            assert (got is None) == (ref is None), (robot, goal)
+            if got is None:
+                missed += 1
+                continue
+            assert max(abs(g - e) for g, e in zip(got, ref)) <= 1e-12, (got, ref)
+            fired.add(index)
+    assert len(fired) == 6 and missed > 0

@@ -1,12 +1,15 @@
-"""Property test: every trial of a small random scene ends in a verdict or,
+"""Property tests: every trial of a small random scene ends in a verdict or,
 from a start with no repulsion direction, in ``DegenerateVector``; the same
-trial run twice ends the same way, bit for bit."""
+trial run twice ends the same way, bit for bit.  A box whose corners lie
+within its validation tolerance is built, and one beyond it is rejected."""
 
 from conftest import PRIMITIVE_KINDS, random_primitive
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 
 from geopf import (
+    Cube,
     DegenerateVector,
     Obstacle,
     PlannerSpec,
@@ -18,6 +21,7 @@ from geopf import (
     corridor_boundary,
     run_trial,
 )
+from geopf.primitives import ORTHO_TOL
 
 # Starts on primitive features where a repulsion direction is undefined.
 STARTS = ("free", "segment_interior", "segment_end", "point_sphere_center")
@@ -88,3 +92,34 @@ def test_every_trial_ends_deterministically(trial):
     assert outcome == _outcome(scene, kind, correction)
     if start_kind == "free":
         assert outcome[0] != "degenerate"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.sampled_from((1e-3, 0.5, 2e3, 1e6)),
+)
+def test_a_box_with_a_moved_corner_is_kept_or_rejected_by_the_tolerance(seed, corner, scale):
+    """One corner of a random box moved in a random direction by ``scale``
+    times ``ORTHO_TOL`` times the box's smallest edge: within the tolerance
+    (scale 1e-3 and 0.5) the box is built and its frame still spans the
+    given corners to 2 ``ORTHO_TOL`` (L1 + L2 + L3); beyond it (2e3 and 1e6)
+    construction raises a box's ``ValueError``."""
+    rng = np.random.default_rng(seed)
+    box = random_primitive(rng, "cube")
+    corners = [np.array(getattr(box, f"v{i + 1}")) for i in range(8)]
+    edges = [np.linalg.norm(corners[k] - corners[0]) for k in (1, 3, 4)]
+    way = rng.normal(size=3)
+    corners[corner] = corners[corner] + scale * ORTHO_TOL * min(edges) * way / np.linalg.norm(way)
+    if scale > 1.0:
+        with pytest.raises(ValueError, match="^box "):
+            Cube(*corners)
+        return
+    cube = Cube(*corners)
+    f = cube._frame
+    u = np.array([f[4:7], f[8:11], f[12:15]])
+    lengths = np.array([f[3], f[7], f[11]])
+    for k, bits in enumerate((0b000, 0b001, 0b011, 0b010, 0b100, 0b101, 0b111, 0b110)):
+        spanned = np.array(f[:3]) + sum(lengths[i] * u[i] for i in range(3) if bits >> i & 1)
+        assert np.linalg.norm(spanned - corners[k]) <= 2 * ORTHO_TOL * sum(edges)

@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass, fields
 import math
+import re
 import typing
 
 import numpy as np
 import pytest
-from conftest import frame_corners
+from conftest import cube_faces, frame_corners, random_primitive
 
 from geopf import (
     Cube,
@@ -114,7 +115,7 @@ def test_rect_frame_is_orthonormal_and_spans_the_given_corners():
         for seed in range(40):
             for prim, *_ in generate(scene_class, seed).bodies:
                 if isinstance(prim, Cube):
-                    rects = prim.faces
+                    rects = cube_faces(prim)
                 elif isinstance(prim, RectPlane):
                     rects = (prim,)
                 else:
@@ -142,8 +143,9 @@ def test_a_skewed_rect_frame_stays_within_the_orthogonality_tolerance():
 def test_cube_face_decoding():
     c = Cube((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
              (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
-    assert len(c.faces) == 6
-    centers = sorted(tuple(np.round(f.center, 9)) for f in c.faces)
+    faces = cube_faces(c)
+    assert len(faces) == 6
+    centers = sorted(tuple(np.round(f.center, 9)) for f in faces)
     expected = sorted(
         [
             (0.5, 0.5, 0.0),
@@ -155,6 +157,80 @@ def test_cube_face_decoding():
         ]
     )
     assert centers == expected
+
+
+_UNIT_BOX = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+             (0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]
+
+
+def _box_with(**moved):
+    """The unit box's corners with the named corners (``v1``..``v8``) replaced."""
+    return [moved.get(f"v{i + 1}", c) for i, c in enumerate(_UNIT_BOX)]
+
+
+@pytest.mark.parametrize(
+    "corners, message",
+    [
+        # A zero-length edge from v1, and one between two other corners.
+        (_box_with(v4=(0.0, 0.0, 0.0)), "box has a zero-length edge"),
+        (_box_with(v3=(1.0, 0.0, 0.0)), "box corner v3 is off its edges' end"),
+        # A non-orthogonal corner: at v1, then at v2 and v3 of the bottom face.
+        (_box_with(v4=(1e-6, 1.0, 0.0), v3=(1.0 + 1e-6, 1.0, 0.0),
+                   v8=(1e-6, 1.0, 1.0), v7=(1.0 + 1e-6, 1.0, 1.0)),
+         "box edges are not orthogonal (v1->v2, v1->v4"),
+        (_box_with(v3=(1.0 + 1e-6, 1.0, 0.0)), "box corner v3 is off its edges' end"),
+        # An off-plane corner of the bottom face and of the top face.
+        (_box_with(v3=(1.0, 1.0, 1e-6)), "box corner v3 is off its edges' end"),
+        (_box_with(v7=(1.0, 1.0, 1.0 + 1e-6)), "box corner v7 is off its edges' end"),
+    ],
+)
+def test_a_malformed_box_is_rejected_at_its_message(corners, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Cube(*corners)
+
+
+def _frame_boxes():
+    """The boxes of complex and dynamic_hard seeds 0-39, then 20 random boxes
+    and their x mirrors, whose corner order turns the other way round."""
+    boxes = [
+        ob.primitive
+        for scene_class in (SceneClass.COMPLEX, SceneClass.DYNAMIC_HARD)
+        for seed in range(40)
+        for ob in generate(scene_class, seed).obstacles
+        if isinstance(ob.primitive, Cube)
+    ]
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        cube = random_primitive(rng, "cube")
+        corners = [getattr(cube, f.name) for f in fields(cube)]
+        boxes += [cube, Cube(*((-x, y, z) for x, y, z in corners))]
+    return boxes
+
+
+def test_box_frame_is_orthonormal_and_points_toward_v5():
+    """u1, u2 and u3 are unit and pairwise orthogonal to 1e-15; u3 is
+    +-u1 x u2 bit for bit, on v5's side; the origin and lengths are v1 and
+    the edges from it, and the frame's far corner lies within 1e-15 m of
+    v7."""
+    handed = set()
+    for cube in _frame_boxes():
+        f = cube._frame
+        u = f[4:7], f[8:11], f[12:15]
+        for i in range(3):
+            assert abs(math.hypot(*u[i]) - 1.0) <= 1e-15
+            for j in range(i):
+                assert abs(sum(a * b for a, b in zip(u[i], u[j]))) <= 1e-15
+        c = primitives.cross3(u[0], u[1])
+        sign = 1.0 if u[2] == c else -1.0
+        assert u[2] == tuple(sign * x for x in c)
+        assert sum(a * (b - o) for a, b, o in zip(u[2], cube.v5, cube.v1)) > 0.0
+        handed.add(sign)
+        assert f[:3] == cube.v1
+        edges = [[b - a for a, b in zip(cube.v1, v)] for v in (cube.v2, cube.v4, cube.v5)]
+        assert (f[3], f[7], f[11]) == tuple(primitives.norm3(*e) for e in edges)
+        far = [o + f[3] * a + f[7] * b + f[11] * c for o, a, b, c in zip(f[:3], *u)]
+        assert math.dist(far, cube.v7) <= 1e-15
+    assert handed == {1.0, -1.0}
 
 
 def test_cube_rejects_twisted_top_face():
@@ -308,7 +384,8 @@ def test_enclosing_keeps_the_bits_of_sum_and_max(rng):
     # And the corners of generated rectangles, boxes and box faces.
     for scene in (generate(SceneClass.PLANE_HARD, 0), generate(SceneClass.DYNAMIC_HARD, 0)):
         for obs in scene.obstacles:
-            for prim in (obs.primitive, *getattr(obs.primitive, "faces", ())):
+            prim = obs.primitive
+            for prim in (prim, *(cube_faces(prim) if isinstance(prim, Cube) else ())):
                 if isinstance(prim, (RectPlane, Cube)):
                     sets.append([getattr(prim, f.name) for f in fields(prim)])
     for points in sets:
@@ -362,17 +439,14 @@ def test_translated_by_zero_keeps_the_bits(cls):
 @pytest.mark.parametrize("cls", PRIMITIVE_TYPES, ids=lambda cls: cls.__name__)
 def test_queries_leave_a_primitive_unchanged(cls):
     """Every derived record exists from construction: a kernel query and a
-    bounding-sphere read add or replace nothing, box faces included."""
+    bounding-sphere read add or replace nothing."""
     prim = _sample(cls)
-    parts = [prim, *getattr(prim, "faces", ())]
-    before = [dict(vars(p)) for p in parts]
+    seen = dict(vars(prim))
     x, y, z = (np.array(prim.bounding_sphere[:3]) + 1.0).tolist()
     queries._kernel_for(prim)(x, y, z, prim)
-    for p in parts:
-        p.bounding_sphere
-    for p, seen in zip(parts, before):
-        assert vars(p).keys() == seen.keys()
-        assert all(vars(p)[k] is v for k, v in seen.items())
+    prim.bounding_sphere
+    assert vars(prim).keys() == seen.keys()
+    assert all(vars(prim)[k] is v for k, v in seen.items())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    cube_faces,
     PRIMITIVE_KINDS,
     SampledOracle,
     frame_edges,
@@ -161,7 +162,7 @@ def _plane_foot(robot, plane):
 
 def _plane_inside(foot, plane):
     """The rectangle's frame test, ``_plane_contains``, on a numpy point."""
-    return queries._plane_contains(*np.asarray(foot, dtype=float).tolist(), plane)
+    return queries._plane_contains(*np.asarray(foot, dtype=float).tolist(), plane._frame)
 
 
 def test_plane_foot_axis_case():
@@ -274,13 +275,17 @@ def _four_indicator_plane_kernel(rx, ry, rz, plane):
     return _rect_query(_four_indicator_inside, rect_edges(plane), rx, ry, rz, plane)
 
 
+def _frame_inside(fx, fy, fz, plane):
+    return queries._plane_contains(fx, fy, fz, plane._frame)
+
+
 def _four_edge_plane_kernel(rx, ry, rz, plane):
     """The rectangle query with the four-edge minimum outside, over the
     edges of the rectangle the frame spans (``frame_edges``): the reference
     for ``queries._plane_kernel``'s clamp.  A touched edge is a contact at
     distance 0 along the normal on the robot's side."""
     try:
-        return _rect_query(queries._plane_contains, frame_edges(plane), rx, ry, rz, plane)
+        return _rect_query(_frame_inside, frame_edges(plane), rx, ry, rz, plane)
     except DegenerateVector:
         off = queries._plane_offset(rx, ry, rz, plane)
         nx, ny, nz = plane._n
@@ -376,7 +381,7 @@ def _frame_rects():
         if isinstance(ob.primitive, RectPlane)
     ]
     for cube, *_ in _seeded_boxes(np.random.default_rng(59), 12):
-        rects.extend(cube.faces)
+        rects.extend(cube_faces(cube))
     return rects
 
 
@@ -498,7 +503,7 @@ def test_plane_kernel_reads_one_frame_record():
             got = queries._plane_kernel(x, y, z, rect)
             off = queries._plane_offset(x, y, z, rect)
             f = (x - off * nx, y - off * ny, z - off * nz)
-            if queries._plane_contains(*f, rect):
+            if queries._plane_contains(*f, rect._frame):
                 ref = (off, nx, ny, nz) if off >= 0.0 else (-off, -nx, -ny, -nz)
                 assert [v.hex() for v in got[:7]] == [v.hex() for v in ref + f], (got, off)
                 assert got[7] is FeatureKind.ORTHOGONAL and got[8] == ()
@@ -545,7 +550,7 @@ def test_cube_edge_consistency(rng):
         cube = Cube((0, 0, 0), (s, 0, 0), (s, s, 0), (0, s, 0),
                     (0, 0, s), (s, 0, s), (s, s, s), (0, s, s))
         per_face = sorted(
-            _plane_kernel(p[0], p[1], p[2], f)[0] for f in cube.faces
+            _plane_kernel(p[0], p[1], p[2], f)[0] for f in cube_faces(cube)
         )
         assert per_face[1] - per_face[0] < 1e-9
 
@@ -554,7 +559,7 @@ def _outward_normals(cube):
     """Each face's unit normal, oriented away from the box's centroid."""
     cx, cy, cz, _ = cube.bounding_sphere
     normals = []
-    for face in cube.faces:
+    for face in cube_faces(cube):
         nx, ny, nz = face._n
         fx, fy, fz, _ = face.bounding_sphere
         d = (fx - cx) * nx + (fy - cy) * ny + (fz - cz) * nz
@@ -566,9 +571,10 @@ def _six_face_reference(rx, ry, rz, cube):
     """The box query as the minimum of the paper's rectangle query over all
     six faces, pruned by |offset| only: the reference for ``_cube_kernel``,
     which clamps the robot in the box's own frame instead."""
+    faces = cube_faces(cube)
     outward = _outward_normals(cube)
     offs = []
-    for face, (nx, ny, nz) in zip(cube.faces, outward):
+    for face, (nx, ny, nz) in zip(faces, outward):
         v1x, v1y, v1z = face.v1
         offs.append((rx - v1x) * nx + (ry - v1y) * ny + (rz - v1z) * nz)
     if max(offs) < 0.0:
@@ -582,7 +588,7 @@ def _six_face_reference(rx, ry, rz, cube):
     for i in sorted(range(6), key=lambda k: abs(offs[k])):
         if best is not None and abs(offs[i]) >= best[0]:
             break
-        res = _four_indicator_plane_kernel(rx, ry, rz, cube.faces[i])
+        res = _four_indicator_plane_kernel(rx, ry, rz, faces[i])
         if best is None or res[0] < best[0]:
             best = res
             best_i = i
@@ -1015,5 +1021,5 @@ def test_plane_foot_and_inside_return_python_scalars():
         assert off.hex() == queries._plane_offset(*robot.tolist(), plane).hex()
         inside = _plane_inside(foot, plane)
         assert type(inside) is bool
-        assert inside is queries._plane_contains(*foot.tolist(), plane)
+        assert inside is queries._plane_contains(*foot.tolist(), plane._frame)
     assert type(_plane_inside((0, 0, 0), UNIT_SQUARE)) is bool
