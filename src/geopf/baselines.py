@@ -31,6 +31,7 @@ from .primitives import (
     Segment,
     Sphere,
     axis_frame,
+    norm3,
     positive,
 )
 
@@ -52,13 +53,9 @@ class SpherizationParams:
 
 def _steps(a, b, pitch) -> list:
     """Offsets ``(i / (n - 1)) * (b - a)``, ``i = 0 .. n - 1``, for points
-    at most ``pitch`` apart from ``a`` to ``b``, both ends included.
-
-    The length is ``np.linalg.norm``'s: a scalar square root can differ in
-    the last bit, which at a whole number of pitches changes ``n``.
-    """
+    at most ``pitch`` apart from ``a`` to ``b``, both ends included."""
     ex, ey, ez = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    n = max(int(math.ceil(float(np.linalg.norm((ex, ey, ez))) / pitch)), 1) + 1
+    n = max(int(math.ceil(norm3(ex, ey, ez) / pitch)), 1) + 1
     return [(t * ex, t * ey, t * ez) for t in (i / (n - 1) for i in range(n))]
 
 

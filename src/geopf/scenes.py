@@ -53,6 +53,7 @@ from .primitives import (
     _segment_sphere,
     as_vec3,
     cross3,
+    norm3,
     positive,
     primitive_fields,
     translated,
@@ -342,29 +343,23 @@ def _corridor_walls(y_min: str, y_max: str) -> tuple:
 
 
 def _random_basis(rng) -> tuple:
-    """Uniformly random right-handed orthonormal basis, as float tuples.
-
-    The draws, the projection and the dot products are numpy's; a norm is
-    ``math.sqrt(x.dot(x))``, which is how ``numpy.linalg.norm`` defines the
-    norm of a vector.  The dot products stay numpy's on purpose: they run
-    OpenBLAS's ``ddot``, whose kernels fuse multiply-adds, so they do not
-    round as the scalar ``(a0*b0 + a1*b1) + a2*b2`` does.  With numpy 2.4.6
-    and its OpenBLAS 0.3.31 on an x86-64 host with FMA, about a third of
-    200,000 random pairs (66,507 in one check) gave other bits, so a scalar
-    rewrite would move every generated scene.
-    """
+    """Uniformly random right-handed orthonormal basis, as float tuples: e1
+    is the first normal draw normalised, e2 the second with its e1 part
+    taken out, normalised, and e3 = e1 x e2; a draw too short to normalise
+    is drawn again."""
     while True:
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        na = math.sqrt(a.dot(a))
+        a0, a1, a2 = rng.normal(size=3).tolist()
+        b0, b1, b2 = rng.normal(size=3).tolist()
+        na = norm3(a0, a1, a2)
         if na < 1e-9:
             continue
-        e1 = a / na
-        b = b - (b @ e1) * e1
-        nb = math.sqrt(b.dot(b))
+        a0, a1, a2 = a0 / na, a1 / na, a2 / na
+        d = (b0 * a0 + b1 * a1) + b2 * a2
+        b0, b1, b2 = b0 - d * a0, b1 - d * a1, b2 - d * a2
+        nb = norm3(b0, b1, b2)
         if nb < 1e-9:
             continue
-        e1, e2 = tuple(e1.tolist()), tuple((b / nb).tolist())
+        e1, e2 = (a0, a1, a2), (b0 / nb, b1 / nb, b2 / nb)
         return e1, e2, cross3(e1, e2)
 
 
@@ -397,11 +392,7 @@ def _sample_center(rng, y_lo, y_hi) -> tuple:
 def _sample_primitive(rng, kind: str, center: tuple) -> tuple:
     """A candidate's class and its fields, the points as float tuples;
     ``kind`` is one of the kinds of ``_CLASS_COUNTS``, ``generate`` and
-    ``_MIX``: "segment", "plane", "cube" or "cylinder".
-
-    The arithmetic is numpy's elementwise arithmetic on 3-vectors, one float
-    operation per coordinate in the same order, so every field keeps its bits.
-    """
+    ``_MIX``: "segment", "plane", "cube" or "cylinder"."""
     e1, e2, e3 = _random_basis(rng)
     if kind == "segment":
         half = _scaled(0.5 * _uniform(rng, 0.2, 0.4), e1)

@@ -27,7 +27,7 @@ from geopf import planners
 from geopf.baselines import CF_VELOCITY_EPS, _dedup, sphere_cloud
 from geopf.forces import D_MIN, _attraction
 from geopf.planners import _wall_terms
-from geopf.primitives import axis_frame
+from geopf.primitives import axis_frame, norm3
 
 GAINS = Gains(k_attr=1.0, k_rep=0.1, activation_radius=1.0)
 
@@ -113,7 +113,7 @@ def _numpy_cloud(prim, params):
     pitch = 2.0 * r
 
     def count(e):
-        return max(int(math.ceil(float(np.linalg.norm(e)) / pitch)), 1) + 1
+        return max(int(math.ceil(norm3(*e.tolist()) / pitch)), 1) + 1
 
     def line(p1, p2):
         p1, p2 = np.asarray(p1), np.asarray(p2)
@@ -167,8 +167,8 @@ def _numpy_cloud(prim, params):
 def _hand_built_primitives():
     rng = np.random.default_rng(17)
     prims = [
-        # 0.34 m long by numpy's norm; a scalar square root reads one more
-        # ulp, which at pitch 0.02 adds a sphere.
+        # 0.34 m long: its length reads 0.3400000000000001, one ulp above 17
+        # pitches of 0.02, so it gets 19 spheres, not 18.
         Segment((0.73, 0.72, 0.32), (0.89, 0.9, 0.08)),
         Cube((0, 0, 0), (0.1, 0, 0), (0.1, 0.1, 0), (0, 0.1, 0),
              (0, 0, 0.1), (0.1, 0, 0.1), (0.1, 0.1, 0.1), (0, 0.1, 0.1)),

@@ -64,7 +64,7 @@ GOLDEN = [
     ('complex/2', 'geopf', 'timeout', None, 1000, 0.429162165, 0.243373031),
     ('dynamic_easy/0', 'geopf', 'timeout', None, 1500, 0.570148848, 0.119405065),
     ('dynamic_easy/0', 'pf', 'timeout', None, 1500, 0.384440772, 0.305857223),
-    ('dynamic_easy/0', 'cf', 'timeout', None, 1500, 0.271647226, 0.303912708),
+    ('dynamic_easy/0', 'cf', 'timeout', None, 1500, 0.271635185, 0.303912708),
     ('dynamic_easy/1', 'geopf', 'timeout', None, 1500, 0.678886419, 0.187268835),
     ('dynamic_easy/2', 'geopf', 'timeout', None, 1500, 0.573229061, 0.14101328),
     ('dynamic_hard/0', 'geopf', 'timeout', None, 1500, 0.650743213, 0.232832487),

@@ -4,7 +4,10 @@
   obstacles, walls, start and goal) negates that coordinate of every GeoPF
   state, bit for bit, with the trap correction on or off: IEEE negation is
   exact, and no GeoPF path names a world axis.  Only the sign of a zero may
-  differ, so floats compare by ``==``.
+  differ, so floats compare by ``==``.  A drifting scene, or a PF/CF
+  trial, mirrors only up to rounding (the drift fold and the cylinder
+  clouds' ``axis_frame`` are not symmetric), so there the verdicts must be
+  equal and the path length and final position equal to a tolerance.
 - **Gradient.**  Without the trap correction, the GeoPF field is the
   gradient of the potential
 
@@ -28,8 +31,10 @@ from geopf import (
     Cube,
     GeoPFPlanner,
     Obstacle,
+    PlannerSpec,
     Scene,
     SceneClass,
+    VerdictKind,
     corridor_boundary,
     distance,
     generate,
@@ -86,19 +91,32 @@ def _mirrored_primitive(prim, flip):
 
 
 def mirrored(scene, axis):
-    """``scene`` with world coordinate ``axis`` negated everywhere."""
+    """``scene`` with world coordinate ``axis`` negated everywhere: each
+    drift velocity is negated there, and the drift bounds' lo and hi trade
+    places on that axis."""
     flip = _flip(axis)
+    bounds = scene.drift_bounds
+    if bounds is not None:
+        lo, hi = map(list, bounds)
+        lo[axis], hi[axis] = -hi[axis], -lo[axis]
+        bounds = (tuple(lo), tuple(hi))
     return Scene(
         start=flip(scene.start),
         goal=flip(scene.goal),
         obstacles=[
-            Obstacle(_mirrored_primitive(o.primitive, flip), o.gain) for o in scene.obstacles
+            Obstacle(
+                _mirrored_primitive(o.primitive, flip),
+                o.gain,
+                None if o.drift is None else flip(o.drift),
+            )
+            for o in scene.obstacles
         ],
         boundary=[_mirrored_primitive(w, flip) for w in scene.boundary],
         gains=scene.gains,
         sim=scene.sim,
         seed=scene.seed,
         scene_class=scene.scene_class,
+        drift_bounds=bounds,
     )
 
 
@@ -128,6 +146,37 @@ def test_a_mirrored_static_scene_gives_the_mirrored_trajectory(label, correction
             record.min_dist,
             record.dist_sum,
         )
+
+
+# Drifting GeoPF scenes run to their own cap, PF/CF trials past their
+# first approach to a rectangle.
+VERDICT_MIRRORS = [
+    (SceneClass.DYNAMIC_HARD, 0, "geopf", None),
+    (SceneClass.DYNAMIC_EASY, 0, "geopf", None),
+    (SceneClass.PLANE_EASY, 0, "pf", 1000),
+    (SceneClass.PLANE_EASY, 0, "cf", 1000),
+]
+
+
+@pytest.mark.parametrize(
+    "scene_class, seed, kind, cap",
+    VERDICT_MIRRORS,
+    ids=[f"{c.value}/{s}-{k}" for c, s, k, _ in VERDICT_MIRRORS],
+)
+def test_a_mirrored_scene_gives_the_mirrored_verdict(scene_class, seed, kind, cap):
+    scene = generate(scene_class, seed)
+    assert any(o.drift is not None for o in scene.obstacles) == (kind == "geopf")
+    params = scene.sim if cap is None else dataclasses.replace(scene.sim, max_steps=cap)
+    record = run_trial(scene, PlannerSpec(kind).build(), params, keep_states=False)
+    assert (kind == "geopf") == (record.verdict.kind is VerdictKind.REACHED_GOAL)
+    for axis in (0, 2):
+        image = run_trial(
+            mirrored(scene, axis), PlannerSpec(kind).build(), params, keep_states=False
+        )
+        assert image.verdict == record.verdict, axis
+        assert image.path_length == pytest.approx(record.path_length, rel=0.0, abs=1e-9), axis
+        position = _flip(axis)(image.states[-1].position)
+        assert position == pytest.approx(record.states[-1].position, rel=0.0, abs=1e-9), axis
 
 
 # Central differences with step H; a point is kept only when every distance

@@ -2,12 +2,16 @@
 
 Prints sha256 hashes that a behaviour-preserving change must leave
 unchanged.  Each trial is run with ``run_trial(keep_states=False)`` and
-contributes a verdict record ``verdict kind|obstacle id|step`` and a bit
-record, the verdict record followed by ``|path_length|min_dist|dist_sum``
-with the three floats as ``float.hex``.  A hash covers its trials' records
-concatenated without a separator; each trial set prints the bit hash and,
-beside it, the verdict hash, which a change that moves the floats but no
-verdict leaves unchanged.
+contributes three records: a verdict record ``verdict kind|obstacle id|step``;
+a motion record, the verdict record followed by ``|path_length|x|y|z`` with
+the path length and the final position as ``float.hex``; and a distance
+record ``min_dist|dist_sum`` as ``float.hex``.  The motion is the planner's
+and the integrator's; the distances are measured by the GeoPF query kernels
+whatever the planner, so a kernel-only change moves them and not the motion
+of a PF/CF trial.  A hash covers its trials' records of one kind
+concatenated without a separator; each trial set prints its motion,
+distance and verdict hashes, labelled ``motion``, ``distances`` and
+``verdicts``.
 
 - ``trajectory``: 97 capped trials: ``maze_scene()``, then seeds 0-7 of
   every scene class (class by class) under GeoPF capped at 3,000 steps, then
@@ -43,11 +47,12 @@ verdict leaves unchanged.
 ``tools/fingerprints.txt`` holds the expected lines.  When it exists, each
 printed line ends in ``same`` or ``CHANGED`` against the line of the same
 name there, and the exit status is 1 if any line changed.  A trial set's
-``CHANGED`` says what moved: ``(verdicts)`` when its verdict hash moved,
-``(bits)`` when only its bit hash did.  Its header names
-the Python and numpy versions it was recorded under: ``clouds`` depends on
-the platform's ``math.cos``.  A change that moves a hash on purpose records
-the new line there and says why.
+``CHANGED`` names the hashes that moved, for example ``(distances)`` when
+only the kernel distances did.  Its header names the Python and numpy
+versions it was recorded under.  Scenes and clouds are built in scalar float
+arithmetic, with no BLAS kernel in their bits, so they do not depend on the
+CPU; ``clouds`` still depends on the platform's ``math.cos``.  A change that
+moves a hash on purpose records the new line there and says why.
 
 Run from the repository root (about two minutes on one core of a 2-core
 x86-64 VM: ``drift`` takes about a minute, ``cloud-drift`` about 30 s,
@@ -82,19 +87,24 @@ from geopf.scenes import scene_to_document
 
 
 def _trial_records(scene, kind: str, max_steps: int | None = None) -> tuple:
-    """The trial's verdict record and bit record."""
+    """The trial's motion, distance and verdict records."""
     params = scene.sim if max_steps is None else dataclasses.replace(scene.sim, max_steps=max_steps)
     rec = run_trial(scene, PlannerSpec(kind).build(), params, keep_states=False)
     v = rec.verdict
     verdict = "|".join([v.kind.value, str(v.obstacle_id), str(v.step)])
-    floats = (rec.path_length, rec.min_dist, rec.dist_sum)
-    return verdict, "|".join([verdict, *map(float.hex, floats)])
+    motion = (rec.path_length, *rec.states[-1].position)
+    distances = (rec.min_dist, rec.dist_sum)
+    return (
+        "|".join([verdict, *map(float.hex, motion)]),
+        "|".join(map(float.hex, distances)),
+        verdict,
+    )
 
 
 def _hashes(trials) -> tuple:
-    """Bit hash and verdict hash of ``(scene, kind, max_steps)`` trials."""
-    verdicts, bits = zip(*(_trial_records(*trial) for trial in trials))
-    return tuple(hashlib.sha256("".join(r).encode()).hexdigest() for r in (bits, verdicts))
+    """Motion, distance and verdict hashes of ``(scene, kind, max_steps)`` trials."""
+    records = zip(*(_trial_records(*trial) for trial in trials))
+    return tuple(hashlib.sha256("".join(r).encode()).hexdigest() for r in records)
 
 
 def capped_trials():
@@ -188,8 +198,8 @@ def fingerprint_lines():
         ("drift", drift_trials()),
         ("cloud-drift", cloud_drift_trials()),
     ):
-        bits, verdicts = _hashes(trials)
-        yield f"{name:<11} {bits}  verdicts {verdicts}"
+        motion, distances, verdicts = _hashes(trials)
+        yield f"{name:<11} motion {motion}  distances {distances}  verdicts {verdicts}"
     yield f"{'scenes':<11} {scene_hash()}"
     yield f"{'clouds':<11} {cloud_hash()}"
     yield f"{'kernels':<11} {kernel_hash()}"
@@ -199,13 +209,14 @@ EXPECTED = pathlib.Path(__file__).with_name("fingerprints.txt")
 
 
 def _status(line: str, expected: str | None) -> str:
-    """``same``, or ``CHANGED`` and, for a trial set recorded with its
-    verdict hash, whether the verdicts or only the bits moved."""
+    """``same``, or ``CHANGED`` and, for a trial set, the labels of the
+    hashes that moved."""
     if line == expected:
         return "same"
-    fields, old = line.split(), (expected or "").split()
-    if "verdicts" in fields and "verdicts" in old:
-        return "CHANGED (verdicts)" if fields[-1] != old[-1] else "CHANGED (bits)"
+    new, old = line.split()[1:], (expected or "").split()[1:]
+    if len(new) > 1 and new[::2] == old[::2]:
+        moved = [label for label, a, b in zip(new[::2], new[1::2], old[1::2]) if a != b]
+        return f"CHANGED ({', '.join(moved)})"
     return "CHANGED"
 
 
